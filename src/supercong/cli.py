@@ -9,6 +9,7 @@ check failed, 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -112,8 +113,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except OSError as e:
         print(f"supercong: cannot write output: {e}", file=sys.stderr)
         return EXIT_USAGE
-    print(emit_report(summary, args.format))
-    return EXIT_FAILURES if summary.failed else EXIT_OK
+    status = EXIT_FAILURES if summary.failed else EXIT_OK
+    try:
+        print(emit_report(summary, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): point stdout at devnull so the
+        # flush at interpreter exit cannot raise again, and keep the status
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    return status
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:

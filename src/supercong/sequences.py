@@ -3,10 +3,13 @@
 Two evaluation routes are kept strictly separate on purpose.  The fast route
 works entirely mod p^e: pair weights C(x,k) C(x+k,k) c^k are produced by a
 multiplicative k-recurrence (k < p keeps every step invertible) and combined
-with an in-place Pascal row, giving a full n in [0, p-1] table in O(p^2)
-residue multiplications.  The slow route evaluates the same sums over exact
-Fractions and only reduces at the very end; it exists solely to audit the
-fast route and is never consulted to produce a result.
+by one convolution, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!).  For n < p no
+factorial has a factor p, so every factorial is a unit mod p^e; the
+convolution for all n in [0, p-1] is one big-integer product of the two
+sequences packed into fixed-width slots (Kronecker substitution).  The slow
+route evaluates the same sums over exact Fractions and only reduces at the
+very end; it exists solely to audit the fast route and is never consulted to
+produce a result.
 """
 
 from __future__ import annotations
@@ -173,20 +176,35 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
 
 @lru_cache(maxsize=4096)
 def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
+    """Rows n in [0, p-1] as one convolution, packed into big integers.
+
+    t_n = sum_k C(n,k) w_k = n! * sum_{k+j=n} (w_k / k!) (1 / j!).  This
+    relies on n < p: then n! has no factor p, so every factorial is a unit
+    mod p^e.  Both factor sequences are packed into one integer each, in
+    slots wide enough for a coefficient of the product (at most
+    p (p^e - 1)^2, so no carry crosses a slot), and multiplied once.
+    """
     mod = p**e
     w = _pair_weights_mod(p, e, x, mult)
-    vals = [0] * p
-    row = [0] * p  # C(n, k) mod p^e, updated in place as n grows
-    row[0] = 1
-    for n in range(p):
-        if n:
-            for k in range(n, 0, -1):
-                row[k] = (row[k] + row[k - 1]) % mod
-        acc = 0
-        for k in range(n + 1):
-            acc += row[k] * w[k]
-        vals[n] = acc % mod
-    return tuple(vals)
+    fact = [1] * p
+    for n in range(1, p):
+        fact[n] = fact[n - 1] * n % mod
+    inv_fact = [0] * p
+    inv_fact[p - 1] = pow(fact[p - 1], -1, mod)
+    for n in range(p - 1, 0, -1):
+        inv_fact[n - 1] = inv_fact[n] * n % mod
+    width = ((p * (mod - 1) ** 2).bit_length() + 7) // 8  # bytes per slot
+
+    def pack(seq) -> int:
+        return int.from_bytes(
+            b"".join(v.to_bytes(width, "little") for v in seq), "little")
+
+    product = (pack([wk * ik % mod for wk, ik in zip(w, inv_fact)])
+               * pack(inv_fact))
+    # the product has 2p - 1 slots; only the first p (rows n < p) are read
+    raw = product.to_bytes(width * (2 * p - 1), "little")
+    return tuple(int.from_bytes(raw[i:i + width], "little") * f % mod
+                 for i, f in zip(range(0, width * p, width), fact))
 
 
 # oracle row audit: full table for small p, else 5 deterministic spot rows

@@ -3,11 +3,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from supercong.congruences import padic_split
-from supercong.core import Residue, binom_gen, binom_int, mod_reduce
-from supercong.sequences import pfaff_check, t_symmetry_check
+from supercong.core import (
+    Residue, binom_gen, binom_int, is_prime, mod_reduce)
+from supercong.sequences import (
+    pfaff_check, s_seq, s_table_mod, t_seq, t_symmetry_check, t_table_mod)
 from supercong.suite import parse_x
 
 small_primes = st.sampled_from((3, 5, 7, 11))
+primes_to_200 = st.sampled_from([p for p in range(3, 200) if is_prime(p)])
 exponents = st.sampled_from((1, 2, 3))
 
 
@@ -76,3 +79,28 @@ def test_residue_arithmetic_matches_integers(p, e, a, b):
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=40))
 def test_parse_x_round_trips_fraction_strings(q):
     assert parse_x(str(q)) == q
+
+
+def table_argument(p: int):
+    """p-integral x, weighted towards the edges of the table's arguments."""
+    offset = p_integral(p, 40, 12).map(lambda t: p * t)
+    return st.one_of(
+        offset.map(lambda d: (p - 1) // 2 + d),  # m = (p-1)/2
+        st.integers(-2 * p, 2 * p).map(Fraction),  # integers
+        offset.map(lambda d: Fraction(-1, 2) + d),  # x = -1/2 mod p
+        p_integral(p, 200, 30),
+    )
+
+
+@given(primes_to_200, exponents,
+       st.sampled_from(((t_table_mod, t_seq), (s_table_mod, s_seq))),
+       st.data())
+@settings(deadline=None, max_examples=25)
+def test_tables_match_the_exact_sequences(p, e, family, data):
+    build, exact = family
+    x = data.draw(table_argument(p))
+    table = build(p, e, x, oracle="full")  # raises on any row off the oracle
+    assert len(table) == p and table.modulus == p**e
+    n = data.draw(st.integers(0, p - 1))
+    for row in {0, 1, n, p - 1}:
+        assert table[row] == mod_reduce(exact(row, x), p, e).value

@@ -402,3 +402,18 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
+
+    @pytest.mark.parametrize("flags, status", [([], 0),
+                                               (["--inject-error"], 1)])
+    def test_reader_closing_stdout_early(self, flags, status):
+        # the reader's end is closed before verify writes its report, as
+        # `| head -c 10` does once it has its bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "supercong", "verify", "--statement",
+             "theorem1", "--pmax", "13", "--format", "jsonl", *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == status
+        assert "Traceback" not in err and "BrokenPipeError" not in err
