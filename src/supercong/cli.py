@@ -102,6 +102,17 @@ def _verify_config(args: argparse.Namespace) -> SuiteConfig:
     return cfg
 
 
+def _print_to_reader(text: str) -> None:
+    """Print text; if the reader left early (`| head`), point stdout at
+    devnull so the flush at exit cannot raise, and keep the caller's status."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         cfg = _verify_config(args)
@@ -113,16 +124,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except OSError as e:
         print(f"supercong: cannot write output: {e}", file=sys.stderr)
         return EXIT_USAGE
-    status = EXIT_FAILURES if summary.failed else EXIT_OK
-    try:
-        print(emit_report(summary, args.format))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early (`| head`): point stdout at devnull so the
-        # flush at interpreter exit cannot raise again, and keep the status
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-    return status
+    _print_to_reader(emit_report(summary, args.format))
+    return EXIT_FAILURES if summary.failed else EXIT_OK
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
@@ -130,11 +133,11 @@ def _cmd_identities(args: argparse.Namespace) -> int:
         print("supercong: --nmax must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     results = identity_suite(args.nmax)
-    failed = 0
-    for name, ok in results:
-        print(f"{'ok' if ok else 'FAIL'} - {name}")
-        failed += 0 if ok else 1
-    print(f"identities: {len(results) - failed}/{len(results)} families hold")
+    failed = sum(not ok for _, ok in results)
+    lines = [f"{'ok' if ok else 'FAIL'} - {name}" for name, ok in results]
+    lines.append(
+        f"identities: {len(results) - failed}/{len(results)} families hold")
+    _print_to_reader("\n".join(lines))
     return EXIT_FAILURES if failed else EXIT_OK
 
 

@@ -7,9 +7,11 @@ by one convolution, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!).  For n < p no
 factorial has a factor p, so every factorial is a unit mod p^e; the
 convolution for all n in [0, p-1] is one big-integer product of the two
 sequences packed into fixed-width slots (Kronecker substitution).  The slow
-route evaluates the same sums over exact Fractions and only reduces at the
-very end; it exists solely to audit the fast route and is never consulted to
-produce a result.
+route (_row_exact, behind t_seq and s_seq) evaluates one row exactly with
+integers only: a term-ratio recurrence summed over the common denominator
+b^{2n} (n!)^3 of x = a/b, turned into one Fraction at the end.  The audit
+reduces that Fraction mod p^e and compares; the slow route exists to audit
+the fast route and is never consulted to produce a table.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .core import (
     DegenerateError,
@@ -39,7 +41,10 @@ S_MULT = 1
 
 @lru_cache(maxsize=512)
 def _pair_weights_exact(x: Fraction, kmax: int, mult: int) -> tuple[Fraction, ...]:
-    """w_k = C(x,k) C(x+k,k) mult^k for k in [0, kmax], exact."""
+    """w_k = C(x,k) C(x+k,k) mult^k for k in [0, kmax], exact.
+
+    Used by the exact cross blocks in congruences; rows use _row_exact.
+    """
     out = [Fraction(1)]
     falling = Fraction(1)  # C(x, k)
     rising = Fraction(1)  # C(x+k, k)
@@ -53,8 +58,18 @@ def _pair_weights_exact(x: Fraction, kmax: int, mult: int) -> tuple[Fraction, ..
 
 
 def _row_exact(n: int, x: Fraction, mult: int) -> Fraction:
-    w = _pair_weights_exact(x, n, mult)
-    return sum((comb(n, k) * w[k] for k in range(n + 1)), Fraction(0))
+    """sum_k C(n,k) C(x,k) C(x+k,k) mult^k, exact, in integers until the end.
+
+    For x = a/b, term k is num_k / (b^{2k} (k!)^3) with num_k = num_{k-1}
+    (n-k+1) mult (a-(k-1)b)(a+kb).  Horner's rule puts all terms over
+    b^{2n} (n!)^3: one big-by-small product per step, one gcd at the end.
+    """
+    a, b = x.numerator, x.denominator
+    acc = num = 1
+    for k in range(1, n + 1):
+        num *= (n - k + 1) * mult * (a - (k - 1) * b) * (a + k * b)
+        acc = acc * (k * k * k * b * b) + num
+    return Fraction(acc, b ** (2 * n) * factorial(n) ** 3)
 
 
 def t_seq(n: int, x: RationalLike) -> Fraction:
@@ -226,11 +241,8 @@ def _oracle_rows(p: int, e: int, x: Fraction, mult: int, mode: str) -> list[int]
 
 def _audit_table(p: int, e: int, x: Fraction, mult: int,
                  values: tuple[int, ...], mode: str) -> None:
-    rows = _oracle_rows(p, e, x, mult, mode)
-    w = _pair_weights_exact(x, max(rows), mult)
-    for n in rows:
-        exact = sum((comb(n, k) * w[k] for k in range(n + 1)), Fraction(0))
-        expect = mod_reduce(exact, p, e).value
+    for n in _oracle_rows(p, e, x, mult, mode):
+        expect = mod_reduce(_row_exact(n, x, mult), p, e).value
         if expect != values[n]:
             raise OracleMismatchError(
                 f"table row n={n} (p={p}, e={e}, x={x}, mult={mult}): "

@@ -6,7 +6,8 @@ from supercong.congruences import padic_split
 from supercong.core import (
     Residue, binom_gen, binom_int, is_prime, mod_reduce)
 from supercong.sequences import (
-    pfaff_check, s_seq, s_table_mod, t_seq, t_symmetry_check, t_table_mod)
+    S_poly, pfaff_check, s_seq, s_table_mod, t_seq, t_symmetry_check,
+    t_table_mod)
 from supercong.suite import parse_x
 
 small_primes = st.sampled_from((3, 5, 7, 11))
@@ -65,6 +66,22 @@ def test_pfaff_reflection_everywhere(n, z):
 def test_t_reflection_everywhere(n, x):
     assert t_symmetry_check(n, x)
 
+
+
+@given(st.data(), st.integers(0, 60))
+@settings(deadline=None)
+def test_sequences_match_the_literal_definition(data, n):
+    # integers in [0, n] make the higher terms vanish; -1/2 is the fixed
+    # point of x -> -1-x; the rest mix sign, numerator and denominator height
+    x = data.draw(st.one_of(
+        st.integers(0, n).map(Fraction),
+        st.just(Fraction(-1, 2)),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+        st.builds(Fraction, st.integers(-10**6, 10**6),
+                  st.integers(1, 10**4)),
+    ))
+    assert t_seq(n, x) == S_poly(n, x, -2)
+    assert s_seq(n, x) == S_poly(n, x, -1)
 
 @given(small_primes, exponents, st.integers(-500, 500), st.integers(-500, 500))
 def test_residue_arithmetic_matches_integers(p, e, a, b):

@@ -5,8 +5,12 @@ import pytest
 from supercong.core import NonPIntegralError, OracleMismatchError, mod_reduce
 from supercong.sequences import (
     S_poly,
+    S_MULT,
     SequenceTable,
+    T_MULT,
     _audit_table,
+    _oracle_rows,
+    _table_values,
     j2,
     pfaff_check,
     s_seq,
@@ -108,6 +112,17 @@ class TestTables:
         bad = tab.values[:3] + (tab.values[3] + 11,) + tab.values[4:]
         with pytest.raises(OracleMismatchError):
             _audit_table(11, 2, Fraction(2, 5), 2, bad, "full")
+
+    @pytest.mark.parametrize("e", (2, 3))
+    @pytest.mark.parametrize("mult", (T_MULT, S_MULT))
+    def test_spot_oracle_rejects_tampered_rows(self, e, mult):
+        p, x = 101, Fraction(-17, 7)
+        values = _table_values(p, e, x, mult)
+        _audit_table(p, e, x, mult, values, "spot")
+        for n in _oracle_rows(p, e, x, mult, "spot"):
+            bad = values[:n] + ((values[n] + p) % p**e,) + values[n + 1:]
+            with pytest.raises(OracleMismatchError, match=f"row n={n} "):
+                _audit_table(p, e, x, mult, bad, "spot")
 
     def test_unknown_oracle_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -406,14 +406,26 @@ class TestCli:
     @pytest.mark.parametrize("flags, status", [([], 0),
                                                (["--inject-error"], 1)])
     def test_reader_closing_stdout_early(self, flags, status):
-        # the reader's end is closed before verify writes its report, as
-        # `| head -c 10` does once it has its bytes
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "supercong", "verify", "--statement",
-             "theorem1", "--pmax", "13", "--format", "jsonl", *flags],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == status
-        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert _run_with_stdout_closed(
+            "verify", "--statement", "theorem1", "--pmax", "13",
+            "--format", "jsonl", *flags) == status
+
+    def test_identities_reader_closing_stdout_early(self):
+        assert _run_with_stdout_closed("identities", "--nmax", "6") == 0
+
+
+def _run_with_stdout_closed(*args: str) -> int:
+    """Exit status of `python -m supercong ARGS` whose reader left at once.
+
+    The reader's end is closed before the command writes, as `| head -c 10`
+    does once it has its bytes; a traceback on stderr fails the test.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supercong", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    status = proc.wait(timeout=60)
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    return status
