@@ -6,7 +6,8 @@ Run:  python3 demos/demo_congruences.py
 
 from fractions import Fraction
 
-from supercong import (
+from supercong.congruences import (
+    CONJECTURE_CASES,
     block_sums,
     conjecture_check,
     kw_check,
@@ -55,8 +56,7 @@ def main() -> None:
           f"sign mod 13^2)")
 
     print("\n== fixed-argument weighted sums: four cases, one shape c*p ==")
-    for name in ("weighted_8n5", "weighted_32n21", "weighted_18n7",
-                 "weighted_72n49"):
+    for name in CONJECTURE_CASES:
         r = conjecture_check(name, 29)
         print(f"  {name} at p=29: lhs = {r.lhs.value} = rhs mod 29^2: "
               f"{r.passed}")

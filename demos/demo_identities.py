@@ -6,7 +6,7 @@ Run:  python3 demos/demo_identities.py
 
 from fractions import Fraction
 
-from supercong import (
+from supercong.identities import (
     binom_conv_sum,
     lemma22_double_sum,
     lemma31_sum,

@@ -6,7 +6,7 @@ Run:  python3 demos/demo_sequences.py
 
 from fractions import Fraction
 
-from supercong import (
+from supercong.sequences import (
     S_poly,
     j2,
     pfaff_check,

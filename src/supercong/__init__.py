@@ -11,80 +11,19 @@ mod p^2 (plus a mod-p^3 variant of the s-family at x = -1/2) against their
 closed forms, for ranges of odd primes and p-integral rational arguments.
 Every modular fast path can be cross-checked row by row against an
 independent exact-rational oracle.
+
+The top level re-exports only a small library surface; everything else is
+imported from its submodule (core, sequences, identities, congruences,
+suite, cli).
 """
 
-from .core import (
-    DegenerateError,
-    HypothesisViolatedError,
-    LegendreValue,
-    NonPIntegralError,
-    NotInvertibleError,
-    OracleMismatchError,
-    PoleError,
-    Rational,
-    RegimeError,
-    Residue,
-    SupercongError,
-    binom_gen,
-    binom_int,
-    harmonic,
-    is_odd_prime,
-    legendre,
-    mod_inv,
-    mod_reduce,
-    odd_primes,
-    pochhammer,
-    to_fraction,
-)
-from .sequences import (
-    SequenceTable,
-    S_poly,
-    j2,
-    pfaff_check,
-    s_seq,
-    s_table_mod,
-    t_seq,
-    t_symmetry_check,
-    t_table_mod,
-)
-from .identities import (
-    binom_conv_sum,
-    lemma22_closed,
-    lemma22_double_sum,
-    lemma31_closed,
-    lemma31_sum,
-    lemma32_closed,
-    lemma32_double_sum,
-    liu22_closed,
-    liu22_sum,
-    pfaff_derivative_check,
-    pfd_check,
-    pfd_sides,
-    weighted_binom_conv_sum,
-)
+from .core import mod_reduce
+from .sequences import t_seq, t_table_mod
 from .congruences import (
-    CONJECTURE_CASES,
-    CongruenceReport,
-    PadicRational,
-    block_sums,
     block_vanishing_check,
-    conjecture_check,
-    default_x_grid,
-    kw_check,
     lemma21_all,
-    lemma21_check,
-    lemma23_check,
-    lemma24_check,
-    lemma33_check,
-    lemma34_check,
     padic_split,
-    residue_table_check,
-    sun_s_check,
     theorem1_check,
-    theorem1_rhs,
-    theorem2_check,
-    theorem2_rhs,
-    weighted_sum_check,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,11 @@ convolution sum scaled to be p-integral (the n+1 = p term alone carries a
 reduced mod p^2; per-argument block sums are then pure O(p^2) modular work.
 The two cross blocks are additionally compared as exact rationals, because
 their equality is claimed exactly, not just mod p^2.
+
+Each closed form is written once.  The near and cross blocks of Lemmas
+2.3/2.4 and 3.3/3.4 are p c(m) and p t c(m), with c the Lemma 2.2 or 3.2
+closed form taken from `identities` (BLOCK_LEMMAS); theorem1, theorem2 and
+sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from functools import lru_cache
 from math import comb
 from random import Random
 from time import perf_counter_ns
+from typing import Callable
 
 from .core import (
     HypothesisViolatedError,
@@ -39,6 +45,7 @@ from .core import (
     require_odd_prime,
     to_fraction,
 )
+from .identities import lemma22_closed, lemma32_closed
 from .sequences import (
     SequenceTable,
     T_MULT,
@@ -273,50 +280,26 @@ def block_sums(p: int, x: RationalLike,
     return tuple(Residue(v, mod) for v in _block_sums_mod(p, px.x, weighted))
 
 
-def lemma23_check(p: int, x: RationalLike) -> CongruenceReport:
-    """Near block (k,l <= m) of the plain decomposition vs p(-1)^m/(2m+1)."""
+# statement -> (weighted decomposition, row-major block index, closed form c):
+# the near block (index 0) is p c(m), the cross block (index 1) is p t c(m)
+BLOCK_LEMMAS: dict[str, tuple[bool, int, Callable[[int], Fraction]]] = {
+    "lemma23": (False, 0, lemma22_closed),
+    "lemma24": (False, 1, lemma22_closed),
+    "lemma33": (True, 0, lemma32_closed),
+    "lemma34": (True, 1, lambda m: lemma32_closed(m) - Fraction(1, 4)),
+}
+
+
+def block_lemma_check(name: str, p: int, x: RationalLike) -> CongruenceReport:
+    """The near or cross block of the plain or (n+1)-weighted decomposition
+    mod p^2 against its closed form, by statement id (see BLOCK_LEMMAS)."""
     t0 = perf_counter_ns()
+    weighted, block, closed = BLOCK_LEMMAS[name]
     px = _as_padic(x, p)
     _require_low_regime(px)
-    lhs = Residue(_block_sums_mod(p, px.x, False)[0], p * p)
-    rhs = mod_reduce(Fraction((-1) ** px.m * p, 2 * px.m + 1), p, 2)
-    return _report("lemma23", p, px.x, lhs, rhs, t0)
-
-
-def lemma24_check(p: int, x: RationalLike) -> CongruenceReport:
-    """Cross block (k <= m < l) of the plain decomposition vs pt(-1)^m/(2m+1)."""
-    t0 = perf_counter_ns()
-    px = _as_padic(x, p)
-    _require_low_regime(px)
-    lhs = Residue(_block_sums_mod(p, px.x, False)[1], p * p)
-    rhs = mod_reduce(Fraction((-1) ** px.m * p, 2 * px.m + 1) * px.t, p, 2)
-    return _report("lemma24", p, px.x, lhs, rhs, t0)
-
-
-def lemma33_check(p: int, x: RationalLike) -> CongruenceReport:
-    """Near block of the (n+1)-weighted decomposition vs its closed form."""
-    t0 = perf_counter_ns()
-    px = _as_padic(x, p)
-    _require_low_regime(px)
-    m = px.m
-    lhs = Residue(_block_sums_mod(p, px.x, True)[0], p * p)
-    rhs = mod_reduce(
-        Fraction(p, 4) - Fraction((-1) ** m * (2 * m * m + 2 * m - 1) * p,
-                                  8 * m + 4), p, 2)
-    return _report("lemma33", p, px.x, lhs, rhs, t0)
-
-
-def lemma34_check(p: int, x: RationalLike) -> CongruenceReport:
-    """Cross block of the (n+1)-weighted decomposition vs its closed form."""
-    t0 = perf_counter_ns()
-    px = _as_padic(x, p)
-    _require_low_regime(px)
-    m = px.m
-    lhs = Residue(_block_sums_mod(p, px.x, True)[1], p * p)
-    rhs = mod_reduce(
-        Fraction((-1) ** m * (1 - 2 * m * m - 2 * m), 8 * m + 4) * p * px.t,
-        p, 2)
-    return _report("lemma34", p, px.x, lhs, rhs, t0)
+    lhs = Residue(_block_sums_mod(p, px.x, weighted)[block], p * p)
+    rhs = p * closed(px.m) * (px.t if block else 1)
+    return _report(name, p, px.x, lhs, mod_reduce(rhs, p, 2), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +314,18 @@ def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
     return Residue(acc % mod, mod)
 
 
+def _sign_ratio(px: PadicRational) -> Fraction:
+    """(-1)^m (p + 2(x-m)) / (2x+1), shared by theorem1, theorem2 and sun_s."""
+    return (-1) ** px.m * (px.p + 2 * (px.x - px.m)) / (2 * px.x + 1)
+
+
 def theorem1_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
     """Closed form for sum t_n(x)^2 mod p^2: the Legendre symbol (-1/p)
     when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1)."""
     px = _as_padic(x, p)
     if 2 * px.m + 1 == p:
         return Residue(legendre(-1, p), p * p)
-    val = Fraction((-1) ** px.m) * (p + 2 * (px.x - px.m)) / (2 * px.x + 1)
-    return mod_reduce(val, p, 2)
+    return mod_reduce(_sign_ratio(px), p, 2)
 
 
 def theorem1_check(p: int, x: RationalLike,
@@ -360,8 +347,7 @@ def theorem2_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
         val = Fraction(p, 4) + Fraction(3, 8) * legendre(-1, p)
     else:
         val = Fraction(p, 4) - (
-            Fraction((-1) ** px.m) * (2 * px.x * px.x + 2 * px.x - 1)
-            * (p + 2 * (px.x - px.m)) / (8 * px.x + 4))
+            (2 * px.x * px.x + 2 * px.x - 1) / 4 * _sign_ratio(px))
     return mod_reduce(val, p, 2)
 
 
@@ -441,8 +427,8 @@ def sun_s_check(p: int, x: RationalLike,
         raise HypothesisViolatedError("2x = -1 (mod p) is excluded")
     table = s_table_mod(p, 2, px.x, oracle=oracle)
     lhs = _weighted_square_sum(table, 0, 1)
-    val = Fraction((-1) ** px.m) * (p + 2 * (px.x - px.m)) / (2 * px.x + 1)
-    return _report("sun_s", p, px.x, lhs, mod_reduce(val, p, 2), t0)
+    rhs = mod_reduce(_sign_ratio(px), p, 2)
+    return _report("sun_s", p, px.x, lhs, rhs, t0)
 
 
 # ---------------------------------------------------------------------------

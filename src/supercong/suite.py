@@ -7,6 +7,12 @@ a run over a blanket grid is meaningful; genuine disagreements — including
 fast-path/oracle mismatches — become failing records.  Records can be
 streamed to a JSON Lines file as they complete, which makes an interrupted
 run's log a prefix of the completed run's log.
+
+The registry STATEMENTS is the only place a statement is defined: its
+StatementSpec gives the id, whether it takes an argument x, its least
+prime, its default prime cap, its regime handling and its check.  To add a
+statement, write its engine function in `congruences` and add one
+StatementSpec; dispatch, the "all" alias and the scanner follow from it.
 """
 
 from __future__ import annotations
@@ -43,41 +49,60 @@ class ParseError(SupercongError):
 
 @dataclass(frozen=True)
 class StatementSpec:
+    """The one definition of a statement.
+
+    `check(p, x, oracle)` returns a CongruenceReport, or a bool for the
+    structural statements; x is None unless needs_x.  The suite applies
+    min_p and the reflection before calling it.  Adding a statement takes
+    its engine function plus one entry in STATEMENTS; the check looks the
+    function up in `congruences` at call time, so the module attribute stays
+    the single binding (and can be wrapped, e.g. by a tracer).
+    """
+
     id: str
     needs_x: bool
     min_p: int
     default_pmax: int
+    check: Callable[[int, Optional[Fraction], str], "CongruenceReport | bool"]
     reflects: bool = False       # apply x -> -1-x when m > (p-1)/2
     strict_regime: bool = False  # skip when even reflection leaves m = (p-1)/2
 
+
+_LOW_REGIME = dict(reflects=True, strict_regime=True)
 
 # Registry order is the canonical scan order for the "all" suite.
 STATEMENTS: dict[str, StatementSpec] = {
     s.id: s
     for s in (
-        StatementSpec("theorem1", True, 3, 500),
-        StatementSpec("theorem2", True, 3, 500),
-        StatementSpec("weighted_8n5", False, 3, 500),
-        StatementSpec("weighted_32n21", False, 3, 500),
-        StatementSpec("weighted_18n7", False, 5, 500),
-        StatementSpec("weighted_72n49", False, 5, 500),
-        StatementSpec("kw", False, 3, 100),
-        StatementSpec("sun_s", True, 5, 500),
-        StatementSpec("lemma21", True, 3, 50, reflects=True),
-        StatementSpec("lemma23", True, 3, 50, reflects=True, strict_regime=True),
-        StatementSpec("lemma24", True, 3, 50, reflects=True, strict_regime=True),
-        StatementSpec("lemma33", True, 3, 50, reflects=True, strict_regime=True),
-        StatementSpec("lemma34", True, 3, 50, reflects=True, strict_regime=True),
-        StatementSpec("blocks", True, 3, 50, reflects=True, strict_regime=True),
-        StatementSpec("blocks_weighted", True, 3, 50, reflects=True,
-                      strict_regime=True),
-        StatementSpec("residue_table", False, 5, 500),
+        StatementSpec("theorem1", True, 3, 500,
+                      lambda p, x, o: cg.theorem1_check(p, x, o)),
+        StatementSpec("theorem2", True, 3, 500,
+                      lambda p, x, o: cg.theorem2_check(p, x, o)),
+        *(StatementSpec(sid, False, case[4], 500,
+                        lambda p, x, o, sid=sid: cg.conjecture_check(sid, p, o))
+          for sid, case in cg.CONJECTURE_CASES.items()),
+        StatementSpec("kw", False, 3, 100, lambda p, x, o: cg.kw_check(p, o)),
+        StatementSpec("sun_s", True, 5, 500,
+                      lambda p, x, o: cg.sun_s_check(p, x, o)),
+        StatementSpec("lemma21", True, 3, 50,
+                      lambda p, x, o: cg.lemma21_all(p, x), reflects=True),
+        *(StatementSpec(sid, True, 3, 50,
+                        lambda p, x, o, sid=sid: cg.block_lemma_check(sid, p, x),
+                        **_LOW_REGIME)
+          for sid in cg.BLOCK_LEMMAS),
+        StatementSpec("blocks", True, 3, 50,
+                      lambda p, x, o: cg.block_vanishing_check(p, x, weighted=False),
+                      **_LOW_REGIME),
+        StatementSpec("blocks_weighted", True, 3, 50,
+                      lambda p, x, o: cg.block_vanishing_check(p, x, weighted=True),
+                      **_LOW_REGIME),
+        StatementSpec("residue_table", False, 5, 500,
+                      lambda p, x, o: cg.residue_table_check(p)),
     )
 }
 
 STATEMENT_ALIASES: dict[str, tuple[str, ...]] = {
-    "conjecture": ("weighted_8n5", "weighted_32n21", "weighted_18n7",
-                   "weighted_72n49"),
+    "conjecture": tuple(cg.CONJECTURE_CASES),
     "all": tuple(STATEMENTS),
 }
 
@@ -223,37 +248,12 @@ def _dispatch(sid: str, p: int, x: Optional[Fraction],
             raise RegimeError(
                 "m = (p-1)/2 for both x and -1-x; outside the stated regime")
         x = px.x
-    if sid == "theorem1":
-        return cg.theorem1_check(p, x, oracle)
-    if sid == "theorem2":
-        return cg.theorem2_check(p, x, oracle)
-    if sid in cg.CONJECTURE_CASES:
-        return cg.conjecture_check(sid, p, oracle)
-    if sid == "kw":
-        return cg.kw_check(p, oracle)
-    if sid == "sun_s":
-        return cg.sun_s_check(p, x, oracle)
     t0 = perf_counter_ns()
-    if sid == "lemma21":
-        ok = cg.lemma21_all(p, x)
-    elif sid == "lemma23":
-        return cg.lemma23_check(p, x)
-    elif sid == "lemma24":
-        return cg.lemma24_check(p, x)
-    elif sid == "lemma33":
-        return cg.lemma33_check(p, x)
-    elif sid == "lemma34":
-        return cg.lemma34_check(p, x)
-    elif sid == "blocks":
-        ok = cg.block_vanishing_check(p, x, weighted=False)
-    elif sid == "blocks_weighted":
-        ok = cg.block_vanishing_check(p, x, weighted=True)
-    elif sid == "residue_table":
-        ok = cg.residue_table_check(p)
-    else:  # pragma: no cover - registry and dispatch must stay in sync
-        raise SupercongError(f"no dispatch rule for statement {sid!r}")
+    result = spec.check(p, x, oracle)
+    if isinstance(result, CongruenceReport):
+        return result
     micros = (perf_counter_ns() - t0) // 1000
-    return CongruenceReport(sid, p, x, None, None, ok, None, micros)
+    return CongruenceReport(sid, p, x, None, None, result, None, micros)
 
 
 def run_check(sid: str, p: int, x: Optional[Fraction] = None,

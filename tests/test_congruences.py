@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from supercong.congruences import (
+    BLOCK_LEMMAS,
     CONJECTURE_CASES,
     CongruenceReport,
     PadicRational,
+    block_lemma_check,
     block_sums,
     block_vanishing_check,
     conjecture_check,
@@ -13,10 +15,6 @@ from supercong.congruences import (
     kw_check,
     lemma21_all,
     lemma21_check,
-    lemma23_check,
-    lemma24_check,
-    lemma33_check,
-    lemma34_check,
     padic_split,
     residue_table_check,
     sun_s_check,
@@ -200,27 +198,32 @@ class TestBlockDecomposition:
 
 class TestBlockLemmas:
     def test_frozen_values_at_7(self):
-        r = lemma23_check(7, 1)
-        assert (r.lhs.value, r.rhs.value, r.passed) == (14, 14, True)
-        r = lemma24_check(7, 1)
-        assert (r.lhs.value, r.rhs.value, r.passed) == (0, 0, True)
-        r = lemma33_check(7, 1)
-        assert (r.lhs.value, r.rhs.value, r.passed) == (28, 28, True)
-        r = lemma34_check(7, 1)
-        assert (r.lhs.value, r.rhs.value, r.passed) == (0, 0, True)
+        # x = 1 has t = 0, so both cross blocks are 0
+        frozen = {"lemma23": 14, "lemma24": 0, "lemma33": 28, "lemma34": 0}
+        for name, value in frozen.items():
+            r = block_lemma_check(name, 7, 1)
+            assert r.statement == name
+            assert (r.lhs.value, r.rhs.value, r.passed) == (value, value, True)
+
+    def test_frozen_values_with_nonzero_t(self):
+        # x = 2/5 = 3 + 13 t at p = 13 with t = -1/5: every block nonzero
+        frozen = {"lemma23": 143, "lemma24": 39, "lemma33": 26,
+                  "lemma34": 156}
+        for name, value in frozen.items():
+            r = block_lemma_check(name, 13, Fraction(2, 5))
+            assert (r.lhs.value, r.rhs.value, r.passed) == (value, value, True)
+            assert r.lhs.modulus == 169
 
     def test_nonzero_fractional_offset(self):
-        for check in (lemma23_check, lemma24_check, lemma33_check,
-                      lemma34_check):
-            r = check(11, Fraction(-3, 4))
+        for name in BLOCK_LEMMAS:
+            r = block_lemma_check(name, 11, Fraction(-3, 4))
             assert r.passed and r.skipped_reason is None
             assert r.lhs.modulus == 121
 
     def test_regime_error(self):
-        for check in (lemma23_check, lemma24_check, lemma33_check,
-                      lemma34_check):
+        for name in BLOCK_LEMMAS:
             with pytest.raises(RegimeError):
-                check(7, Fraction(-1, 2))
+                block_lemma_check(name, 7, Fraction(-1, 2))
 
 
 class TestTheorem1:

@@ -1,7 +1,9 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,26 @@ class TestExpandStatements:
             expand_statements(["nope"])
         with pytest.raises(ParseError):
             expand_statements([])
+
+
+class TestReadmeStatementsTable:
+    def test_table_matches_registry(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "### Statements", 1)[1]
+        rows: dict[str, tuple[bool, int]] = {}
+        seen: list[str] = []
+        for line in section.splitlines():
+            if not line.startswith("| `"):
+                continue
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            ids = re.findall(r"`(\w+)`", cells[0])
+            seen += ids
+            for sid in ids:
+                rows[sid] = (cells[2] == "yes", int(cells[3]))
+        assert sorted(seen) == sorted(STATEMENTS)
+        for sid, spec in STATEMENTS.items():
+            assert rows[sid] == (spec.needs_x, spec.default_pmax), sid
 
 
 class TestParseConfig:
@@ -150,8 +172,7 @@ class TestRunCheck:
         for sid, spec in STATEMENTS.items():
             p = max(5, spec.min_p)
             r = run_check(sid, p, Fraction(1) if spec.needs_x else None)
-            assert r.statement == sid or r.statement.startswith("weighted")
-            assert r.passed is not False
+            assert r.statement == sid and r.passed is True
 
 
 class TestReportRecord:
@@ -400,6 +421,7 @@ class TestCli:
             [sys.executable, "-m", "supercong", "verify", "--statement",
              "kw", "--pmax", "7"],
             capture_output=True, text=True)
+        assert "No module named" not in proc.stderr
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
 
@@ -427,5 +449,6 @@ def _run_with_stdout_closed(*args: str) -> int:
     err = proc.stderr.read()
     proc.stderr.close()
     status = proc.wait(timeout=60)
+    assert "No module named" not in err
     assert "Traceback" not in err and "BrokenPipeError" not in err
     return status
