@@ -3,7 +3,8 @@
 Two subcommands: `verify` runs congruence statements over prime ranges and
 argument grids (configured by file and/or flags), `identities` runs the
 exact identity battery.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 configuration or usage error.
+check failed, 2 configuration or usage error, 3 at least one check hit a
+fault of the program (an `internal error:` record).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
+from .identities import identity_suite
 from .suite import (
     ORACLE_MODES,
     ParseError,
@@ -21,7 +23,6 @@ from .suite import (
     STATEMENTS,
     SuiteConfig,
     emit_report,
-    identity_suite,
     parse_config,
     parse_x,
     run_suite,
@@ -30,6 +31,7 @@ from .suite import (
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 # argparse only waves through option values that look like plain negative
 # numbers; teach it the rational form too so `--x -1/3` parses.
@@ -125,6 +127,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"supercong: cannot write output: {e}", file=sys.stderr)
         return EXIT_USAGE
     _print_to_reader(emit_report(summary, args.format))
+    if summary.internal_errors:
+        return EXIT_INTERNAL
     return EXIT_FAILURES if summary.failed else EXIT_OK
 
 

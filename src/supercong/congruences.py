@@ -6,13 +6,19 @@ CongruenceReport; structural checks (pair-weight regimes, block vanishing,
 the residue case table) return plain booleans.  Hypothesis failures raise —
 the suite layer converts those into skip records.
 
-The nine-block decomposition sums f(k,l) = w_k w_l * P(k,l) over rectangles
-of the (k,l) grid, where w_k = C(x,k) C(x+k,k) 2^k and P(k,l) is the inner
-convolution sum scaled to be p-integral (the n+1 = p term alone carries a
-1/p).  P depends only on p, so it is computed exactly once per prime and
-reduced mod p^2; per-argument block sums are then pure O(p^2) modular work.
-The two cross blocks are additionally compared as exact rationals, because
-their equality is claimed exactly, not just mod p^2.
+The nine-block decomposition sums f(k,l) = w_k w_l P(k,l) over rectangles
+K x L of the (k,l) grid, where w_k = C(x,k) C(x+k,k) 2^k and P(k,l) is
+sum_{n<p} c_n C(n,k) C(n,l), with c_n = 1 (plain) or n+1 (weighted).  So a
+rectangle is sum_{n<p} c_n A_K(n) A_L(n) with A_K(n) = sum_{k in K} C(n,k)
+w_k: three masked binomial transforms mod p^2 per argument (the same
+routine as the t table), then O(p) work per block.  The three transforms
+must add up to the t table; a break is a program fault and raises.  The
+two cross blocks are additionally compared as exact rationals for p <= 50,
+through the literal, ordered inner table P(k,l); their equality is claimed
+exactly, not just mod p^2.
+
+Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2; the literal
+exact-rational route (lemma21_check) is its oracle.
 
 Each closed form is written once.  The near and cross blocks of Lemmas
 2.3/2.4 and 3.3/3.4 are p c(m) and p t c(m), with c the Lemma 2.2 or 3.2
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from random import Random
 from time import perf_counter_ns
 from typing import Callable
@@ -33,12 +39,12 @@ from typing import Callable
 from .core import (
     HypothesisViolatedError,
     NonPIntegralError,
+    OracleMismatchError,
     RationalLike,
     RegimeError,
     Residue,
     SupercongError,
     binom_gen,
-    binom_int,
     harmonic,
     legendre,
     mod_reduce,
@@ -47,10 +53,15 @@ from .core import (
 )
 from .identities import lemma22_closed, lemma32_closed
 from .sequences import (
+    S_MULT,
     SequenceTable,
     T_MULT,
+    _binomial_transform,
+    _factorials,
+    _oracle_rows,
     _pair_weights_exact,
     _pair_weights_mod,
+    _table_values,
     s_table_mod,
     t_table_mod,
 )
@@ -134,22 +145,14 @@ def _report(statement: str, p: int, x: Fraction | None, lhs: Residue,
 # ---------------------------------------------------------------------------
 # pair-weight regimes (three ranges of k, mod p^2)
 
-def lemma21_check(p: int, x: "RationalLike | PadicRational", k: int) -> bool:
-    """C(x,k) C(x+k,k) mod p^2 matches its regime formula at x = m + pt:
+def _require_half_regime(px: PadicRational) -> None:
+    if px.m > (px.p - 1) // 2:
+        raise RegimeError(f"m = {px.m} > (p-1)/2; check the reflection -1-x")
 
-      0 <= k <= m:        C(m,k) C(m+k,k) (1 + pt H_{m+k} - pt H_{m-k})
-      m < k < p-m:        (-1)^{m+k+1} pt C(m+k,k) / ((k-m) C(k,m))
-      p-m <= k <= p-1:    0
 
-    Requires m <= (p-1)/2 (callers reflect x to -1-x first otherwise); the
-    middle range is empty when m = (p-1)/2.
-    """
-    px = _as_padic(x, p)
-    m, t = px.m, px.t
-    if m > (p - 1) // 2:
-        raise RegimeError(f"m = {m} > (p-1)/2; check the reflection -1-x")
-    if not 0 <= k <= p - 1:
-        raise ValueError(f"k = {k} outside [0, {p - 1}]")
+def _lemma21_exact(px: PadicRational, k: int) -> tuple[Residue, Residue]:
+    """Both sides of lemma21_check at k, from exact rationals."""
+    p, m, t = px.p, px.m, px.t
     lhs = mod_reduce(binom_gen(px.x, k) * binom_gen(px.x + k, k), p, 2)
     if k <= m:
         rhs_exact = comb(m, k) * comb(m + k, k) * (
@@ -160,53 +163,111 @@ def lemma21_check(p: int, x: "RationalLike | PadicRational", k: int) -> bool:
         sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
         rhs_exact = Fraction(sign * comb(m + k, k),
                              (k - m) * comb(k, m)) * p * t
-    return lhs == mod_reduce(rhs_exact, p, 2)
+    return lhs, mod_reduce(rhs_exact, p, 2)
 
 
-def lemma21_all(p: int, x: "RationalLike | PadicRational") -> bool:
+def lemma21_check(p: int, x: "RationalLike | PadicRational", k: int) -> bool:
+    """C(x,k) C(x+k,k) mod p^2 matches its regime formula at x = m + pt:
+
+      0 <= k <= m:        C(m,k) C(m+k,k) (1 + pt H_{m+k} - pt H_{m-k})
+      m < k < p-m:        (-1)^{m+k+1} pt C(m+k,k) / ((k-m) C(k,m))
+      p-m <= k <= p-1:    0
+
+    Requires m <= (p-1)/2 (callers reflect x to -1-x first otherwise); the
+    middle range is empty when m = (p-1)/2.  Evaluated literally over the
+    rationals, so it is the oracle for lemma21_all.
+    """
     px = _as_padic(x, p)
-    return all(lemma21_check(p, px, k) for k in range(p))
+    _require_half_regime(px)
+    if not 0 <= k <= p - 1:
+        raise ValueError(f"k = {k} outside [0, {p - 1}]")
+    lhs, rhs = _lemma21_exact(px, k)
+    return lhs == rhs
+
+
+def _lemma21_sides(px: PadicRational) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both sides of lemma21_check for every k < p, mod p^2, in one pass.
+
+    The left side is the pair weight with multiplier 1.  On the right,
+    every factorial is of a number below p, so a unit: C(m,k) C(m+k,k) =
+    (m+k)! / (k!^2 (m-k)!) and C(m+k,k) / ((k-m) C(k,m)) = (m+k)! (k-m-1)!
+    / k!^2.  A term p*y needs y only mod p, hence t mod p and H_j mod p.
+    """
+    p, m = px.p, px.m
+    mod = p * p
+    fact, inv_fact = _factorials(p, 2)
+    t = px.t_mod(1).value
+    harm = [0] * p  # H_j mod p, with 1/j = (j-1)! / j!
+    for j in range(1, p):
+        harm[j] = (harm[j - 1] + fact[j - 1] * inv_fact[j]) % p
+    rhs = [0] * p  # k >= p - m stays 0
+    for k in range(p - m):
+        if k <= m:
+            c = fact[m + k] * inv_fact[k] ** 2 * inv_fact[m - k] % mod
+            rhs[k] = (c + p * (c * t * (harm[m + k] - harm[m - k]) % p)) % mod
+        else:
+            sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
+            c = fact[m + k] * fact[k - m - 1] * inv_fact[k] ** 2
+            rhs[k] = p * (sign * c * t % p)
+    return _pair_weights_mod(p, 2, px.x, S_MULT), tuple(rhs)
+
+
+def lemma21_all(p: int, x: "RationalLike | PadicRational",
+                oracle: str = "off") -> bool:
+    """lemma21_check at every k in [0, p-1], both sides computed mod p^2.
+
+    oracle='off' trusts the modular pass; 'spot' re-derives both sides at
+    five deterministic k (every k when p <= 50) through the exact route of
+    lemma21_check; 'full' at every k.  A disagreement raises
+    OracleMismatchError.
+    """
+    px = _as_padic(x, p)
+    _require_half_regime(px)
+    lhs, rhs = _lemma21_sides(px)
+    if oracle != "off":
+        for k in _oracle_rows(p, 2, px.x, S_MULT, oracle):
+            exact = tuple(r.value for r in _lemma21_exact(px, k))
+            if (lhs[k], rhs[k]) != exact:
+                raise OracleMismatchError(
+                    f"lemma21 k={k} (p={p}, x={px.x}): fast sides "
+                    f"{lhs[k]}, {rhs[k]} != exact {exact[0]}, {exact[1]} "
+                    f"(mod {p * p})")
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
 # nine-block machinery
 
 @lru_cache(maxsize=32)
-def _scaled_inner_exact(p: int) -> tuple[tuple[tuple[Fraction, ...], ...],
-                                         tuple[tuple[Fraction, ...], ...]]:
-    """P_f(k,l) = p sum_n C(n,l)C(l,n-k)C(p-1,n)/(n+1) and the weighted
-    P_g(k,l) = p(p+1) sum_n .../(n+2), both p-integral, k,l in [0,p-1].
+def _scaled_inner_exact(p: int) -> tuple[tuple[tuple[int, ...], ...],
+                                         tuple[tuple[int, ...], ...]]:
+    """P_f(k,l) = sum_n C(n,l) C(l,n-k) C(p,n+1) and the weighted
+    P_g(k,l) = sum_n C(n,l) C(l,n-k) (n+1) C(p+1,n+2), k,l in [0,p-1].
 
-    The summand is symmetric under k <-> l, but each ordered cell is
-    computed literally so the cross-block equality stays a real check.
+    These equal sum_{n<p} C(n,k) C(n,l) and sum_{n<p} (n+1) C(n,k) C(n,l)
+    (identities.binom_conv_sum and weighted_binom_conv_sum at N = p).  The
+    summand is not visibly symmetric under k <-> l, and each ordered cell is
+    computed literally, so the exact cross-block equality stays a real check.
     """
     require_odd_prime(p)
+    plain = [comb(p, n + 1) for n in range(p)]
+    weighted = [(n + 1) * comb(p + 1, n + 2) for n in range(p)]
     f_rows = []
     g_rows = []
     for k in range(p):
         f_row = []
         g_row = []
         for l in range(p):
-            sf = Fraction(0)
-            sg = Fraction(0)
+            sf = sg = 0
             for n in range(max(k, l), min(k + l, p - 1) + 1):
-                c = comb(n, l) * binom_int(l, n - k) * comb(p - 1, n)
-                if c:
-                    sf += Fraction(c, n + 1)
-                    sg += Fraction(c, n + 2)
-            f_row.append(p * sf)
-            g_row.append(p * (p + 1) * sg)
+                c = comb(n, l) * comb(l, n - k)
+                sf += c * plain[n]
+                sg += c * weighted[n]
+            f_row.append(sf)
+            g_row.append(sg)
         f_rows.append(tuple(f_row))
         g_rows.append(tuple(g_row))
     return tuple(f_rows), tuple(g_rows)
-
-
-@lru_cache(maxsize=64)
-def _scaled_inner_mod(p: int, weighted: bool) -> tuple[tuple[int, ...], ...]:
-    scaled_f, scaled_g = _scaled_inner_exact(p)
-    table = scaled_g if weighted else scaled_f
-    return tuple(tuple(mod_reduce(v, p, 2).value for v in row)
-                 for row in table)
 
 
 def _block_ranges(p: int, m: int) -> tuple[range, range, range]:
@@ -214,40 +275,59 @@ def _block_ranges(p: int, m: int) -> tuple[range, range, range]:
 
 
 @lru_cache(maxsize=1024)
-def _block_sums_mod(p: int, x: Fraction, weighted: bool) -> tuple[int, ...]:
-    """The nine rectangle sums of w_k w_l P(k,l) mod p^2, row-major order."""
-    m = padic_split(x, p).m
-    inner = _scaled_inner_mod(p, weighted)
+def _block_transforms(p: int, x: Fraction) -> tuple[tuple[int, ...], ...]:
+    """A_K(n) = sum_{k in K} C(n,k) w_k mod p^2, n < p, for K = lo, mid, hi.
+
+    The three ranges partition [0, p-1], so the transforms add up to the t
+    table; anything else is a program fault, not a failed congruence.
+    """
     w = _pair_weights_mod(p, 2, x, T_MULT)
+    parts = tuple(
+        _binomial_transform(p, 2, [wk if k in K else 0
+                                   for k, wk in enumerate(w)])
+        for K in _block_ranges(p, padic_split(x, p).m))
     mod = p * p
-    lo, mid, hi = _block_ranges(p, m)
+    if any((a + b + c) % mod != t for a, b, c, t in
+           zip(*parts, _table_values(p, 2, x, T_MULT))):
+        raise SupercongError(
+            f"block transforms do not add up to the t table at p={p}, x={x}")
+    return parts
 
-    def rect(krange: range, lrange: range) -> int:
-        acc = 0
-        for k in krange:
-            wk = w[k]
-            row = inner[k]
-            for l in lrange:
-                acc += wk * w[l] * row[l]
-        return acc % mod
 
-    return tuple(rect(kr, lr) for kr in (lo, mid, hi) for lr in (lo, mid, hi))
+@lru_cache(maxsize=1024)
+def _block_sums_mod(p: int, x: Fraction, weighted: bool) -> tuple[int, ...]:
+    """The nine rectangle sums of w_k w_l P(k,l) mod p^2, row-major order:
+    block K x L is sum_{n<p} c_n A_K(n) A_L(n), c_n = n+1 or 1."""
+    parts = _block_transforms(p, x)
+    c = range(1, p + 1) if weighted else (1,) * p
+    mod = p * p
+    return tuple(sum(cn * a * b for cn, a, b in zip(c, ak, al)) % mod
+                 for ak in parts for al in parts)
+
+
+# The exact cross-block equality is checked up to this prime.  Mod p^2 the
+# two cross blocks are one product read twice, and over Q their equality is
+# the symmetry of P(k,l) = sum_n c_n C(n,k) C(n,l), which holds at every p;
+# the literal table is only an independent witness of that identity, and
+# costs O(p^3), so above this size it is not rebuilt.
+_EXACT_CROSS_PMAX = 50
 
 
 @lru_cache(maxsize=512)
 def _cross_blocks_exact(p: int, x: Fraction,
                         weighted: bool) -> tuple[Fraction, Fraction]:
-    """Blocks 2 and 4 (lo x mid and mid x lo) as exact rationals."""
+    """Blocks 2 and 4 (lo x mid and mid x lo) as exact rationals, summed
+    over the integers with the weights on one common denominator."""
     m = padic_split(x, p).m
     scaled_f, scaled_g = _scaled_inner_exact(p)
     inner = scaled_g if weighted else scaled_f
     w = _pair_weights_exact(x, p - 1, T_MULT)
+    den = lcm(*(v.denominator for v in w))
+    num = [v.numerator * (den // v.denominator) for v in w]
     lo, mid, _ = _block_ranges(p, m)
-    lo_mid = sum((w[k] * w[l] * inner[k][l] for k in lo for l in mid),
-                 Fraction(0))
-    mid_lo = sum((w[k] * w[l] * inner[k][l] for k in mid for l in lo),
-                 Fraction(0))
-    return lo_mid, mid_lo
+    lo_mid = sum(num[k] * num[l] * inner[k][l] for k in lo for l in mid)
+    mid_lo = sum(num[k] * num[l] * inner[k][l] for k in mid for l in lo)
+    return Fraction(lo_mid, den * den), Fraction(mid_lo, den * den)
 
 
 _VANISHING_BLOCKS = (2, 4, 5, 6, 7, 8)  # row-major indices of blocks 3,5,6,7,8,9
@@ -261,12 +341,15 @@ def _require_low_regime(px: PadicRational) -> None:
 
 
 def block_vanishing_check(p: int, x: RationalLike, weighted: bool = False) -> bool:
-    """Six far blocks vanish mod p^2 and the two cross blocks agree exactly."""
+    """Six far blocks vanish mod p^2 and, for p <= 50, the two cross blocks
+    agree exactly."""
     px = _as_padic(x, p)
     _require_low_regime(px)
     sums = _block_sums_mod(p, px.x, weighted)
     if any(sums[i] for i in _VANISHING_BLOCKS):
         return False
+    if p > _EXACT_CROSS_PMAX:
+        return True
     lo_mid, mid_lo = _cross_blocks_exact(p, px.x, weighted)
     return lo_mid == mid_lo
 

@@ -3,14 +3,26 @@
 Each function evaluates one side (or both sides) of a finite binomial-sum
 identity over exact rationals.  Nothing here touches modular arithmetic;
 the congruence layer consumes these only through their closed forms.
+identity_suite, the battery behind `supercong identities`, checks every
+family on fixed grids of points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from random import Random
+from typing import Callable
 
-from .core import PoleError, RationalLike, binom_int, pochhammer, to_fraction
+from .core import (
+    PoleError,
+    RationalLike,
+    binom_int,
+    odd_primes,
+    pochhammer,
+    to_fraction,
+)
+from .sequences import pfaff_check
 
 
 def _pair_coeffs(n: int) -> list[int]:
@@ -187,3 +199,107 @@ def weighted_binom_conv_sum(N: int, k: int, l: int) -> tuple[Fraction, Fraction]
         if c:
             rhs += Fraction(c, n + 2)
     return lhs, N * (N + 1) * rhs
+
+
+# ---------------------------------------------------------------------------
+# the identity battery: every family above on fixed grids of points
+
+def _seeded_rationals(seed: int, count: int, den_max: int = 9,
+                      num_bound: int = 30) -> list[Fraction]:
+    rng = Random(seed)
+    out: list[Fraction] = []
+    seen: set[Fraction] = set()
+    while len(out) < count:
+        q = Fraction(rng.randint(-num_bound, num_bound),
+                     rng.randint(1, den_max))
+        if q not in seen:
+            seen.add(q)
+            out.append(q)
+    return out
+
+
+def _check_closed_forms(nmax: int) -> bool:
+    return all(
+        lemma22_double_sum(n) == lemma22_closed(n)
+        and lemma32_double_sum(n) == lemma32_closed(n)
+        for n in range(nmax + 1))
+
+
+def _check_pfd(nmax: int) -> bool:
+    for n in range(min(nmax, 20) + 1):
+        for x in _seeded_rationals(7919 * n + 17, 20):
+            if x.denominator == 1 and -n <= x <= 0:
+                continue
+            if not pfd_check(n, x):
+                return False
+        # special points: zeros at x = 1..n, closed value at x = n+1
+        for k in range(n):
+            lhs, rhs = pfd_sides(n, k + 1)
+            if lhs != 0 or rhs != 0:
+                return False
+        lhs, rhs = pfd_sides(n, n + 1)
+        expected = Fraction((-1) ** n, (2 * n + 1) * comb(2 * n, n))
+        if lhs != rhs or lhs != expected:
+            return False
+    return True
+
+
+def _check_pfaff(nmax: int) -> bool:
+    for n in range(min(nmax, 30) + 1):
+        points = _seeded_rationals(104729 * n + 3, max(n + 1, 20))
+        points += [Fraction(17, 5), Fraction(1, 2)]
+        if not all(pfaff_check(n, z) for z in points):
+            return False
+    return True
+
+
+def _check_pfaff_derivative(nmax: int) -> bool:
+    for n in range(1, min(nmax, 25) + 1):
+        points = _seeded_rationals(15485863 * n + 11, max(n, 20))
+        points += [Fraction(3, 7), Fraction(-2)]
+        if not all(pfaff_derivative_check(n, z) for z in points):
+            return False
+    return True
+
+
+def _check_inner_sums(bound: int = 15) -> bool:
+    return all(
+        liu22_sum(k, l) == liu22_closed(k, l)
+        and lemma31_sum(k, l) == lemma31_closed(k, l)
+        for k in range(bound + 1) for l in range(bound + 1))
+
+
+def _check_convolutions() -> bool:
+    for N in range(1, 13):
+        for k in range(9):
+            for l in range(9):
+                lhs, rhs = binom_conv_sum(N, k, l)
+                if lhs != rhs:
+                    return False
+                lhs, rhs = weighted_binom_conv_sum(N, k, l)
+                if lhs != rhs:
+                    return False
+    for N in odd_primes(3, 31):
+        for k in range(N):
+            for l in range(N):
+                lhs, rhs = binom_conv_sum(N, k, l)
+                if lhs != rhs:
+                    return False
+                lhs, rhs = weighted_binom_conv_sum(N, k, l)
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def identity_suite(nmax: int = 40) -> list[tuple[str, bool]]:
+    """Run the whole identity battery; one (name, ok) entry per family."""
+    checks: list[tuple[str, Callable[[], bool]]] = [
+        (f"closed_form_double_sums n<={nmax}", lambda: _check_closed_forms(nmax)),
+        ("partial_fractions n<=20, 20 points/n", lambda: _check_pfd(nmax)),
+        ("pfaff_reflection n<=30, >deg points", lambda: _check_pfaff(nmax)),
+        ("pfaff_derivative n<=25, >deg points",
+         lambda: _check_pfaff_derivative(nmax)),
+        ("inner_sums k,l<=15", _check_inner_sums),
+        ("binomial_convolutions N<=12 and prime N<=31", _check_convolutions),
+    ]
+    return [(name, fn()) for name, fn in checks]

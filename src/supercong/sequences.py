@@ -3,7 +3,8 @@
 Two evaluation routes are kept strictly separate on purpose.  The fast route
 works entirely mod p^e: pair weights C(x,k) C(x+k,k) c^k are produced by a
 multiplicative k-recurrence (k < p keeps every step invertible) and combined
-by one convolution, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!).  For n < p no
+by one binomial transform, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!), which
+`congruences` also applies to masked weights for its block sums.  For n < p no
 factorial has a factor p, so every factorial is a unit mod p^e; the
 convolution for all n in [0, p-1] is one big-integer product of the two
 sequences packed into fixed-width slots (Kronecker substitution).  The slow
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Sequence
 
 from .core import (
     DegenerateError,
@@ -189,18 +191,9 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
     return tuple(w)
 
 
-@lru_cache(maxsize=4096)
-def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
-    """Rows n in [0, p-1] as one convolution, packed into big integers.
-
-    t_n = sum_k C(n,k) w_k = n! * sum_{k+j=n} (w_k / k!) (1 / j!).  This
-    relies on n < p: then n! has no factor p, so every factorial is a unit
-    mod p^e.  Both factor sequences are packed into one integer each, in
-    slots wide enough for a coefficient of the product (at most
-    p (p^e - 1)^2, so no carry crosses a slot), and multiplied once.
-    """
+def _factorials(p: int, e: int) -> tuple[list[int], list[int]]:
+    """n! and 1/n! mod p^e for n in [0, p-1]; all units, since n < p."""
     mod = p**e
-    w = _pair_weights_mod(p, e, x, mult)
     fact = [1] * p
     for n in range(1, p):
         fact[n] = fact[n - 1] * n % mod
@@ -208,6 +201,20 @@ def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     inv_fact[p - 1] = pow(fact[p - 1], -1, mod)
     for n in range(p - 1, 0, -1):
         inv_fact[n - 1] = inv_fact[n] * n % mod
+    return fact, inv_fact
+
+
+def _binomial_transform(p: int, e: int, w: Sequence[int]) -> tuple[int, ...]:
+    """sum_k C(n,k) w_k mod p^e for every n in [0, p-1], as one convolution.
+
+    sum_k C(n,k) w_k = n! * sum_{k+j=n} (w_k / k!) (1 / j!).  This relies on
+    n < p: then n! has no factor p, so every factorial is a unit mod p^e.
+    Both factor sequences are packed into one integer each, in slots wide
+    enough for a coefficient of the product (at most p (p^e - 1)^2, so no
+    carry crosses a slot), and multiplied once.
+    """
+    mod = p**e
+    fact, inv_fact = _factorials(p, e)
     width = ((p * (mod - 1) ** 2).bit_length() + 7) // 8  # bytes per slot
 
     def pack(seq) -> int:
@@ -220,6 +227,12 @@ def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     raw = product.to_bytes(width * (2 * p - 1), "little")
     return tuple(int.from_bytes(raw[i:i + width], "little") * f % mod
                  for i, f in zip(range(0, width * p, width), fact))
+
+
+@lru_cache(maxsize=4096)
+def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
+    """Rows n in [0, p-1] mod p^e: the binomial transform of the pair weights."""
+    return _binomial_transform(p, e, _pair_weights_mod(p, e, x, mult))
 
 
 # oracle row audit: full table for small p, else 5 deterministic spot rows

@@ -4,7 +4,8 @@ A suite is a list of (statement, p, x) tasks executed in a deterministic
 scan order (statement, then prime ascending, then x in configured order).
 Engine-level hypothesis failures become skip records rather than errors, so
 a run over a blanket grid is meaningful; genuine disagreements — including
-fast-path/oracle mismatches — become failing records.  Records can be
+fast-path/oracle mismatches — become failing records, and so do faults of
+the program, whose reason starts with `internal error:`.  Records can be
 streamed to a JSON Lines file as they complete, which makes an interrupted
 run's log a prefix of the completed run's log.
 
@@ -20,16 +21,16 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import congruences as cg
-from . import identities as ident
 from .core import (
     HypothesisViolatedError,
     NonPIntegralError,
@@ -40,7 +41,6 @@ from .core import (
     odd_primes,
 )
 from .congruences import CongruenceReport
-from .sequences import pfaff_check
 
 
 class ParseError(SupercongError):
@@ -85,7 +85,7 @@ STATEMENTS: dict[str, StatementSpec] = {
         StatementSpec("sun_s", True, 5, 500,
                       lambda p, x, o: cg.sun_s_check(p, x, o)),
         StatementSpec("lemma21", True, 3, 50,
-                      lambda p, x, o: cg.lemma21_all(p, x), reflects=True),
+                      lambda p, x, o: cg.lemma21_all(p, x, o), reflects=True),
         *(StatementSpec(sid, True, 3, 50,
                         lambda p, x, o, sid=sid: cg.block_lemma_check(sid, p, x),
                         **_LOW_REGIME)
@@ -107,6 +107,7 @@ STATEMENT_ALIASES: dict[str, tuple[str, ...]] = {
 }
 
 OUT_DIR_ENV = "SUPERCONG_OUT_DIR"
+INTERNAL_ERROR = "internal error:"  # reason prefix of a program-fault record
 ORACLE_MODES = ("off", "spot", "full")
 _X_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -224,6 +225,11 @@ class RunSummary:
     def failures(self) -> list[CongruenceReport]:
         return [r for r in self.reports if r.passed is False]
 
+    @property
+    def internal_errors(self) -> list[CongruenceReport]:
+        return [r for r in self.failures
+                if (r.skipped_reason or "").startswith(INTERNAL_ERROR)]
+
     def add(self, report: CongruenceReport) -> None:
         self.reports.append(report)
         self.total += 1
@@ -259,7 +265,13 @@ def _dispatch(sid: str, p: int, x: Optional[Fraction],
 def run_check(sid: str, p: int, x: Optional[Fraction] = None,
               oracle: str = "off", inject_error: bool = False) -> CongruenceReport:
     """One task: dispatch, convert hypothesis failures to skips, and apply
-    the optional off-by-p fault injection to the expected residue."""
+    the optional off-by-p fault injection to the expected residue.
+
+    Any other exception is a fault of the program, not a result about the
+    maths: it becomes a failing record whose reason starts with
+    INTERNAL_ERROR, and its traceback goes to stderr, so a run goes on and
+    its log stays complete.
+    """
     t0 = perf_counter_ns()
     try:
         report = _dispatch(sid, p, x, oracle)
@@ -270,6 +282,12 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
         micros = (perf_counter_ns() - t0) // 1000
         return CongruenceReport(sid, p, x, None, None, False,
                                 f"oracle mismatch: {e}", micros)
+    except Exception as e:
+        traceback.print_exc(file=sys.stderr)
+        micros = (perf_counter_ns() - t0) // 1000
+        return CongruenceReport(sid, p, x, None, None, False,
+                                f"{INTERNAL_ERROR} {type(e).__name__}: {e}",
+                                micros)
     if inject_error and report.rhs is not None:
         bumped = Residue(report.rhs.value + p, report.rhs.modulus)
         report = CongruenceReport(report.statement, report.p, report.x,
@@ -402,108 +420,3 @@ def emit_report(summary: RunSummary, format: str = "human") -> str:
             lines.append("all checks passed")
         return "\n".join(lines)
     raise ValueError(f"unknown report format {format!r}")
-
-
-# ---------------------------------------------------------------------------
-# the exact identity suite (closed forms and support identities)
-
-def _seeded_rationals(seed: int, count: int, den_max: int = 9,
-                      num_bound: int = 30) -> list[Fraction]:
-    from random import Random
-    rng = Random(seed)
-    out: list[Fraction] = []
-    seen: set[Fraction] = set()
-    while len(out) < count:
-        q = Fraction(rng.randint(-num_bound, num_bound),
-                     rng.randint(1, den_max))
-        if q not in seen:
-            seen.add(q)
-            out.append(q)
-    return out
-
-
-def _check_closed_forms(nmax: int) -> bool:
-    return all(
-        ident.lemma22_double_sum(n) == ident.lemma22_closed(n)
-        and ident.lemma32_double_sum(n) == ident.lemma32_closed(n)
-        for n in range(nmax + 1))
-
-
-def _check_pfd(nmax: int) -> bool:
-    for n in range(min(nmax, 20) + 1):
-        for x in _seeded_rationals(7919 * n + 17, 20):
-            if x.denominator == 1 and -n <= x <= 0:
-                continue
-            if not ident.pfd_check(n, x):
-                return False
-        # special points: zeros at x = 1..n, closed value at x = n+1
-        for k in range(n):
-            lhs, rhs = ident.pfd_sides(n, k + 1)
-            if lhs != 0 or rhs != 0:
-                return False
-        lhs, rhs = ident.pfd_sides(n, n + 1)
-        expected = Fraction((-1) ** n, (2 * n + 1) * comb(2 * n, n))
-        if lhs != rhs or lhs != expected:
-            return False
-    return True
-
-
-def _check_pfaff(nmax: int) -> bool:
-    for n in range(min(nmax, 30) + 1):
-        points = _seeded_rationals(104729 * n + 3, max(n + 1, 20))
-        points += [Fraction(17, 5), Fraction(1, 2)]
-        if not all(pfaff_check(n, z) for z in points):
-            return False
-    return True
-
-
-def _check_pfaff_derivative(nmax: int) -> bool:
-    for n in range(1, min(nmax, 25) + 1):
-        points = _seeded_rationals(15485863 * n + 11, max(n, 20))
-        points += [Fraction(3, 7), Fraction(-2)]
-        if not all(ident.pfaff_derivative_check(n, z) for z in points):
-            return False
-    return True
-
-
-def _check_inner_sums(bound: int = 15) -> bool:
-    return all(
-        ident.liu22_sum(k, l) == ident.liu22_closed(k, l)
-        and ident.lemma31_sum(k, l) == ident.lemma31_closed(k, l)
-        for k in range(bound + 1) for l in range(bound + 1))
-
-
-def _check_convolutions() -> bool:
-    for N in range(1, 13):
-        for k in range(9):
-            for l in range(9):
-                lhs, rhs = ident.binom_conv_sum(N, k, l)
-                if lhs != rhs:
-                    return False
-                lhs, rhs = ident.weighted_binom_conv_sum(N, k, l)
-                if lhs != rhs:
-                    return False
-    for N in odd_primes(3, 31):
-        for k in range(N):
-            for l in range(N):
-                lhs, rhs = ident.binom_conv_sum(N, k, l)
-                if lhs != rhs:
-                    return False
-                lhs, rhs = ident.weighted_binom_conv_sum(N, k, l)
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def identity_suite(nmax: int = 40) -> list[tuple[str, bool]]:
-    """Run the whole identity battery; one (name, ok) entry per family."""
-    checks: list[tuple[str, Callable[[], bool]]] = [
-        (f"closed_form_double_sums n<={nmax}", lambda: _check_closed_forms(nmax)),
-        ("partial_fractions n<=20, 20 points/n", lambda: _check_pfd(nmax)),
-        ("pfaff_reflection n<=30, >deg points", lambda: _check_pfaff(nmax)),
-        ("pfaff_derivative n<=25, >deg points",
-         lambda: _check_pfaff_derivative(nmax)),
-        ("inner_sums k,l<=15", _check_inner_sums),
-        ("binomial_convolutions N<=12 and prime N<=31", _check_convolutions),
-    ]
-    return [(name, fn()) for name, fn in checks]

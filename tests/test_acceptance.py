@@ -10,11 +10,14 @@ from time import monotonic
 from supercong.cli import main
 from supercong.congruences import conjecture_check, default_x_grid
 from supercong.core import OracleMismatchError, Residue, mod_reduce, odd_primes
-from supercong.identities import lemma22_double_sum, lemma32_double_sum
+from supercong.identities import (
+    identity_suite,
+    lemma22_double_sum,
+    lemma32_double_sum,
+)
 from supercong.sequences import t_seq, t_table_mod
 from supercong.suite import (
     SuiteConfig,
-    identity_suite,
     report_record,
     run_suite,
 )

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from supercong import congruences as cg
 from supercong.congruences import (
     BLOCK_LEMMAS,
     CONJECTURE_CASES,
@@ -27,15 +29,31 @@ from supercong.congruences import (
 from supercong.core import (
     HypothesisViolatedError,
     NonPIntegralError,
+    OracleMismatchError,
     RegimeError,
     Residue,
     binom_gen,
     binom_int,
+    is_prime,
     legendre,
     mod_reduce,
     odd_primes,
 )
-from supercong.sequences import s_seq, t_seq, t_table_mod
+from supercong.identities import binom_conv_sum, weighted_binom_conv_sum
+from supercong.sequences import S_MULT, T_MULT, s_seq, t_seq, t_table_mod
+
+primes_to_43 = st.sampled_from([p for p in range(3, 44) if is_prime(p)])
+
+
+def p_integral_x(p: int):
+    """Rationals of height <= 10^4 with denominator prime to p."""
+    return st.builds(Fraction, st.integers(-10**4, 10**4),
+                     st.integers(1, 60).filter(lambda d: d % p))
+
+
+def half_regime(p: int, x: Fraction) -> Fraction:
+    """x or its reflection -1-x, whichever has m <= (p-1)/2."""
+    return x if padic_split(x, p).m <= (p - 1) // 2 else -1 - x
 
 
 class TestPadicSplit:
@@ -134,6 +152,40 @@ class TestPairWeightRegimes:
         with pytest.raises(ValueError):
             lemma21_check(7, 0, -1)
 
+    @pytest.mark.parametrize("p, x", ((11, Fraction(-3, 4)),
+                                      (61, Fraction(2, 7))))
+    def test_oracle_catches_a_wrong_fast_left_side(self, p, x, monkeypatch):
+        k0 = 4
+        assert lemma21_all(p, x, oracle="full")
+        real = cg._pair_weights_mod
+
+        def wrong_at_k0(p_, e, x_, mult):
+            w = real(p_, e, x_, mult)
+            if mult != S_MULT:
+                return w
+            return w[:k0] + ((w[k0] + p_) % p_**e,) + w[k0 + 1:]
+
+        monkeypatch.setattr(cg, "_pair_weights_mod", wrong_at_k0)
+        assert not lemma21_all(p, x)  # unaudited: reads as a failed lemma
+        with pytest.raises(OracleMismatchError, match=f"lemma21 k={k0} "):
+            lemma21_all(p, x, oracle="full")
+        if p <= 50:  # spot audits every k this small
+            with pytest.raises(OracleMismatchError):
+                lemma21_all(p, x, oracle="spot")
+
+
+@given(primes_to_43, st.data())
+@settings(deadline=None, max_examples=30)
+def test_lemma21_fast_sides_match_the_exact_route(p, data):
+    x = half_regime(p, data.draw(p_integral_x(p)))
+    px = padic_split(x, p)
+    lhs, rhs = cg._lemma21_sides(px)
+    for k in range(p):
+        exact_lhs, exact_rhs = cg._lemma21_exact(px, k)
+        assert (lhs[k], rhs[k]) == (exact_lhs.value, exact_rhs.value), k
+    assert lemma21_all(p, x, oracle="full")
+    assert all(lemma21_check(p, x, k) for k in range(p))
+
 
 def _brute_blocks(p: int, x: Fraction, weighted: bool) -> tuple[Residue, ...]:
     """Literal block sums: weights via binom_gen, inner sums via the raw
@@ -194,6 +246,34 @@ class TestBlockDecomposition:
             block_vanishing_check(7, Fraction(-2, 3))
         with pytest.raises(RegimeError):
             block_sums(7, Fraction(-1, 2))
+
+    def test_integer_inner_table_is_the_convolution_identity(self):
+        for p in odd_primes(3, 13):
+            plain, weighted = cg._scaled_inner_exact(p)
+            for k in range(p):
+                for l in range(p):
+                    assert plain[k][l] == binom_conv_sum(p, k, l)[1]
+                    assert weighted[k][l] == weighted_binom_conv_sum(p, k, l)[1]
+
+
+@given(primes_to_43, st.booleans(), st.data())
+@settings(deadline=None, max_examples=30)
+def test_block_transforms_match_the_literal_table(p, weighted, data):
+    x = half_regime(p, data.draw(p_integral_x(p)))
+    m = padic_split(x, p).m
+    assume(m < (p - 1) // 2)
+    sums = block_sums(p, x, weighted)
+    # the literal integer inner table, weights mod p^2
+    inner = cg._scaled_inner_exact(p)[weighted]
+    w = cg._pair_weights_mod(p, 2, x, T_MULT)
+    ranges = cg._block_ranges(p, m)
+    literal = tuple(
+        Residue(sum(w[k] * w[l] * inner[k][l] for k in kr for l in lr), p * p)
+        for kr in ranges for lr in ranges)
+    assert sums == literal == _brute_blocks(p, x, weighted)
+    # the nine blocks add up to the square sum of theorem1 / theorem2
+    lhs = (theorem2_check if weighted else theorem1_check)(p, x).lhs
+    assert sum(r.value for r in sums) % (p * p) == lhs.value
 
 
 class TestBlockLemmas:

@@ -7,14 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from supercong import congruences as cg
 from supercong.cli import main
+from supercong.core import DegenerateError
+from supercong.identities import identity_suite
 from supercong.suite import (
     ParseError,
     STATEMENTS,
     SuiteConfig,
     emit_report,
     expand_statements,
-    identity_suite,
     parse_config,
     parse_x,
     report_record,
@@ -128,6 +130,27 @@ class TestParseConfig:
             parse_config("# a\nprime_min = 5\nbogus = 1\n")
 
 
+def _corrupt_row_zero(real):
+    def transform(p, e, w):
+        rows = real(p, e, w)
+        return ((rows[0] + 1) % p**e,) + rows[1:]
+    return transform
+
+
+def _skew_the_8n5_sum(real):
+    def square_sum(table, a, b):
+        return real(table, a, b) + (1 if (a, b) == (8, 5) else 0)
+    return square_sum
+
+
+def _raise(exc):
+    def fault(real):
+        def raiser(*args):
+            raise exc
+        return raiser
+    return fault
+
+
 class TestRunCheck:
     def test_residue_statement_record(self):
         r = run_check("theorem1", 5, Fraction(0))
@@ -167,6 +190,27 @@ class TestRunCheck:
     def test_injection_ignores_structural_statements(self):
         r = run_check("blocks", 7, Fraction(-1, 3), inject_error=True)
         assert r.passed is True
+
+    @pytest.mark.parametrize("sid, name, fault", [
+        # the transform invariant: A_lo + A_mid + A_hi must be the t table
+        ("blocks", "_binomial_transform", _corrupt_row_zero),
+        # weighted_sum_check's recombination of the two square sums
+        ("weighted_8n5", "_weighted_square_sum", _skew_the_8n5_sum),
+        ("lemma21", "_pair_weights_mod", _raise(DegenerateError("planted"))),
+        ("blocks_weighted", "_block_sums_mod", _raise(ZeroDivisionError())),
+    ])
+    def test_program_fault_is_an_internal_error_record(self, sid, name, fault,
+                                                       monkeypatch, capsys):
+        # block results cached by earlier tests would bypass the fault
+        cg._block_transforms.cache_clear()
+        cg._block_sums_mod.cache_clear()
+        monkeypatch.setattr(cg, name, fault(getattr(cg, name)))
+        x = None if sid == "weighted_8n5" else Fraction(2, 5)
+        r = run_check(sid, 11, x)
+        assert r.statement == sid and r.passed is False
+        assert r.lhs is None and r.rhs is None
+        assert r.skipped_reason.startswith("internal error: ")
+        assert "Traceback" in capsys.readouterr().err
 
     def test_every_statement_dispatches(self):
         for sid, spec in STATEMENTS.items():
@@ -345,6 +389,29 @@ class TestCli:
                      "--x", "0", "--inject-error"])
         assert code == 1
         assert "FAIL theorem1" in capsys.readouterr().out
+
+    def test_verify_internal_error_exit(self, tmp_path, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setattr(cg, "_block_sums_mod", broken)
+        out = tmp_path / "run.jsonl"
+        # a failed congruence (exit 1) alongside a fault still exits 3
+        code = main(["verify", "--statement", "theorem1", "--statement",
+                     "blocks", "--pmax", "7", "--x", "0", "--inject-error",
+                     "--out", str(out)])
+        assert code == 3
+        assert "FAIL blocks p=3 x=0: internal error: RuntimeError: " \
+            "planted fault" in capsys.readouterr().out
+        rows = [json.loads(s) for s in out.read_text().splitlines()]
+        assert len(rows) == 6
+        faults = [r for r in rows if r["statement"] == "blocks"]
+        assert [r["p"] for r in faults] == [3, 5, 7]
+        for r in faults:
+            assert list(r) == ["statement", "p", "x", "lhs", "rhs", "modulus",
+                               "pass", "skipped_reason", "micros"]
+            assert r["pass"] is False and r["lhs"] is None
+            assert r["skipped_reason"].startswith("internal error:")
 
     def test_verify_tap_format(self, capsys):
         assert main(["verify", "--statement", "kw", "--pmax", "5",
