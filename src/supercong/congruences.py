@@ -18,7 +18,8 @@ through the literal, ordered inner table P(k,l); their equality is claimed
 exactly, not just mod p^2.
 
 Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2; the literal
-exact-rational route (lemma21_check) is its oracle.
+exact-rational route (lemma21_check) is its oracle, with the exact pair
+weights built once per argument.
 
 Each closed form is written once.  The near and cross blocks of Lemmas
 2.3/2.4 and 3.3/3.4 are p c(m) and p t c(m), with c the Lemma 2.2 or 3.2
@@ -31,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from random import Random
 from time import perf_counter_ns
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import (
     HypothesisViolatedError,
@@ -44,7 +45,6 @@ from .core import (
     RegimeError,
     Residue,
     SupercongError,
-    binom_gen,
     harmonic,
     legendre,
     mod_reduce,
@@ -150,20 +150,26 @@ def _require_half_regime(px: PadicRational) -> None:
         raise RegimeError(f"m = {px.m} > (p-1)/2; check the reflection -1-x")
 
 
-def _lemma21_exact(px: PadicRational, k: int) -> tuple[Residue, Residue]:
-    """Both sides of lemma21_check at k, from exact rationals."""
+def _lemma21_exact(px: PadicRational,
+                   ks: Sequence[int]) -> list[tuple[int, int]]:
+    """Both sides of lemma21_check mod p^2 at each k in ks, from exact
+    rationals; the pair weights are built once, up to max(ks)."""
     p, m, t = px.p, px.m, px.t
-    lhs = mod_reduce(binom_gen(px.x, k) * binom_gen(px.x + k, k), p, 2)
-    if k <= m:
-        rhs_exact = comb(m, k) * comb(m + k, k) * (
-            1 + p * t * (harmonic(m + k) - harmonic(m - k)))
-    elif k >= p - m:
-        rhs_exact = Fraction(0)
-    else:
-        sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
-        rhs_exact = Fraction(sign * comb(m + k, k),
-                             (k - m) * comb(k, m)) * p * t
-    return lhs, mod_reduce(rhs_exact, p, 2)
+    num, den = _pair_weights_exact(px.x, max(ks), S_MULT)
+    sides = []
+    for k in ks:
+        if k <= m:
+            rhs_exact = comb(m, k) * comb(m + k, k) * (
+                1 + p * t * (harmonic(m + k) - harmonic(m - k)))
+        elif k >= p - m:
+            rhs_exact = Fraction(0)
+        else:
+            sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
+            rhs_exact = Fraction(sign * comb(m + k, k),
+                                 (k - m) * comb(k, m)) * p * t
+        sides.append((mod_reduce(Fraction(num[k], den), p, 2).value,
+                      mod_reduce(rhs_exact, p, 2).value))
+    return sides
 
 
 def lemma21_check(p: int, x: "RationalLike | PadicRational", k: int) -> bool:
@@ -174,14 +180,15 @@ def lemma21_check(p: int, x: "RationalLike | PadicRational", k: int) -> bool:
       p-m <= k <= p-1:    0
 
     Requires m <= (p-1)/2 (callers reflect x to -1-x first otherwise); the
-    middle range is empty when m = (p-1)/2.  Evaluated literally over the
-    rationals, so it is the oracle for lemma21_all.
+    middle range is empty when m = (p-1)/2.  Evaluated over the rationals
+    (the exact pair weights, the regime formula in Fractions) and reduced
+    mod p^2 only at the end, so it is the oracle for lemma21_all.
     """
     px = _as_padic(x, p)
     _require_half_regime(px)
     if not 0 <= k <= p - 1:
         raise ValueError(f"k = {k} outside [0, {p - 1}]")
-    lhs, rhs = _lemma21_exact(px, k)
+    [(lhs, rhs)] = _lemma21_exact(px, [k])
     return lhs == rhs
 
 
@@ -225,8 +232,8 @@ def lemma21_all(p: int, x: "RationalLike | PadicRational",
     _require_half_regime(px)
     lhs, rhs = _lemma21_sides(px)
     if oracle != "off":
-        for k in _oracle_rows(p, 2, px.x, S_MULT, oracle):
-            exact = tuple(r.value for r in _lemma21_exact(px, k))
+        ks = _oracle_rows(p, 2, px.x, S_MULT, oracle)
+        for k, exact in zip(ks, _lemma21_exact(px, ks)):
             if (lhs[k], rhs[k]) != exact:
                 raise OracleMismatchError(
                     f"lemma21 k={k} (p={p}, x={px.x}): fast sides "
@@ -317,16 +324,13 @@ _EXACT_CROSS_PMAX = 50
 def _cross_blocks_exact(p: int, x: Fraction,
                         weighted: bool) -> tuple[Fraction, Fraction]:
     """Blocks 2 and 4 (lo x mid and mid x lo) as exact rationals, summed
-    over the integers with the weights on one common denominator."""
+    over the integers with the weights on their one common denominator."""
     m = padic_split(x, p).m
-    scaled_f, scaled_g = _scaled_inner_exact(p)
-    inner = scaled_g if weighted else scaled_f
-    w = _pair_weights_exact(x, p - 1, T_MULT)
-    den = lcm(*(v.denominator for v in w))
-    num = [v.numerator * (den // v.denominator) for v in w]
+    inner = _scaled_inner_exact(p)[weighted]
+    num, den = _pair_weights_exact(x, p - 1, T_MULT)
     lo, mid, _ = _block_ranges(p, m)
-    lo_mid = sum(num[k] * num[l] * inner[k][l] for k in lo for l in mid)
-    mid_lo = sum(num[k] * num[l] * inner[k][l] for k in mid for l in lo)
+    lo_mid = sum(num[k] * sum(num[l] * inner[k][l] for l in mid) for k in lo)
+    mid_lo = sum(num[k] * sum(num[l] * inner[k][l] for l in lo) for k in mid)
     return Fraction(lo_mid, den * den), Fraction(mid_lo, den * den)
 
 
@@ -334,10 +338,14 @@ _VANISHING_BLOCKS = (2, 4, 5, 6, 7, 8)  # row-major indices of blocks 3,5,6,7,8,
 
 
 def _require_low_regime(px: PadicRational) -> None:
-    if px.m >= (px.p - 1) // 2:
+    """The block statements need m < (p-1)/2.  Reflection x -> -1-x maps m
+    to p-1-m, so m = (p-1)/2 stays put and is a skip, not a fault."""
+    if px.m == (px.p - 1) // 2:
         raise RegimeError(
-            f"m = {px.m} >= (p-1)/2 at p = {px.p}; "
-            "reflect x to -1-x first (m = (p-1)/2 has no reflection)")
+            "m = (p-1)/2 for both x and -1-x; outside the stated regime")
+    if px.m > (px.p - 1) // 2:
+        raise RegimeError(f"m = {px.m} > (p-1)/2 at p = {px.p}; "
+                          "reflect x to -1-x first")
 
 
 def block_vanishing_check(p: int, x: RationalLike, weighted: bool = False) -> bool:

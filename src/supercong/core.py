@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 LegendreValue = Literal[-1, 0, 1]
 
@@ -29,10 +28,6 @@ class NonPIntegralError(SupercongError):
 
 class NotInvertibleError(SupercongError):
     """Residue shares a nontrivial factor with its modulus."""
-
-
-class DegenerateError(SupercongError):
-    """A modular recurrence hit an intermediate value with no inverse."""
 
 
 class RegimeError(SupercongError):

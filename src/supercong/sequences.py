@@ -1,18 +1,21 @@
 """The binomial double-product sequences: exact values and residue tables.
 
 Two evaluation routes are kept strictly separate on purpose.  The fast route
-works entirely mod p^e: pair weights C(x,k) C(x+k,k) c^k are produced by a
-multiplicative k-recurrence (k < p keeps every step invertible) and combined
-by one binomial transform, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!), which
-`congruences` also applies to masked weights for its block sums.  For n < p no
-factorial has a factor p, so every factorial is a unit mod p^e; the
-convolution for all n in [0, p-1] is one big-integer product of the two
-sequences packed into fixed-width slots (Kronecker substitution).  The slow
-route (_row_exact, behind t_seq and s_seq) evaluates one row exactly with
-integers only: a term-ratio recurrence summed over the common denominator
-b^{2n} (n!)^3 of x = a/b, turned into one Fraction at the end.  The audit
-reduces that Fraction mod p^e and compares; the slow route exists to audit
-the fast route and is never consulted to produce a table.
+works entirely mod p^e: the pair weight w_k = C(x,k) C(x+k,k) c^k is the
+running product of c (x-k+1)(x+k) times (1/k!)^2, and the weights are
+combined by one binomial transform, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!),
+which `congruences` also applies to masked weights for its block sums.  For
+n < p no factorial has a factor p, so every factorial is a unit mod p^e and
+one pair of factorial tables serves both steps; the convolution for all n in
+[0, p-1] is one big-integer product of the two sequences packed into
+fixed-width slots (Kronecker substitution).  The slow route works with
+integers only, for x = a/b: _row_exact (behind t_seq and s_seq) evaluates one
+row by a term-ratio recurrence summed over the common denominator
+b^{2n} (n!)^3 and turned into one Fraction at the end, and
+_pair_weights_exact gives the weights themselves as integer numerators over
+the one denominator b^{2K} (K!)^2, for the exact checks in `congruences`.
+The audit reduces exact rows mod p^e and compares; the slow route exists to
+audit the fast route and is never consulted to produce a table.
 """
 
 from __future__ import annotations
@@ -25,12 +28,10 @@ from math import comb, factorial
 from typing import Sequence
 
 from .core import (
-    DegenerateError,
     NonPIntegralError,
     OracleMismatchError,
     RationalLike,
     Residue,
-    binom_gen,
     mod_reduce,
     require_odd_prime,
     to_fraction,
@@ -41,22 +42,25 @@ T_MULT = 2
 S_MULT = 1
 
 
-@lru_cache(maxsize=512)
-def _pair_weights_exact(x: Fraction, kmax: int, mult: int) -> tuple[Fraction, ...]:
-    """w_k = C(x,k) C(x+k,k) mult^k for k in [0, kmax], exact.
+def _pair_weights_exact(x: Fraction, kmax: int,
+                        mult: int) -> tuple[list[int], int]:
+    """w_k = C(x,k) C(x+k,k) mult^k for k in [0, kmax], exact, as integer
+    numerators over the one denominator D = b^{2 kmax} (kmax!)^2, x = a/b.
 
-    Used by the exact cross blocks in congruences; rows use _row_exact.
+    Forward, num_k = num_{k-1} mult (a-(k-1)b)(a+kb) is w_k times
+    b^{2k} (k!)^2; backward, each is scaled by the missing
+    b^{2(kmax-k)} (kmax!/k!)^2, which ends as D itself at k = 0.
     """
-    out = [Fraction(1)]
-    falling = Fraction(1)  # C(x, k)
-    rising = Fraction(1)  # C(x+k, k)
-    scale = 1
+    a, b = x.numerator, x.denominator
+    num = [1] * (kmax + 1)
     for k in range(1, kmax + 1):
-        falling *= Fraction(x - k + 1, k)
-        rising *= Fraction(x + k, k)
-        scale *= mult
-        out.append(falling * rising * scale)
-    return tuple(out)
+        num[k] = num[k - 1] * mult * (a - (k - 1) * b) * (a + k * b)
+    scale = 1
+    for k in range(kmax, 0, -1):
+        num[k] *= scale
+        scale *= k * k * b * b
+    num[0] = scale
+    return num, scale
 
 
 def _row_exact(n: int, x: Fraction, mult: int) -> Fraction:
@@ -105,10 +109,10 @@ def S_poly(n: int, x: RationalLike, y: RationalLike) -> Fraction:
     x = to_fraction(x)
     y = to_fraction(y)
     total = Fraction(0)
-    ypow = Fraction(1)
+    term = Fraction(1)  # C(x,k) C(-1-x,k) y^k, each binomial by its own step
     for k in range(n + 1):
-        total += comb(n, k) * binom_gen(x, k) * binom_gen(-1 - x, k) * ypow
-        ypow *= y
+        total += comb(n, k) * term
+        term *= (x - k) * (-1 - x - k) * y / ((k + 1) * (k + 1))
     return total
 
 
@@ -165,32 +169,6 @@ class SequenceTable:
         return Residue(self.values[n], self.modulus)
 
 
-@lru_cache(maxsize=4096)
-def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
-    """w_k = C(x,k) C(x+k,k) mult^k mod p^e for k in [0, p-1].
-
-    Incremental update w_k = w_{k-1} * mult * (x-k+1)(x+k) / k^2; every
-    k in [1, p-1] is invertible mod p^e, so the recurrence never divides
-    by a multiple of p.
-    """
-    mod = p**e
-    if x.denominator % p == 0:
-        raise NonPIntegralError(f"{x} is not {p}-integral")
-    xr = x.numerator % mod * pow(x.denominator, -1, mod) % mod
-    w = [0] * p
-    w[0] = 1
-    cur = 1
-    for k in range(1, p):
-        try:
-            inv_kk = pow(k * k, -1, mod)
-        except ValueError:  # unreachable for k < p; kept as a hard guard
-            raise DegenerateError(f"k = {k} has no inverse mod {mod}") from None
-        cur = cur * (mult * (xr - k + 1) * (xr + k)) % mod
-        cur = cur * inv_kk % mod
-        w[k] = cur
-    return tuple(w)
-
-
 def _factorials(p: int, e: int) -> tuple[list[int], list[int]]:
     """n! and 1/n! mod p^e for n in [0, p-1]; all units, since n < p."""
     mod = p**e
@@ -202,6 +180,23 @@ def _factorials(p: int, e: int) -> tuple[list[int], list[int]]:
     for n in range(p - 1, 0, -1):
         inv_fact[n - 1] = inv_fact[n] * n % mod
     return fact, inv_fact
+
+
+@lru_cache(maxsize=4096)
+def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
+    """w_k = C(x,k) C(x+k,k) mult^k mod p^e for k in [0, p-1]: the running
+    product of mult (x-k+1)(x+k), times (1/k!)^2 from _factorials."""
+    mod = p**e
+    if x.denominator % p == 0:
+        raise NonPIntegralError(f"{x} is not {p}-integral")
+    xr = x.numerator % mod * pow(x.denominator, -1, mod) % mod
+    _, inv_fact = _factorials(p, e)
+    w = [1] * p
+    cur = 1
+    for k in range(1, p):
+        cur = cur * (mult * (xr - k + 1) * (xr + k)) % mod
+        w[k] = cur * inv_fact[k] ** 2 % mod
+    return tuple(w)
 
 
 def _binomial_transform(p: int, e: int, w: Sequence[int]) -> tuple[int, ...]:

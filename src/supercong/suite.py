@@ -11,8 +11,9 @@ run's log a prefix of the completed run's log.
 
 The registry STATEMENTS is the only place a statement is defined: its
 StatementSpec gives the id, whether it takes an argument x, its least
-prime, its default prime cap, its regime handling and its check.  To add a
-statement, write its engine function in `congruences` and add one
+prime, its default prime cap, its check and whether x is reflected first;
+a regime that even the reflection misses is the check's own RegimeError.
+To add a statement, write its engine function in `congruences` and add one
 StatementSpec; dispatch, the "all" alias and the scanner follow from it.
 """
 
@@ -24,6 +25,7 @@ import re
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -64,11 +66,8 @@ class StatementSpec:
     min_p: int
     default_pmax: int
     check: Callable[[int, Optional[Fraction], str], "CongruenceReport | bool"]
-    reflects: bool = False       # apply x -> -1-x when m > (p-1)/2
-    strict_regime: bool = False  # skip when even reflection leaves m = (p-1)/2
+    reflects: bool = False  # apply x -> -1-x when m > (p-1)/2
 
-
-_LOW_REGIME = dict(reflects=True, strict_regime=True)
 
 # Registry order is the canonical scan order for the "all" suite.
 STATEMENTS: dict[str, StatementSpec] = {
@@ -88,14 +87,14 @@ STATEMENTS: dict[str, StatementSpec] = {
                       lambda p, x, o: cg.lemma21_all(p, x, o), reflects=True),
         *(StatementSpec(sid, True, 3, 50,
                         lambda p, x, o, sid=sid: cg.block_lemma_check(sid, p, x),
-                        **_LOW_REGIME)
+                        reflects=True)
           for sid in cg.BLOCK_LEMMAS),
         StatementSpec("blocks", True, 3, 50,
                       lambda p, x, o: cg.block_vanishing_check(p, x, weighted=False),
-                      **_LOW_REGIME),
+                      reflects=True),
         StatementSpec("blocks_weighted", True, 3, 50,
                       lambda p, x, o: cg.block_vanishing_check(p, x, weighted=True),
-                      **_LOW_REGIME),
+                      reflects=True),
         StatementSpec("residue_table", False, 5, 500,
                       lambda p, x, o: cg.residue_table_check(p)),
     )
@@ -250,9 +249,6 @@ def _dispatch(sid: str, p: int, x: Optional[Fraction],
         px = cg.padic_split(x, p)
         if px.m > (p - 1) // 2:
             px = px.reflect()
-        if spec.strict_regime and px.m == (p - 1) // 2:
-            raise RegimeError(
-                "m = (p-1)/2 for both x and -1-x; outside the stated regime")
         x = px.x
     t0 = perf_counter_ns()
     result = spec.check(p, x, oracle)
@@ -355,31 +351,24 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
     cfg.validate()
     tasks = list(_task_args(cfg))
     summary = RunSummary()
-    sink = None
-    if cfg.output_path is not None:
-        out = resolve_output_path(cfg.output_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        sink = open(out, "a", encoding="utf-8")
-    try:
+    with ExitStack() as stack:
+        sink = None
+        if cfg.output_path is not None:
+            out = resolve_output_path(cfg.output_path)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            sink = stack.enter_context(open(out, "a", encoding="utf-8"))
         if cfg.parallelism > 1 and len(tasks) > 1:
             chunk = max(1, min(32, len(tasks) // (cfg.parallelism * 4) or 1))
-            with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                results = pool.map(_run_task, tasks, chunksize=chunk)
-                for report in results:
-                    summary.add(report)
-                    if sink is not None:
-                        sink.write(json.dumps(report_record(report)) + "\n")
-                        sink.flush()
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=cfg.parallelism))
+            results = pool.map(_run_task, tasks, chunksize=chunk)
         else:
-            for args in tasks:
-                report = _run_task(args)
-                summary.add(report)
-                if sink is not None:
-                    sink.write(json.dumps(report_record(report)) + "\n")
-                    sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
+            results = map(_run_task, tasks)
+        for report in results:
+            summary.add(report)
+            if sink is not None:
+                sink.write(json.dumps(report_record(report)) + "\n")
+                sink.flush()
     return summary
 
 

@@ -173,6 +173,18 @@ class TestPairWeightRegimes:
             with pytest.raises(OracleMismatchError):
                 lemma21_all(p, x, oracle="spot")
 
+    def test_full_oracle_builds_the_exact_weights_once(self, monkeypatch):
+        calls = []
+        real = cg._pair_weights_exact
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cg, "_pair_weights_exact", counted)
+        assert lemma21_all(43, Fraction(-7, 9), oracle="full")
+        assert calls == [(Fraction(-7, 9), 42, S_MULT)]
+
 
 @given(primes_to_43, st.data())
 @settings(deadline=None, max_examples=30)
@@ -180,9 +192,7 @@ def test_lemma21_fast_sides_match_the_exact_route(p, data):
     x = half_regime(p, data.draw(p_integral_x(p)))
     px = padic_split(x, p)
     lhs, rhs = cg._lemma21_sides(px)
-    for k in range(p):
-        exact_lhs, exact_rhs = cg._lemma21_exact(px, k)
-        assert (lhs[k], rhs[k]) == (exact_lhs.value, exact_rhs.value), k
+    assert list(zip(lhs, rhs)) == cg._lemma21_exact(px, range(p))
     assert lemma21_all(p, x, oracle="full")
     assert all(lemma21_check(p, x, k) for k in range(p))
 

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from supercong.congruences import padic_split
 from supercong.core import (
     Residue, binom_gen, binom_int, is_prime, mod_reduce)
 from supercong.sequences import (
-    S_poly, pfaff_check, s_seq, s_table_mod, t_seq, t_symmetry_check,
-    t_table_mod)
+    S_MULT, S_poly, T_MULT, _pair_weights_exact, _pair_weights_mod,
+    pfaff_check, s_seq, s_table_mod, t_seq, t_symmetry_check, t_table_mod)
 from supercong.suite import parse_x
 
 small_primes = st.sampled_from((3, 5, 7, 11))
@@ -51,6 +51,27 @@ def test_pascal_identity(n, k):
 @given(st.integers(0, 60), st.integers(0, 65))
 def test_binom_gen_matches_integer_binomials(x, k):
     assert binom_gen(Fraction(x), k) == binom_int(x, k)
+
+
+# integers, -1/2, and fractions whose numerator takes either sign
+pair_weight_args = st.one_of(
+    st.integers(-40, 40).map(Fraction),
+    st.just(Fraction(-1, 2)),
+    st.builds(Fraction, st.integers(-300, 300), st.integers(2, 40)))
+
+
+@given(st.sampled_from((3, 5, 7, 13, 29)), exponents,
+       st.sampled_from((T_MULT, S_MULT)), pair_weight_args, st.data())
+@settings(deadline=None)
+def test_pair_weights_match_the_literal_product(p, e, mult, x, data):
+    assume(x.denominator % p)
+    literal = [binom_gen(x, k) * binom_gen(x + k, k) * mult**k
+               for k in range(p)]
+    kmax = data.draw(st.integers(0, p - 1))
+    num, den = _pair_weights_exact(x, kmax, mult)
+    assert [Fraction(v, den) for v in num] == literal[:kmax + 1]
+    assert _pair_weights_mod(p, e, x, mult) == tuple(
+        mod_reduce(w, p, e).value for w in literal)
 
 
 @given(st.integers(0, 12),

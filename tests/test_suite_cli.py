@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import subprocess
@@ -9,7 +10,6 @@ import pytest
 
 from supercong import congruences as cg
 from supercong.cli import main
-from supercong.core import DegenerateError
 from supercong.identities import identity_suite
 from supercong.suite import (
     ParseError,
@@ -77,6 +77,31 @@ class TestReadmeStatementsTable:
         assert sorted(seen) == sorted(STATEMENTS)
         for sid, spec in STATEMENTS.items():
             assert rows[sid] == (spec.needs_x, spec.default_pmax), sid
+
+
+class TestReadmeLibraryBlock:
+    def test_block_runs_and_its_comments_hold(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = re.search(r"## Library\n\n```python\n(.*?)```",
+                          readme.read_text(encoding="utf-8"), re.S).group(1)
+        # run the block statement by statement, keeping each bare
+        # expression's value: these are the lines the comments describe
+        ns: dict = {}
+        values = []
+        for node in ast.parse(block).body:
+            if isinstance(node, ast.Expr):
+                code = compile(ast.Expression(node.value), "README", "eval")
+                values.append(eval(code, ns))
+            else:
+                exec(compile(ast.Module([node], []), "README", "exec"), ns)
+        comments = [line.split("#", 1)[1].strip()
+                    for line in block.splitlines() if "#" in line]
+        assert comments == ["Fraction(13, 32), exact",
+                            "x = m + p*t: m=2, t=-1/3", "True"]
+        seq, split, passed = values
+        assert seq == Fraction(13, 32)
+        assert (split.m, split.t) == (2, Fraction(-1, 3))
+        assert passed is True
 
 
 class TestParseConfig:
@@ -196,7 +221,7 @@ class TestRunCheck:
         ("blocks", "_binomial_transform", _corrupt_row_zero),
         # weighted_sum_check's recombination of the two square sums
         ("weighted_8n5", "_weighted_square_sum", _skew_the_8n5_sum),
-        ("lemma21", "_pair_weights_mod", _raise(DegenerateError("planted"))),
+        ("lemma21", "_pair_weights_mod", _raise(ArithmeticError("planted"))),
         ("blocks_weighted", "_block_sums_mod", _raise(ZeroDivisionError())),
     ])
     def test_program_fault_is_an_internal_error_record(self, sid, name, fault,
