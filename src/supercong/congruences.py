@@ -14,8 +14,8 @@ w_k: three masked binomial transforms mod p^2 per argument (the same
 routine as the t table), then O(p) work per block.  The three transforms
 must add up to the t table; a break is a program fault and raises.  The
 two cross blocks are additionally compared as exact rationals for p <= 50,
-through the literal, ordered inner table P(k,l); their equality is claimed
-exactly, not just mod p^2.
+each as its own ordered sum over the cells it covers of a literal form of
+P(k,l) (_inner_exact); their equality is claimed exactly, not just mod p^2.
 
 Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2; the literal
 exact-rational route (lemma21_check) is its oracle, with the exact pair
@@ -245,42 +245,11 @@ def lemma21_all(p: int, x: "RationalLike | PadicRational",
 # ---------------------------------------------------------------------------
 # nine-block machinery
 
-@lru_cache(maxsize=32)
-def _scaled_inner_exact(p: int) -> tuple[tuple[tuple[int, ...], ...],
-                                         tuple[tuple[int, ...], ...]]:
-    """P_f(k,l) = sum_n C(n,l) C(l,n-k) C(p,n+1) and the weighted
-    P_g(k,l) = sum_n C(n,l) C(l,n-k) (n+1) C(p+1,n+2), k,l in [0,p-1].
-
-    These equal sum_{n<p} C(n,k) C(n,l) and sum_{n<p} (n+1) C(n,k) C(n,l)
-    (identities.binom_conv_sum and weighted_binom_conv_sum at N = p).  The
-    summand is not visibly symmetric under k <-> l, and each ordered cell is
-    computed literally, so the exact cross-block equality stays a real check.
-    """
-    require_odd_prime(p)
-    plain = [comb(p, n + 1) for n in range(p)]
-    weighted = [(n + 1) * comb(p + 1, n + 2) for n in range(p)]
-    f_rows = []
-    g_rows = []
-    for k in range(p):
-        f_row = []
-        g_row = []
-        for l in range(p):
-            sf = sg = 0
-            for n in range(max(k, l), min(k + l, p - 1) + 1):
-                c = comb(n, l) * comb(l, n - k)
-                sf += c * plain[n]
-                sg += c * weighted[n]
-            f_row.append(sf)
-            g_row.append(sg)
-        f_rows.append(tuple(f_row))
-        g_rows.append(tuple(g_row))
-    return tuple(f_rows), tuple(g_rows)
-
-
 def _block_ranges(p: int, m: int) -> tuple[range, range, range]:
     return range(0, m + 1), range(m + 1, p - m), range(p - m, p)
 
 
+# shared by blocks, blocks_weighted and lemma23/24/33/34 at one (p, x)
 @lru_cache(maxsize=1024)
 def _block_transforms(p: int, x: Fraction) -> tuple[tuple[int, ...], ...]:
     """A_K(n) = sum_{k in K} C(n,k) w_k mod p^2, n < p, for K = lo, mid, hi.
@@ -301,6 +270,7 @@ def _block_transforms(p: int, x: Fraction) -> tuple[tuple[int, ...], ...]:
     return parts
 
 
+# shared by blocks with lemma23/24, and blocks_weighted with lemma33/34
 @lru_cache(maxsize=1024)
 def _block_sums_mod(p: int, x: Fraction, weighted: bool) -> tuple[int, ...]:
     """The nine rectangle sums of w_k w_l P(k,l) mod p^2, row-major order:
@@ -315,22 +285,44 @@ def _block_sums_mod(p: int, x: Fraction, weighted: bool) -> tuple[int, ...]:
 # The exact cross-block equality is checked up to this prime.  Mod p^2 the
 # two cross blocks are one product read twice, and over Q their equality is
 # the symmetry of P(k,l) = sum_n c_n C(n,k) C(n,l), which holds at every p;
-# the literal table is only an independent witness of that identity, and
-# costs O(p^3), so above this size it is not rebuilt.
+# the literal, ordered sums of _inner_exact only witness that identity, at
+# O(p^3) per argument, so above this size they are skipped.
 _EXACT_CROSS_PMAX = 50
 
 
-@lru_cache(maxsize=512)
+def _inner_weights(p: int, weighted: bool) -> list[int]:
+    """d_n, n < p, of the literal inner sum _inner_exact: C(p,n+1) for the
+    plain split, (n+1) C(p+1,n+2) for the weighted one."""
+    if weighted:
+        return [(n + 1) * comb(p + 1, n + 2) for n in range(p)]
+    return [comb(p, n + 1) for n in range(p)]
+
+
+def _inner_exact(d: Sequence[int], k: int, l: int) -> int:
+    """P(k,l) = sum_n C(n,l) C(l,n-k) d_n over n < p = len(d).
+
+    With d from _inner_weights this equals sum_{n<p} C(n,k) C(n,l), times
+    n+1 when weighted (identities.binom_conv_sum and weighted_binom_conv_sum
+    at N = p).  The summand is not visibly symmetric under k <-> l, so
+    summing each ordered cell literally keeps the exact cross-block equality
+    a real check.
+    """
+    return sum(comb(n, l) * comb(l, n - k) * d[n]
+               for n in range(max(k, l), min(k + l, len(d) - 1) + 1))
+
+
 def _cross_blocks_exact(p: int, x: Fraction,
                         weighted: bool) -> tuple[Fraction, Fraction]:
-    """Blocks 2 and 4 (lo x mid and mid x lo) as exact rationals, summed
-    over the integers with the weights on their one common denominator."""
-    m = padic_split(x, p).m
-    inner = _scaled_inner_exact(p)[weighted]
+    """Blocks 2 and 4 (lo x mid and mid x lo) as exact rationals, two
+    separate ordered sums over the integers with the weights on their one
+    common denominator."""
+    d = _inner_weights(p, weighted)
     num, den = _pair_weights_exact(x, p - 1, T_MULT)
-    lo, mid, _ = _block_ranges(p, m)
-    lo_mid = sum(num[k] * sum(num[l] * inner[k][l] for l in mid) for k in lo)
-    mid_lo = sum(num[k] * sum(num[l] * inner[k][l] for l in lo) for k in mid)
+    lo, mid, _ = _block_ranges(p, padic_split(x, p).m)
+    lo_mid = sum(num[k] * sum(num[l] * _inner_exact(d, k, l) for l in mid)
+                 for k in lo)
+    mid_lo = sum(num[k] * sum(num[l] * _inner_exact(d, k, l) for l in lo)
+                 for k in mid)
     return Fraction(lo_mid, den * den), Fraction(mid_lo, den * den)
 
 

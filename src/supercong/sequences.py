@@ -182,7 +182,6 @@ def _factorials(p: int, e: int) -> tuple[list[int], list[int]]:
     return fact, inv_fact
 
 
-@lru_cache(maxsize=4096)
 def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     """w_k = C(x,k) C(x+k,k) mult^k mod p^e for k in [0, p-1]: the running
     product of mult (x-k+1)(x+k), times (1/k!)^2 from _factorials."""
@@ -224,6 +223,7 @@ def _binomial_transform(p: int, e: int, w: Sequence[int]) -> tuple[int, ...]:
                  for i, f in zip(range(0, width * p, width), fact))
 
 
+# shared by theorem1, theorem2, weighted_* and the block sums at one (p, x)
 @lru_cache(maxsize=4096)
 def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e: the binomial transform of the pair weights."""

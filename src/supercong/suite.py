@@ -108,14 +108,14 @@ STATEMENT_ALIASES: dict[str, tuple[str, ...]] = {
 OUT_DIR_ENV = "SUPERCONG_OUT_DIR"
 INTERNAL_ERROR = "internal error:"  # reason prefix of a program-fault record
 ORACLE_MODES = ("off", "spot", "full")
-_X_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_X_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")  # a or a/b, b > 0
 
 
 def parse_x(text: str) -> Fraction:
     """Parse the CLI/config rational syntax: optional sign, a or a/b."""
     text = text.strip()
     if not _X_RE.match(text):
-        raise ParseError(f"bad rational {text!r}: expected a or a/b")
+        raise ParseError(f"bad rational {text!r}: expected a or a/b, b > 0")
     return Fraction(text)
 
 
@@ -158,6 +158,8 @@ class SuiteConfig:
             raise ParseError(f"oracle_mode must be one of {ORACLE_MODES}")
         if self.parallelism < 1:
             raise ParseError(f"parallelism = {self.parallelism} < 1")
+        if self.x_values == ():
+            raise ParseError("no x values given")
 
 
 _CONFIG_KEYS = ("schema_version", "statements", "prime_min", "prime_max",

@@ -197,9 +197,10 @@ def test_lemma21_fast_sides_match_the_exact_route(p, data):
     assert all(lemma21_check(p, x, k) for k in range(p))
 
 
-def _brute_blocks(p: int, x: Fraction, weighted: bool) -> tuple[Residue, ...]:
-    """Literal block sums: weights via binom_gen, inner sums via the raw
-    sum over n < p of C(n,k) C(n,l) (times n+1 when weighted)."""
+def _brute_cells(p: int, x: Fraction, weighted: bool) -> list[Fraction]:
+    """Literal block sums over Q, row-major: weights via binom_gen, inner
+    sums via the raw sum over n < p of C(n,k) C(n,l) (times n+1 when
+    weighted), nothing reduced."""
     m = padic_split(x, p).m
     w = [binom_gen(x, k) * binom_gen(x + k, k) * 2**k for k in range(p)]
 
@@ -212,13 +213,14 @@ def _brute_blocks(p: int, x: Fraction, weighted: bool) -> tuple[Residue, ...]:
         return total
 
     ranges = (range(0, m + 1), range(m + 1, p - m), range(p - m, p))
-    out = []
-    for kr in ranges:
-        for lr in ranges:
-            cell = sum((w[k] * w[l] * inner(k, l) for k in kr for l in lr),
-                       Fraction(0))
-            out.append(mod_reduce(cell, p, 2))
-    return tuple(out)
+    return [sum((w[k] * w[l] * inner(k, l) for k in kr for l in lr),
+                Fraction(0))
+            for kr in ranges for lr in ranges]
+
+
+def _brute_blocks(p: int, x: Fraction, weighted: bool) -> tuple[Residue, ...]:
+    return tuple(mod_reduce(cell, p, 2)
+                 for cell in _brute_cells(p, x, weighted))
 
 
 class TestBlockDecomposition:
@@ -259,11 +261,29 @@ class TestBlockDecomposition:
 
     def test_integer_inner_table_is_the_convolution_identity(self):
         for p in odd_primes(3, 13):
-            plain, weighted = cg._scaled_inner_exact(p)
+            plain = cg._inner_weights(p, False)
+            weighted = cg._inner_weights(p, True)
             for k in range(p):
                 for l in range(p):
-                    assert plain[k][l] == binom_conv_sum(p, k, l)[1]
-                    assert weighted[k][l] == weighted_binom_conv_sum(p, k, l)[1]
+                    assert cg._inner_exact(plain, k, l) == (
+                        binom_conv_sum(p, k, l)[1])
+                    assert cg._inner_exact(weighted, k, l) == (
+                        weighted_binom_conv_sum(p, k, l)[1])
+
+    def test_exact_cross_blocks_match_literal_sums(self):
+        cases = 0
+        for p in odd_primes(5, 13):
+            for x in (Fraction(0), Fraction(1), Fraction(-1, 3),
+                      Fraction(2, 5), Fraction(-7, 9), Fraction(13, 4)):
+                if (x.denominator % p == 0
+                        or padic_split(x, p).m >= (p - 1) // 2):
+                    continue
+                for weighted in (False, True):
+                    cells = _brute_cells(p, x, weighted)
+                    assert cg._cross_blocks_exact(p, x, weighted) == (
+                        cells[1], cells[3])
+                    cases += 1
+        assert cases == 28
 
 
 @given(primes_to_43, st.booleans(), st.data())
@@ -274,7 +294,8 @@ def test_block_transforms_match_the_literal_table(p, weighted, data):
     assume(m < (p - 1) // 2)
     sums = block_sums(p, x, weighted)
     # the literal integer inner table, weights mod p^2
-    inner = cg._scaled_inner_exact(p)[weighted]
+    d = cg._inner_weights(p, weighted)
+    inner = [[cg._inner_exact(d, k, l) for l in range(p)] for k in range(p)]
     w = cg._pair_weights_mod(p, 2, x, T_MULT)
     ranges = cg._block_ranges(p, m)
     literal = tuple(

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import supercong
 from supercong import congruences as cg
 from supercong.cli import main
 from supercong.identities import identity_suite
@@ -34,9 +37,11 @@ class TestParseX:
         assert parse_x("-1/3") == Fraction(-1, 3)
         assert parse_x("+7/2") == Fraction(7, 2)
         assert parse_x(" 12 ") == 12
+        assert parse_x("0/5") == 0 and parse_x("4/010") == Fraction(2, 5)
 
     def test_rejected_forms(self):
-        for bad in ("1.5", "1/-3", "a/b", "", "1 / 3", "--2"):
+        for bad in ("1.5", "1/-3", "a/b", "", "1 / 3", "--2", "1/0",
+                    "-3/000"):
             with pytest.raises(ParseError):
                 parse_x(bad)
 
@@ -153,6 +158,14 @@ class TestParseConfig:
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_config("# a\nprime_min = 5\nbogus = 1\n")
+
+    def test_empty_x_values_rejected(self):
+        with pytest.raises(ParseError, match="no x values"):
+            parse_config("statements = theorem1\nx_values = \n")
+        with pytest.raises(ParseError, match="no x values"):
+            SuiteConfig(x_values=()).validate()
+        # an empty prime range still runs, with zero checks
+        assert run_suite(SuiteConfig(prime_min=4, prime_max=4)).total == 0
 
 
 def _corrupt_row_zero(real):
@@ -353,6 +366,31 @@ class TestRunSuite:
             "weighted_8n5", "weighted_32n21", "weighted_18n7",
             "weighted_72n49"}
 
+    def test_every_cache_is_hit(self):
+        # the package's lru_caches, each counted once, in its own module
+        caches = {}
+        for info in pkgutil.iter_modules(supercong.__path__):
+            if info.name == "__main__":  # importing it runs the CLI
+                continue
+            mod = importlib.import_module(f"supercong.{info.name}")
+            for name, fn in vars(mod).items():
+                if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
+                    caches[f"{info.name}.{name}"] = fn
+        assert set(caches) == {"sequences._table_values",
+                               "congruences._block_transforms",
+                               "congruences._block_sums_mod"}
+        for fn in caches.values():
+            fn.cache_clear()
+        # theorem2 and blocks reuse theorem1's t table, lemma23 the plain
+        # block sums of blocks, lemma33 the transforms behind them
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "theorem2", "blocks", "lemma23",
+                        "lemma33"),
+            prime_max=13, x_values=(Fraction(1),)))
+        assert summary.failed == 0
+        for name, fn in caches.items():
+            assert fn.cache_info().hits > 0, name
+
 
 class TestEmitReport:
     def _summary(self, **kwargs):
@@ -470,6 +508,18 @@ class TestCli:
         capsys.readouterr()
         assert main(["identities", "--nmax", "-1"]) == 2
         capsys.readouterr()
+
+    def test_zero_denominator_is_a_usage_error(self, tmp_path):
+        cfg_file = tmp_path / "suite.cfg"
+        cfg_file.write_text("statements = theorem1\nx_values = 1/0\n")
+        for args in (["--statement", "theorem1", "--x", "1/0"],
+                     ["--suite", str(cfg_file)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "supercong", "verify", *args],
+                capture_output=True, text=True)
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert "bad rational '1/0'" in proc.stderr
 
     def test_missing_subcommand_is_usage(self):
         with pytest.raises(SystemExit):
