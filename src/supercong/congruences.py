@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 from random import Random
 from time import perf_counter_ns
 from typing import Callable, Sequence
@@ -61,7 +62,6 @@ from .sequences import (
     _oracle_rows,
     _pair_weights_exact,
     _pair_weights_mod,
-    _table_values,
     s_table_mod,
     t_table_mod,
 )
@@ -202,7 +202,7 @@ def _lemma21_sides(px: PadicRational) -> tuple[tuple[int, ...], tuple[int, ...]]
     """
     p, m = px.p, px.m
     mod = p * p
-    fact, inv_fact = _factorials(p, 2)
+    fact, inv_fact, _, _ = _factorials(p, 2)
     t = px.t_mod(1).value
     harm = [0] * p  # H_j mod p, with 1/j = (j-1)! / j!
     for j in range(1, p):
@@ -255,7 +255,8 @@ def _block_transforms(p: int, x: Fraction) -> tuple[tuple[int, ...], ...]:
     """A_K(n) = sum_{k in K} C(n,k) w_k mod p^2, n < p, for K = lo, mid, hi.
 
     The three ranges partition [0, p-1], so the transforms add up to the t
-    table; anything else is a program fault, not a failed congruence.
+    table, the transform of the same weights unmasked; anything else is a
+    program fault, not a failed congruence.
     """
     w = _pair_weights_mod(p, 2, x, T_MULT)
     parts = tuple(
@@ -264,7 +265,7 @@ def _block_transforms(p: int, x: Fraction) -> tuple[tuple[int, ...], ...]:
         for K in _block_ranges(p, padic_split(x, p).m))
     mod = p * p
     if any((a + b + c) % mod != t for a, b, c, t in
-           zip(*parts, _table_values(p, 2, x, T_MULT))):
+           zip(*parts, _binomial_transform(p, 2, w))):
         raise SupercongError(
             f"block transforms do not add up to the t table at p={p}, x={x}")
     return parts
@@ -389,12 +390,12 @@ def block_lemma_check(name: str, p: int, x: RationalLike) -> CongruenceReport:
 # headline quadratic congruences
 
 def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
-    """sum_{n<p} (a n + b) table[n]^2 mod p^e."""
-    mod = table.modulus
-    acc = 0
-    for n, v in enumerate(table.values):
-        acc += (a * n + b) * v * v
-    return Residue(acc % mod, mod)
+    """sum_{n<p} (a n + b) table[n]^2 mod p^e, summed directly."""
+    v = table.values
+    squares = map(mul, v, v)
+    total = (sum(map(mul, range(b, b + a * len(v), a), squares)) if a
+             else b * sum(squares))
+    return Residue(total, table.modulus)
 
 
 def _sign_ratio(px: PadicRational) -> Fraction:

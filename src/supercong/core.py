@@ -232,7 +232,13 @@ def mod_reduce(q: RationalLike, p: int, e: int = 1) -> Residue:
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"exponent e = {e!r} must be a positive integer")
     q = to_fraction(q)
-    if q.denominator % p == 0:
-        raise NonPIntegralError(f"{q} has denominator divisible by {p}")
+    return Residue(reduce_ratio(q.numerator, q.denominator, p, e), p**e)
+
+
+def reduce_ratio(num: int, den: int, p: int, e: int) -> int:
+    """num/den mod p^e as a least residue, for any integer pair with p not
+    dividing den (the pair need not be in lowest terms)."""
+    if den % p == 0:
+        raise NonPIntegralError(f"{num}/{den} has denominator divisible by {p}")
     m = p**e
-    return Residue(q.numerator * pow(q.denominator, -1, m) % m, m)
+    return num % m * pow(den, -1, m) % m

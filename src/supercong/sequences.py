@@ -1,20 +1,22 @@
 """The binomial double-product sequences: exact values and residue tables.
 
 Two evaluation routes are kept strictly separate on purpose.  The fast route
-works entirely mod p^e: the pair weight w_k = C(x,k) C(x+k,k) c^k is the
-running product of c (x-k+1)(x+k) times (1/k!)^2, and the weights are
-combined by one binomial transform, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!),
-which `congruences` also applies to masked weights for its block sums.  For
-n < p no factorial has a factor p, so every factorial is a unit mod p^e and
-one pair of factorial tables serves both steps; the convolution for all n in
-[0, p-1] is one big-integer product of the two sequences packed into
-fixed-width slots (Kronecker substitution).  The slow route works with
-integers only, for x = a/b: _row_exact (behind t_seq and s_seq) evaluates one
-row by a term-ratio recurrence summed over the common denominator
-b^{2n} (n!)^3 and turned into one Fraction at the end, and
-_pair_weights_exact gives the weights themselves as integer numerators over
-the one denominator b^{2K} (K!)^2, for the exact checks in `congruences`.
-The audit reduces exact rows mod p^e and compares; the slow route exists to
+works entirely mod p^e over one basis per (p, e), built once and cached
+(_factorials): n! and 1/n! for n < p, which are units since no factorial
+below p has a factor p, the byte width of one convolution slot, and the
+1/n! already packed in those slots.  The pair weight w_k = C(x,k) C(x+k,k)
+c^k is the running product of c (x-k+1)(x+k) times (1/k!)^2 from the basis.
+One binomial transform, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!), turns the
+weights into all rows n in [0, p-1]: the w_k / k! are packed into one
+integer, multiplied once by the packed 1/j! (Kronecker substitution) and
+unpacked.  `congruences` applies the same transform to masked weights for
+its block sums and reads the same basis for Lemma 2.1.  The slow route
+works with integers only, for x = a/b: _row_exact evaluates one row by a
+term-ratio recurrence as an integer numerator over b^{2n} (n!)^3 (t_seq and
+s_seq turn it into one reduced Fraction), and _pair_weights_exact gives the
+weights themselves as integer numerators over the one denominator
+b^{2K} (K!)^2, for the exact checks in `congruences`.  The audit reduces the
+exact integer pair of a row mod p^e and compares; the slow route exists to
 audit the fast route and is never consulted to produce a table.
 """
 
@@ -24,15 +26,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     NonPIntegralError,
     OracleMismatchError,
     RationalLike,
     Residue,
-    mod_reduce,
+    reduce_ratio,
     require_odd_prime,
     to_fraction,
 )
@@ -63,33 +66,34 @@ def _pair_weights_exact(x: Fraction, kmax: int,
     return num, scale
 
 
-def _row_exact(n: int, x: Fraction, mult: int) -> Fraction:
-    """sum_k C(n,k) C(x,k) C(x+k,k) mult^k, exact, in integers until the end.
+def _row_exact(n: int, x: Fraction, mult: int) -> tuple[int, int]:
+    """sum_k C(n,k) C(x,k) C(x+k,k) mult^k, exact, as an integer numerator
+    over the denominator b^{2n} (n!)^3, not reduced.
 
     For x = a/b, term k is num_k / (b^{2k} (k!)^3) with num_k = num_{k-1}
-    (n-k+1) mult (a-(k-1)b)(a+kb).  Horner's rule puts all terms over
-    b^{2n} (n!)^3: one big-by-small product per step, one gcd at the end.
+    (n-k+1) mult (a-(k-1)b)(a+kb).  Horner's rule puts all terms over the
+    one denominator: one big-by-small product per step and no gcd.
     """
     a, b = x.numerator, x.denominator
     acc = num = 1
     for k in range(1, n + 1):
         num *= (n - k + 1) * mult * (a - (k - 1) * b) * (a + k * b)
         acc = acc * (k * k * k * b * b) + num
-    return Fraction(acc, b ** (2 * n) * factorial(n) ** 3)
+    return acc, b ** (2 * n) * factorial(n) ** 3
 
 
 def t_seq(n: int, x: RationalLike) -> Fraction:
     """t_n(x) = sum_k C(n,k) C(x,k) C(x+k,k) 2^k as an exact rational."""
     if n < 0:
         raise ValueError("t_seq requires n >= 0")
-    return _row_exact(n, to_fraction(x), T_MULT)
+    return Fraction(*_row_exact(n, to_fraction(x), T_MULT))
 
 
 def s_seq(n: int, x: RationalLike) -> Fraction:
     """s_n(x) = sum_k C(n,k) C(x,k) C(x+k,k), the unweighted companion sum."""
     if n < 0:
         raise ValueError("s_seq requires n >= 0")
-    return _row_exact(n, to_fraction(x), S_MULT)
+    return Fraction(*_row_exact(n, to_fraction(x), S_MULT))
 
 
 def j2(n: int) -> Fraction:
@@ -169,8 +173,21 @@ class SequenceTable:
         return Residue(self.values[n], self.modulus)
 
 
-def _factorials(p: int, e: int) -> tuple[list[int], list[int]]:
-    """n! and 1/n! mod p^e for n in [0, p-1]; all units, since n < p."""
+def _pack(values: Iterable[int], width: int) -> int:
+    """One integer holding values in consecutive width-byte slots, low first."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))),
+        "little")
+
+
+# tasks run statement, then prime, then x, so consecutive tables share (p, e)
+@lru_cache(maxsize=8)
+def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                         int, int]:
+    """The (p, e) basis of every table: n! and 1/n! mod p^e for n < p (all
+    units), the byte width of one convolution slot, which holds a product
+    coefficient of at most p (p^e - 1)^2 so that no carry crosses a slot,
+    and 1/n! packed in slots of that width."""
     mod = p**e
     fact = [1] * p
     for n in range(1, p):
@@ -179,7 +196,8 @@ def _factorials(p: int, e: int) -> tuple[list[int], list[int]]:
     inv_fact[p - 1] = pow(fact[p - 1], -1, mod)
     for n in range(p - 1, 0, -1):
         inv_fact[n - 1] = inv_fact[n] * n % mod
-    return fact, inv_fact
+    width = ((p * (mod - 1) ** 2).bit_length() + 7) // 8
+    return tuple(fact), tuple(inv_fact), width, _pack(inv_fact, width)
 
 
 def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
@@ -189,7 +207,7 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
     if x.denominator % p == 0:
         raise NonPIntegralError(f"{x} is not {p}-integral")
     xr = x.numerator % mod * pow(x.denominator, -1, mod) % mod
-    _, inv_fact = _factorials(p, e)
+    inv_fact = _factorials(p, e)[1]
     w = [1] * p
     cur = 1
     for k in range(1, p):
@@ -203,27 +221,21 @@ def _binomial_transform(p: int, e: int, w: Sequence[int]) -> tuple[int, ...]:
 
     sum_k C(n,k) w_k = n! * sum_{k+j=n} (w_k / k!) (1 / j!).  This relies on
     n < p: then n! has no factor p, so every factorial is a unit mod p^e.
-    Both factor sequences are packed into one integer each, in slots wide
-    enough for a coefficient of the product (at most p (p^e - 1)^2, so no
-    carry crosses a slot), and multiplied once.
+    The w_k / k! are packed into one integer and multiplied once by the
+    packed 1/j! of the basis.
     """
     mod = p**e
-    fact, inv_fact = _factorials(p, e)
-    width = ((p * (mod - 1) ** 2).bit_length() + 7) // 8  # bytes per slot
-
-    def pack(seq) -> int:
-        return int.from_bytes(
-            b"".join(v.to_bytes(width, "little") for v in seq), "little")
-
-    product = (pack([wk * ik % mod for wk, ik in zip(w, inv_fact)])
-               * pack(inv_fact))
+    fact, inv_fact, width, packed_inv_fact = _factorials(p, e)
+    product = _pack([wk * ik % mod for wk, ik in zip(w, inv_fact)],
+                    width) * packed_inv_fact
     # the product has 2p - 1 slots; only the first p (rows n < p) are read
     raw = product.to_bytes(width * (2 * p - 1), "little")
-    return tuple(int.from_bytes(raw[i:i + width], "little") * f % mod
-                 for i, f in zip(range(0, width * p, width), fact))
+    from_bytes = int.from_bytes
+    return tuple([from_bytes(raw[i:i + width], "little") * f % mod
+                  for i, f in zip(range(0, width * p, width), fact)])
 
 
-# shared by theorem1, theorem2, weighted_* and the block sums at one (p, x)
+# shared by theorem1, theorem2 and weighted_* at one (p, x)
 @lru_cache(maxsize=4096)
 def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e: the binomial transform of the pair weights."""
@@ -250,7 +262,7 @@ def _oracle_rows(p: int, e: int, x: Fraction, mult: int, mode: str) -> list[int]
 def _audit_table(p: int, e: int, x: Fraction, mult: int,
                  values: tuple[int, ...], mode: str) -> None:
     for n in _oracle_rows(p, e, x, mult, mode):
-        expect = mod_reduce(_row_exact(n, x, mult), p, e).value
+        expect = reduce_ratio(*_row_exact(n, x, mult), p, e)
         if expect != values[n]:
             raise OracleMismatchError(
                 f"table row n={n} (p={p}, e={e}, x={x}, mult={mult}): "

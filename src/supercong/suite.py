@@ -24,7 +24,6 @@ import os
 import re
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -360,6 +359,7 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
             out.parent.mkdir(parents=True, exist_ok=True)
             sink = stack.enter_context(open(out, "a", encoding="utf-8"))
         if cfg.parallelism > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
             chunk = max(1, min(32, len(tasks) // (cfg.parallelism * 4) or 1))
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=cfg.parallelism))

@@ -1,13 +1,15 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supercong.congruences import padic_split
+from supercong.congruences import _weighted_square_sum, padic_split
 from supercong.core import (
     Residue, binom_gen, binom_int, is_prime, mod_reduce)
 from supercong.sequences import (
-    S_MULT, S_poly, T_MULT, _pair_weights_exact, _pair_weights_mod,
-    pfaff_check, s_seq, s_table_mod, t_seq, t_symmetry_check, t_table_mod)
+    S_MULT, S_poly, SequenceTable, T_MULT, _pair_weights_exact,
+    _pair_weights_mod, pfaff_check, s_seq, s_table_mod, t_seq,
+    t_symmetry_check, t_table_mod)
 from supercong.suite import parse_x
 
 small_primes = st.sampled_from((3, 5, 7, 11))
@@ -142,3 +144,19 @@ def test_tables_match_the_exact_sequences(p, e, family, data):
     n = data.draw(st.integers(0, p - 1))
     for row in {0, 1, n, p - 1}:
         assert table[row] == mod_reduce(exact(row, x), p, e).value
+
+
+@pytest.mark.parametrize("sign", (1, 0, -1))
+@given(st.sampled_from((3, 5, 7, 13, 29)), exponents, st.integers(1, 100),
+       st.integers(-100, 100), st.data())
+@settings(deadline=None)
+def test_weighted_square_sum_is_the_literal_loop(sign, p, e, size, b, data):
+    a = sign * size
+    mod = p**e
+    values = tuple(data.draw(st.lists(st.integers(0, mod - 1),
+                                      min_size=p, max_size=p)))
+    table = SequenceTable(p, e, Fraction(0), T_MULT, values)
+    acc = 0
+    for n in range(p):
+        acc += (a * n + b) * values[n] ** 2
+    assert _weighted_square_sum(table, a, b) == Residue(acc % mod, mod)

@@ -9,6 +9,7 @@ from supercong.sequences import (
     SequenceTable,
     T_MULT,
     _audit_table,
+    _factorials,
     _oracle_rows,
     _table_values,
     j2,
@@ -101,6 +102,22 @@ class TestTables:
                     stab = s_table_mod(p, e, x)
                     for n in range(p):
                         assert stab[n] == mod_reduce(s_seq(n, x), p, e).value
+
+    def test_interleaved_bases_stay_apart(self):
+        # tables at (p,2), (p,3), (q,2) and (p,2) again, both multipliers
+        # and several x in turn: a basis cached under the wrong key would
+        # feed one modulus's factorials into another's table
+        _factorials.cache_clear()
+        _table_values.cache_clear()
+        xs = (Fraction(-1, 3), Fraction(2, 5), Fraction(7))
+        for p, e in ((11, 2), (11, 3), (13, 2), (11, 2)):
+            for x in xs:
+                for build, exact in ((t_table_mod, t_seq),
+                                     (s_table_mod, s_seq)):
+                    tab = build(p, e, x)
+                    assert [tab[n] for n in range(p)] == [
+                        mod_reduce(exact(n, x), p, e).value
+                        for n in range(p)], (p, e, x, build.__name__)
 
     def test_oracle_modes_accept_correct_tables(self):
         t_table_mod(13, 2, Fraction(-1, 3), oracle="full")

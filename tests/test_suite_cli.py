@@ -376,13 +376,15 @@ class TestRunSuite:
             for name, fn in vars(mod).items():
                 if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
                     caches[f"{info.name}.{name}"] = fn
-        assert set(caches) == {"sequences._table_values",
+        assert set(caches) == {"sequences._factorials",
+                               "sequences._table_values",
                                "congruences._block_transforms",
                                "congruences._block_sums_mod"}
         for fn in caches.values():
             fn.cache_clear()
-        # theorem2 and blocks reuse theorem1's t table, lemma23 the plain
-        # block sums of blocks, lemma33 the transforms behind them
+        # every table at one (p, e) reads one factorial basis, theorem2
+        # reuses theorem1's t table, lemma23 the plain block sums of blocks,
+        # lemma33 the transforms behind them
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "blocks", "lemma23",
                         "lemma33"),
@@ -520,6 +522,19 @@ class TestCli:
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
             assert "bad rational '1/0'" in proc.stderr
+
+    def test_serial_run_leaves_the_process_pool_unimported(self):
+        code = (
+            "import sys\n"
+            "from supercong import cli\n"
+            "status = cli.main(['verify', '--statement', 'theorem1',\n"
+            "                   '--pmax', '7', '--x', '0', '--jobs', '1'])\n"
+            "assert status == 0, status\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "all checks passed" in proc.stdout
 
     def test_missing_subcommand_is_usage(self):
         with pytest.raises(SystemExit):
