@@ -10,12 +10,18 @@ The nine-block decomposition sums f(k,l) = w_k w_l P(k,l) over rectangles
 K x L of the (k,l) grid, where w_k = C(x,k) C(x+k,k) 2^k and P(k,l) is
 sum_{n<p} c_n C(n,k) C(n,l), with c_n = 1 (plain) or n+1 (weighted).  So a
 rectangle is sum_{n<p} c_n A_K(n) A_L(n) with A_K(n) = sum_{k in K} C(n,k)
-w_k: three masked binomial transforms mod p^2 per argument (the same
-routine as the t table), then O(p) work per block.  The three transforms
-must add up to the t table; a break is a program fault and raises.  The
-two cross blocks are additionally compared as exact rationals for p <= 50,
-each as its own ordered sum over the cells it covers of a literal form of
-P(k,l) (_inner_exact); their equality is claimed exactly, not just mod p^2.
+w_k: three masked binomial transforms mod p^2 per argument, each one
+big-integer product against 1/j! packed once (Kronecker substitution), then
+O(p) work per block.  The three transforms must add up to the t table,
+which `sequences` builds by its recurrence in n, another route; a break is
+a program fault and raises.  The two cross blocks are additionally
+compared as exact rationals for p <= 50, each as its own ordered sum over
+the cells it covers of a literal form of P(k,l) (_inner_exact); their
+equality is claimed exactly, not just mod p^2.
+
+Each public check validates p once (padic_split, or the table it builds)
+and passes it on to helpers that take it as given: reduce_ratio, not
+mod_reduce, and (-1/p) from p mod 4, not legendre.
 
 Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2; the literal
 exact-rational route (lemma21_check) is its oracle, with the exact pair
@@ -32,23 +38,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from operator import mul
 from random import Random
 from time import perf_counter_ns
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     HypothesisViolatedError,
-    NonPIntegralError,
     OracleMismatchError,
     RationalLike,
     RegimeError,
     Residue,
     SupercongError,
     harmonic,
-    legendre,
-    mod_reduce,
+    reduce_ratio,
     require_odd_prime,
     to_fraction,
 )
@@ -57,11 +62,12 @@ from .sequences import (
     S_MULT,
     SequenceTable,
     T_MULT,
-    _binomial_transform,
     _factorials,
     _oracle_rows,
     _pair_weights_exact,
     _pair_weights_mod,
+    _table_values,
+    _x_mod,
     s_table_mod,
     t_table_mod,
 )
@@ -77,20 +83,22 @@ class PadicRational:
     t: Fraction
 
     def t_mod(self, e: int = 1) -> Residue:
-        return mod_reduce(self.t, self.p, e)
+        return _residue(self.t, self.p, e)
 
     def reflect(self) -> "PadicRational":
         """The split of -1-x; maps m to p-1-m and preserves p-integrality."""
-        return padic_split(-1 - self.x, self.p)
+        return _split(-1 - self.x, self.p)
 
 
 def padic_split(x: RationalLike, p: int) -> PadicRational:
     """Split a p-integral rational as x = m + p*t, m the least residue."""
     require_odd_prime(p)
-    x = to_fraction(x)
-    if x.denominator % p == 0:
-        raise NonPIntegralError(f"{x} is not {p}-integral")
-    m = x.numerator * pow(x.denominator, -1, p) % p
+    return _split(to_fraction(x), p)
+
+
+def _split(x: Fraction, p: int) -> PadicRational:
+    """padic_split for a p already validated."""
+    m = _x_mod(p, 1, x)
     return PadicRational(x, p, m, (x - m) / p)
 
 
@@ -102,6 +110,16 @@ def _as_padic(x: "RationalLike | PadicRational", p: int) -> PadicRational:
     return padic_split(x, p)
 
 
+def _residue(q: Fraction, p: int, e: int) -> Residue:
+    """A p-integral rational mod p^e."""
+    return Residue(reduce_ratio(q.numerator, q.denominator, p, e), p**e)
+
+
+def _minus_one_symbol(p: int) -> int:
+    """The Legendre symbol (-1/p): 1 when p = 1 (mod 4), else -1."""
+    return 1 if p % 4 == 1 else -1
+
+
 def residue_table_check(p: int) -> bool:
     """Least residues of -1/4, -1/3, -1/6 match their mod-4/3/6 case table."""
     require_odd_prime(p)
@@ -110,9 +128,9 @@ def residue_table_check(p: int) -> bool:
     quarter = (p - 1) // 4 if p % 4 == 1 else (3 * p - 1) // 4
     third = (p - 1) // 3 if p % 3 == 1 else (2 * p - 1) // 3
     sixth = (p - 1) // 6 if p % 6 == 1 else (5 * p - 1) // 6
-    return (padic_split(Fraction(-1, 4), p).m == quarter
-            and padic_split(Fraction(-1, 3), p).m == third
-            and padic_split(Fraction(-1, 6), p).m == sixth)
+    return (_x_mod(p, 1, Fraction(-1, 4)) == quarter
+            and _x_mod(p, 1, Fraction(-1, 3)) == third
+            and _x_mod(p, 1, Fraction(-1, 6)) == sixth)
 
 
 @dataclass(frozen=True)
@@ -167,8 +185,8 @@ def _lemma21_exact(px: PadicRational,
             sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
             rhs_exact = Fraction(sign * comb(m + k, k),
                                  (k - m) * comb(k, m)) * p * t
-        sides.append((mod_reduce(Fraction(num[k], den), p, 2).value,
-                      mod_reduce(rhs_exact, p, 2).value))
+        sides.append((reduce_ratio(num[k], den, p, 2),
+                      _residue(rhs_exact, p, 2).value))
     return sides
 
 
@@ -202,7 +220,7 @@ def _lemma21_sides(px: PadicRational) -> tuple[tuple[int, ...], tuple[int, ...]]
     """
     p, m = px.p, px.m
     mod = p * p
-    fact, inv_fact, _, _ = _factorials(p, 2)
+    fact, inv_fact, _ = _factorials(p, 2)
     t = px.t_mod(1).value
     harm = [0] * p  # H_j mod p, with 1/j = (j-1)! / j!
     for j in range(1, p):
@@ -249,23 +267,56 @@ def _block_ranges(p: int, m: int) -> tuple[range, range, range]:
     return range(0, m + 1), range(m + 1, p - m), range(p - m, p)
 
 
+def _pack(values: Iterable[int], width: int) -> int:
+    """One integer holding values in consecutive width-byte slots, low first."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))),
+        "little")
+
+
+def _binomial_transform(p: int, e: int,
+                        ws: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """sum_k C(n,k) w_k mod p^e for every n in [0, p-1], for each w in ws.
+
+    sum_k C(n,k) w_k = n! * sum_{k+j=n} (w_k / k!) (1 / j!).  This relies on
+    n < p: then n! has no factor p, so every factorial is a unit mod p^e.
+    The 1/j! are packed once into slots wide enough for a product
+    coefficient of at most p (p^e - 1)^2, so that no carry crosses a slot;
+    each w_k / k! is packed the same way, and one product per w gives all
+    its rows (Kronecker substitution).
+    """
+    mod = p**e
+    fact, inv_fact, _ = _factorials(p, e)
+    width = ((p * (mod - 1) ** 2).bit_length() + 7) // 8
+    packed_inv_fact = _pack(inv_fact, width)
+    from_bytes = int.from_bytes
+    out = []
+    for w in ws:
+        product = _pack([wk * ik % mod for wk, ik in zip(w, inv_fact)],
+                        width) * packed_inv_fact
+        # the product has 2p - 1 slots; only the first p (rows n < p) are read
+        raw = product.to_bytes(width * (2 * p - 1), "little")
+        out.append(tuple([from_bytes(raw[i:i + width], "little") * f % mod
+                          for i, f in zip(range(0, width * p, width), fact)]))
+    return out
+
+
 # shared by blocks, blocks_weighted and lemma23/24/33/34 at one (p, x)
 @lru_cache(maxsize=1024)
 def _block_transforms(p: int, x: Fraction) -> tuple[tuple[int, ...], ...]:
     """A_K(n) = sum_{k in K} C(n,k) w_k mod p^2, n < p, for K = lo, mid, hi.
 
     The three ranges partition [0, p-1], so the transforms add up to the t
-    table, the transform of the same weights unmasked; anything else is a
-    program fault, not a failed congruence.
+    table, which the recurrence of `sequences` builds by another route;
+    anything else is a program fault, not a failed congruence.
     """
     w = _pair_weights_mod(p, 2, x, T_MULT)
-    parts = tuple(
-        _binomial_transform(p, 2, [wk if k in K else 0
-                                   for k, wk in enumerate(w)])
-        for K in _block_ranges(p, padic_split(x, p).m))
+    parts = tuple(_binomial_transform(
+        p, 2, [[wk if k in K else 0 for k, wk in enumerate(w)]
+               for K in _block_ranges(p, _x_mod(p, 1, x))]))
     mod = p * p
     if any((a + b + c) % mod != t for a, b, c, t in
-           zip(*parts, _binomial_transform(p, 2, w))):
+           zip(*parts, _table_values(p, 2, x, T_MULT))):
         raise SupercongError(
             f"block transforms do not add up to the t table at p={p}, x={x}")
     return parts
@@ -319,7 +370,7 @@ def _cross_blocks_exact(p: int, x: Fraction,
     common denominator."""
     d = _inner_weights(p, weighted)
     num, den = _pair_weights_exact(x, p - 1, T_MULT)
-    lo, mid, _ = _block_ranges(p, padic_split(x, p).m)
+    lo, mid, _ = _block_ranges(p, _x_mod(p, 1, x))
     lo_mid = sum(num[k] * sum(num[l] * _inner_exact(d, k, l) for l in mid)
                  for k in lo)
     mid_lo = sum(num[k] * sum(num[l] * _inner_exact(d, k, l) for l in lo)
@@ -341,7 +392,8 @@ def _require_low_regime(px: PadicRational) -> None:
                           "reflect x to -1-x first")
 
 
-def block_vanishing_check(p: int, x: RationalLike, weighted: bool = False) -> bool:
+def block_vanishing_check(p: int, x: "RationalLike | PadicRational",
+                          weighted: bool = False) -> bool:
     """Six far blocks vanish mod p^2 and, for p <= 50, the two cross blocks
     agree exactly."""
     px = _as_padic(x, p)
@@ -355,7 +407,7 @@ def block_vanishing_check(p: int, x: RationalLike, weighted: bool = False) -> bo
     return lo_mid == mid_lo
 
 
-def block_sums(p: int, x: RationalLike,
+def block_sums(p: int, x: "RationalLike | PadicRational",
                weighted: bool = False) -> tuple[Residue, ...]:
     """All nine block sums mod p^2 in row-major order (diagnostic view)."""
     px = _as_padic(x, p)
@@ -374,7 +426,8 @@ BLOCK_LEMMAS: dict[str, tuple[bool, int, Callable[[int], Fraction]]] = {
 }
 
 
-def block_lemma_check(name: str, p: int, x: RationalLike) -> CongruenceReport:
+def block_lemma_check(name: str, p: int,
+                      x: "RationalLike | PadicRational") -> CongruenceReport:
     """The near or cross block of the plain or (n+1)-weighted decomposition
     mod p^2 against its closed form, by statement id (see BLOCK_LEMMAS)."""
     t0 = perf_counter_ns()
@@ -383,7 +436,7 @@ def block_lemma_check(name: str, p: int, x: RationalLike) -> CongruenceReport:
     _require_low_regime(px)
     lhs = Residue(_block_sums_mod(p, px.x, weighted)[block], p * p)
     rhs = p * closed(px.m) * (px.t if block else 1)
-    return _report(name, p, px.x, lhs, mod_reduce(rhs, p, 2), t0)
+    return _report(name, p, px.x, lhs, _residue(rhs, p, 2), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +461,18 @@ def theorem1_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
     when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1)."""
     px = _as_padic(x, p)
     if 2 * px.m + 1 == p:
-        return Residue(legendre(-1, p), p * p)
-    return mod_reduce(_sign_ratio(px), p, 2)
+        return Residue(_minus_one_symbol(p), p * p)
+    return _residue(_sign_ratio(px), p, 2)
 
 
 def theorem1_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} t_n(x)^2 mod p^2 against theorem1_rhs."""
     t0 = perf_counter_ns()
-    px = _as_padic(x, p)
-    table = t_table_mod(p, 2, px.x, oracle=oracle)
+    table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 0, 1)
-    return _report("theorem1", p, px.x, lhs, theorem1_rhs(p, px), t0)
+    return _report("theorem1", p, table.x, lhs,
+                   theorem1_rhs(p, _split(table.x, p)), t0)
 
 
 def theorem2_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
@@ -428,21 +481,21 @@ def theorem2_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
     p/4 - (-1)^m (2x^2 + 2x - 1)(p + 2(x-m)) / (8x+4)."""
     px = _as_padic(x, p)
     if 2 * px.m + 1 == p:
-        val = Fraction(p, 4) + Fraction(3, 8) * legendre(-1, p)
+        val = Fraction(p, 4) + Fraction(3, 8) * _minus_one_symbol(p)
     else:
         val = Fraction(p, 4) - (
             (2 * px.x * px.x + 2 * px.x - 1) / 4 * _sign_ratio(px))
-    return mod_reduce(val, p, 2)
+    return _residue(val, p, 2)
 
 
 def theorem2_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} (n+1) t_n(x)^2 mod p^2 against theorem2_rhs."""
     t0 = perf_counter_ns()
-    px = _as_padic(x, p)
-    table = t_table_mod(p, 2, px.x, oracle=oracle)
+    table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 1, 1)
-    return _report("theorem2", p, px.x, lhs, theorem2_rhs(p, px), t0)
+    return _report("theorem2", p, table.x, lhs,
+                   theorem2_rhs(p, _split(table.x, p)), t0)
 
 
 def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
@@ -455,21 +508,20 @@ def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
     verification failure, so it raises.
     """
     t0 = perf_counter_ns()
-    px = _as_padic(x, p)
     mod = p * p
     if isinstance(expected, int):
         expected = Residue(expected, mod)
     if expected.modulus != mod:
         raise ValueError(f"expected residue has modulus {expected.modulus}, "
                          f"want {mod}")
-    table = t_table_mod(p, 2, px.x, oracle=oracle)
+    table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, a, b)
     plain = _weighted_square_sum(table, 0, 1)
     shifted = _weighted_square_sum(table, 1, 1)
     if lhs != a * shifted + (b - a) * plain:
         raise SupercongError(
-            f"linear-weight recombination failed at p={p}, x={px.x}")
-    return _report(f"weighted_{a}n{b}", p, px.x, lhs, expected, t0)
+            f"linear-weight recombination failed at p={p}, x={table.x}")
+    return _report(f"weighted_{a}n{b}", p, table.x, lhs, expected, t0)
 
 
 # (a, b, x, coefficient c in the expected residue c*p, minimum prime)
@@ -495,7 +547,7 @@ def kw_check(p: int, oracle: str = "off") -> CongruenceReport:
     x = Fraction(-1, 2)
     table = s_table_mod(p, 3, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 0, 1)
-    rhs = Residue(legendre(-1, p), p**3)
+    rhs = Residue(_minus_one_symbol(p), p**3)
     return _report("kw", p, x, lhs, rhs, t0)
 
 
@@ -511,7 +563,7 @@ def sun_s_check(p: int, x: RationalLike,
         raise HypothesisViolatedError("2x = -1 (mod p) is excluded")
     table = s_table_mod(p, 2, px.x, oracle=oracle)
     lhs = _weighted_square_sum(table, 0, 1)
-    rhs = mod_reduce(_sign_ratio(px), p, 2)
+    rhs = _residue(_sign_ratio(px), p, 2)
     return _report("sun_s", p, px.x, lhs, rhs, t0)
 
 

@@ -2,22 +2,29 @@
 
 Two evaluation routes are kept strictly separate on purpose.  The fast route
 works entirely mod p^e over one basis per (p, e), built once and cached
-(_factorials): n! and 1/n! for n < p, which are units since no factorial
-below p has a factor p, the byte width of one convolution slot, and the
-1/n! already packed in those slots.  The pair weight w_k = C(x,k) C(x+k,k)
-c^k is the running product of c (x-k+1)(x+k) times (1/k!)^2 from the basis.
-One binomial transform, t_n = n! sum_{k+j=n} (w_k / k!) (1 / j!), turns the
-weights into all rows n in [0, p-1]: the w_k / k! are packed into one
-integer, multiplied once by the packed 1/j! (Kronecker substitution) and
-unpacked.  `congruences` applies the same transform to masked weights for
-its block sums and reads the same basis for Lemma 2.1.  The slow route
-works with integers only, for x = a/b: _row_exact evaluates one row by a
-term-ratio recurrence as an integer numerator over b^{2n} (n!)^3 (t_seq and
-s_seq turn it into one reduced Fraction), and _pair_weights_exact gives the
-weights themselves as integer numerators over the one denominator
-b^{2K} (K!)^2, for the exact checks in `congruences`.  The audit reduces the
-exact integer pair of a row mod p^e and compares; the slow route exists to
-audit the fast route and is never consulted to produce a table.
+(_factorials): n!, 1/n! and 1/n^2 for 0 < n < p, all units since no number
+below p has a factor p.  Both families are f_n = sum_k C(n,k) C(x,k)
+C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
+3F2(-n, -x, x+1; 1, 1; c), so they satisfy one recurrence in n for every c:
+
+  N^2 f_N = ((3-c) N(N-1) + 1 + c x(x+1)) f_{N-1} + (2c-3) (N-1)^2 f_{N-2}
+            - (c-1) (N-1)(N-2) f_{N-3},   f_0 = 1
+
+(of order 2 when c = 1; at N = 1, 2 the terms before f_0 have coefficient
+0, so they need no start value).  A table needs rows N < p only, so the one
+division, by N^2, is by a unit mod p^e, read from the basis: the whole
+table is one loop of small-integer steps mod p^e (_table_values).  The pair
+weight w_k = C(x,k) C(x+k,k) c^k is the running product of c (x-k+1)(x+k)
+times (1/k!)^2 from the basis; `congruences` turns masked weights into its
+block sums by binomial transforms, and reads the same basis for Lemma 2.1.
+The slow route works with integers only, for x = a/b: _row_exact evaluates
+one row by a term-ratio recurrence as an integer numerator over
+b^{2n} (n!)^3 (t_seq and s_seq turn it into one reduced Fraction), and
+_pair_weights_exact gives the weights themselves as integer numerators over
+the one denominator b^{2K} (K!)^2, for the exact checks in `congruences`.
+The audit reduces the exact integer pair of a row mod p^e and compares; the
+slow route exists to audit the fast route and is never consulted to produce
+a table.
 """
 
 from __future__ import annotations
@@ -26,9 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import comb, factorial
-from typing import Iterable, Sequence
 
 from .core import (
     NonPIntegralError,
@@ -173,21 +178,12 @@ class SequenceTable:
         return Residue(self.values[n], self.modulus)
 
 
-def _pack(values: Iterable[int], width: int) -> int:
-    """One integer holding values in consecutive width-byte slots, low first."""
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))),
-        "little")
-
-
 # tasks run statement, then prime, then x, so consecutive tables share (p, e)
 @lru_cache(maxsize=8)
 def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
-                                         int, int]:
-    """The (p, e) basis of every table: n! and 1/n! mod p^e for n < p (all
-    units), the byte width of one convolution slot, which holds a product
-    coefficient of at most p (p^e - 1)^2 so that no carry crosses a slot,
-    and 1/n! packed in slots of that width."""
+                                         tuple[int, ...]]:
+    """The (p, e) basis of every table: n!, 1/n! and 1/n^2 mod p^e for
+    n < p, all units (1/n^2 = ((n-1)! / n!)^2, with 1/0^2 read as 0)."""
     mod = p**e
     fact = [1] * p
     for n in range(1, p):
@@ -196,17 +192,23 @@ def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
     inv_fact[p - 1] = pow(fact[p - 1], -1, mod)
     for n in range(p - 1, 0, -1):
         inv_fact[n - 1] = inv_fact[n] * n % mod
-    width = ((p * (mod - 1) ** 2).bit_length() + 7) // 8
-    return tuple(fact), tuple(inv_fact), width, _pack(inv_fact, width)
+    inv_sq = [0] + [(fact[n - 1] * inv_fact[n]) ** 2 % mod
+                    for n in range(1, p)]
+    return tuple(fact), tuple(inv_fact), tuple(inv_sq)
+
+
+def _x_mod(p: int, e: int, x: Fraction) -> int:
+    """x mod p^e; NonPIntegralError when p divides its denominator."""
+    if x.denominator % p == 0:
+        raise NonPIntegralError(f"{x} is not {p}-integral")
+    return reduce_ratio(x.numerator, x.denominator, p, e)
 
 
 def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     """w_k = C(x,k) C(x+k,k) mult^k mod p^e for k in [0, p-1]: the running
     product of mult (x-k+1)(x+k), times (1/k!)^2 from _factorials."""
     mod = p**e
-    if x.denominator % p == 0:
-        raise NonPIntegralError(f"{x} is not {p}-integral")
-    xr = x.numerator % mod * pow(x.denominator, -1, mod) % mod
+    xr = _x_mod(p, e, x)
     inv_fact = _factorials(p, e)[1]
     w = [1] * p
     cur = 1
@@ -216,30 +218,24 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
     return tuple(w)
 
 
-def _binomial_transform(p: int, e: int, w: Sequence[int]) -> tuple[int, ...]:
-    """sum_k C(n,k) w_k mod p^e for every n in [0, p-1], as one convolution.
-
-    sum_k C(n,k) w_k = n! * sum_{k+j=n} (w_k / k!) (1 / j!).  This relies on
-    n < p: then n! has no factor p, so every factorial is a unit mod p^e.
-    The w_k / k! are packed into one integer and multiplied once by the
-    packed 1/j! of the basis.
-    """
-    mod = p**e
-    fact, inv_fact, width, packed_inv_fact = _factorials(p, e)
-    product = _pack([wk * ik % mod for wk, ik in zip(w, inv_fact)],
-                    width) * packed_inv_fact
-    # the product has 2p - 1 slots; only the first p (rows n < p) are read
-    raw = product.to_bytes(width * (2 * p - 1), "little")
-    from_bytes = int.from_bytes
-    return tuple([from_bytes(raw[i:i + width], "little") * f % mod
-                  for i, f in zip(range(0, width * p, width), fact)])
-
-
-# shared by theorem1, theorem2 and weighted_* at one (p, x)
+# shared by theorem1, theorem2, weighted_* and the block transforms at (p, x)
 @lru_cache(maxsize=4096)
 def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
-    """Rows n in [0, p-1] mod p^e: the binomial transform of the pair weights."""
-    return _binomial_transform(p, e, _pair_weights_mod(p, e, x, mult))
+    """Rows n in [0, p-1] mod p^e, by the recurrence in n of the module
+    docstring: f_N from f_{N-1}, f_{N-2}, f_{N-3} and the unit 1/N^2."""
+    mod = p**e
+    xr = _x_mod(p, e, x)
+    inv_sq = _factorials(p, e)[2]
+    a, q = 3 - mult, (1 + mult * xr * (xr + 1)) % mod
+    b, c = 2 * mult - 3, mult - 1
+    f = [1] * p
+    f1, f2, f3 = 1, 0, 0  # f_{n-1}, f_{n-2}, f_{n-3}
+    for n in range(1, p):
+        m = n - 1
+        f1, f2, f3 = ((a * n * m + q) * f1 + b * m * m * f2
+                      - c * m * (m - 1) * f3) * inv_sq[n] % mod, f1, f2
+        f[n] = f1
+    return tuple(f)
 
 
 # oracle row audit: full table for small p, else 5 deterministic spot rows

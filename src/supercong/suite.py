@@ -53,18 +53,20 @@ class StatementSpec:
     """The one definition of a statement.
 
     `check(p, x, oracle)` returns a CongruenceReport, or a bool for the
-    structural statements; x is None unless needs_x.  The suite applies
-    min_p and the reflection before calling it.  Adding a statement takes
-    its engine function plus one entry in STATEMENTS; the check looks the
-    function up in `congruences` at call time, so the module attribute stays
-    the single binding (and can be wrapped, e.g. by a tracer).
+    structural statements; x is None unless needs_x, and the PadicRational
+    split of x when reflects.  The suite applies min_p and the reflection
+    before calling it.  Adding a statement takes its engine function plus
+    one entry in STATEMENTS; the check looks the function up in
+    `congruences` at call time, so the module attribute stays the single
+    binding (and can be wrapped, e.g. by a tracer).
     """
 
     id: str
     needs_x: bool
     min_p: int
     default_pmax: int
-    check: Callable[[int, Optional[Fraction], str], "CongruenceReport | bool"]
+    check: Callable[[int, "Fraction | cg.PadicRational | None", str],
+                    "CongruenceReport | bool"]
     reflects: bool = False  # apply x -> -1-x when m > (p-1)/2
 
 
@@ -246,13 +248,15 @@ def _dispatch(sid: str, p: int, x: Optional[Fraction],
     spec = STATEMENTS[sid]
     if p < spec.min_p:
         raise HypothesisViolatedError(f"{sid} requires p >= {spec.min_p}")
+    arg = x
     if spec.reflects:
-        px = cg.padic_split(x, p)
-        if px.m > (p - 1) // 2:
-            px = px.reflect()
-        x = px.x
+        # the split validates p once; the check takes it as it is
+        arg = cg.padic_split(x, p)
+        if arg.m > (p - 1) // 2:
+            arg = arg.reflect()
+        x = arg.x
     t0 = perf_counter_ns()
-    result = spec.check(p, x, oracle)
+    result = spec.check(p, arg, oracle)
     if isinstance(result, CongruenceReport):
         return result
     micros = (perf_counter_ns() - t0) // 1000

@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supercong.congruences import _weighted_square_sum, padic_split
+from supercong.congruences import (
+    _binomial_transform, _weighted_square_sum, padic_split)
 from supercong.core import (
     Residue, binom_gen, binom_int, is_prime, mod_reduce)
 from supercong.sequences import (
     S_MULT, S_poly, SequenceTable, T_MULT, _pair_weights_exact,
-    _pair_weights_mod, pfaff_check, s_seq, s_table_mod, t_seq,
+    _pair_weights_mod, _table_values, pfaff_check, s_seq, s_table_mod, t_seq,
     t_symmetry_check, t_table_mod)
 from supercong.suite import parse_x
 
@@ -144,6 +145,17 @@ def test_tables_match_the_exact_sequences(p, e, family, data):
     n = data.draw(st.integers(0, p - 1))
     for row in {0, 1, n, p - 1}:
         assert table[row] == mod_reduce(exact(row, x), p, e).value
+
+
+@given(primes_to_200, exponents, st.sampled_from((T_MULT, S_MULT)),
+       st.data())
+@settings(deadline=None, max_examples=60)
+def test_recurrence_table_is_the_binomial_transform(p, e, mult, data):
+    # two modular routes to the same rows: the recurrence in n, and the
+    # binomial transform of the pair weights by Kronecker substitution
+    x = data.draw(table_argument(p))
+    [rows] = _binomial_transform(p, e, [_pair_weights_mod(p, e, x, mult)])
+    assert _table_values(p, e, x, mult) == rows
 
 
 @pytest.mark.parametrize("sign", (1, 0, -1))

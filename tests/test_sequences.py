@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from supercong.core import NonPIntegralError, OracleMismatchError, mod_reduce
+from supercong.core import (
+    NonPIntegralError, OracleMismatchError, mod_reduce, reduce_ratio)
 from supercong.sequences import (
     S_poly,
     S_MULT,
@@ -11,6 +12,7 @@ from supercong.sequences import (
     _audit_table,
     _factorials,
     _oracle_rows,
+    _row_exact,
     _table_values,
     j2,
     pfaff_check,
@@ -60,6 +62,37 @@ class TestExactSequences:
         for fn in (t_seq, s_seq):
             with pytest.raises(ValueError):
                 fn(-1, Fraction(1, 2))
+
+
+class TestRecurrence:
+    """The recurrence in n that builds every table, for any multiplier c:
+    N^2 f_N = ((3-c) N(N-1) + 1 + c x(x+1)) f_{N-1}
+              + (2c-3) (N-1)^2 f_{N-2} - (c-1) (N-1)(N-2) f_{N-3}."""
+
+    XS = X_GRID + [Fraction(-7, 3), Fraction(11, 4), Fraction(-5)]
+
+    @pytest.mark.parametrize("mult", range(-3, 6))
+    def test_holds_exactly_over_q(self, mult):
+        for x in self.XS:
+            f = [Fraction(*_row_exact(n, x, mult)) for n in range(40)]
+            at = lambda n: f[n] if n >= 0 else 0
+            for n in range(1, 40):
+                assert n * n * f[n] == (
+                    ((3 - mult) * n * (n - 1) + 1 + mult * x * (x + 1))
+                    * at(n - 1)
+                    + (2 * mult - 3) * (n - 1) ** 2 * at(n - 2)
+                    - (mult - 1) * (n - 1) * (n - 2) * at(n - 3)), (x, n)
+
+    @pytest.mark.parametrize("mult", range(-3, 6))
+    def test_tables_for_any_multiplier(self, mult):
+        for p in (3, 5, 7, 13):
+            for e in (1, 2, 3):
+                for x in self.XS:
+                    if x.denominator % p == 0:
+                        continue
+                    assert _table_values(p, e, x, mult) == tuple(
+                        reduce_ratio(*_row_exact(n, x, mult), p, e)
+                        for n in range(p)), (p, e, x)
 
 
 class TestPfaff:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -169,9 +170,8 @@ class TestParseConfig:
 
 
 def _corrupt_row_zero(real):
-    def transform(p, e, w):
-        rows = real(p, e, w)
-        return ((rows[0] + 1) % p**e,) + rows[1:]
+    def transform(p, e, ws):
+        return [((rows[0] + 1) % p**e,) + rows[1:] for rows in real(p, e, ws)]
     return transform
 
 
@@ -365,6 +365,25 @@ class TestRunSuite:
         assert {r.statement for r in summary.reports} == {
             "weighted_8n5", "weighted_32n21", "weighted_18n7",
             "weighted_72n49"}
+
+    def test_records_of_a_fixed_run_are_pinned(self):
+        # every statement at every prime up to 31, with x covering -1/2
+        # (the m = (p-1)/2 regime), integers and arguments that are not
+        # p-integral at some p; the digest is of the JSONL lines without
+        # micros, so any change to a residue, a verdict or a skip reason
+        # of any record shows here
+        summary = run_suite(SuiteConfig(
+            statements=("all",), prime_max=31,
+            x_values=tuple(map(Fraction, ("-1/2", "-1/3", "2/5", "3",
+                                          "-7/4")))))
+        lines = [json.dumps({k: v for k, v in report_record(r).items()
+                             if k != "micros"}) for r in summary.reports]
+        assert (summary.total, summary.failed, summary.skipped) == (
+            552, 0, 108)
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode())
+        assert digest.hexdigest() == (
+            "7a25e73656cf41702d3c7514adc9a668"
+            "544a1497d1306a0f190fb9bcce48d01f")
 
     def test_every_cache_is_hit(self):
         # the package's lru_caches, each counted once, in its own module
