@@ -19,9 +19,10 @@ compared as exact rationals for p <= 50, each as its own ordered sum over
 the cells it covers of a literal form of P(k,l) (_inner_exact); their
 equality is claimed exactly, not just mod p^2.
 
-Each public check validates p once (padic_split, or the table it builds)
-and passes it on to helpers that take it as given: reduce_ratio, not
-mod_reduce, and (-1/p) from p mod 4, not legendre.
+Each public check validates p once, through padic_split or the table it
+builds (sun_s_check, which decides its exclusion before its table, does
+both), and passes it on to helpers that take it as given: reduce_ratio,
+not mod_reduce, and (-1/p) from p mod 4, not legendre.
 
 Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2; the literal
 exact-rational route (lemma21_check) is its oracle, with the exact pair
