@@ -118,7 +118,7 @@ def _print_to_reader(text: str) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         cfg = _verify_config(args)
-    except (ParseError, OSError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"supercong: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -12,7 +12,9 @@ sum_{n<p} c_n C(n,k) C(n,l), with c_n = 1 (plain) or n+1 (weighted).  So a
 rectangle is sum_{n<p} c_n A_K(n) A_L(n) with A_K(n) = sum_{k in K} C(n,k)
 w_k: three masked binomial transforms mod p^2 per argument, each one
 big-integer product against 1/j! packed once (Kronecker substitution), then
-O(p) work per block.  The three transforms must add up to the t table,
+O(p) work per block.  Both splits read the same transforms, so one cached
+entry per (p, x) holds the nine sums of each and the transforms are not
+kept (_block_sums_mod).  The three transforms must add up to the t table,
 which `sequences` builds by its recurrence in n, another route; a break is
 a program fault and raises.  The two cross blocks are additionally
 compared as exact rationals for p <= 50, each as its own ordered sum over
@@ -302,37 +304,32 @@ def _binomial_transform(p: int, e: int,
     return out
 
 
-# shared by blocks, blocks_weighted and lemma23/24/33/34 at one (p, x)
-@lru_cache(maxsize=1024)
-def _block_transforms(p: int, x: Fraction) -> tuple[tuple[int, ...], ...]:
-    """A_K(n) = sum_{k in K} C(n,k) w_k mod p^2, n < p, for K = lo, mid, hi.
+# One entry per (p, x) for the six block statements.  Tasks run statement,
+# then prime, then x, so 4096 holds one statement pass of the default grid
+# up to p = 500 (3,127 grid entries, 2,909 distinct keys).
+@lru_cache(maxsize=4096)
+def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
+    """The nine block sums mod p^2 of the plain split, then the nine of the
+    weighted split, each row-major: block K x L is sum_{n<p} c_n A_K(n)
+    A_L(n), c_n = 1 or n+1, with A_K(n) = sum_{k in K} C(n,k) w_k mod p^2.
 
     The three ranges partition [0, p-1], so the transforms add up to the t
     table, which the recurrence of `sequences` builds by another route;
     anything else is a program fault, not a failed congruence.
     """
     w = _pair_weights_mod(p, 2, x, T_MULT)
-    parts = tuple(_binomial_transform(
+    parts = _binomial_transform(
         p, 2, [[wk if k in K else 0 for k, wk in enumerate(w)]
-               for K in _block_ranges(p, _x_mod(p, 1, x))]))
+               for K in _block_ranges(p, _x_mod(p, 1, x))])
     mod = p * p
     if any((a + b + c) % mod != t for a, b, c, t in
            zip(*parts, _table_values(p, 2, x, T_MULT))):
         raise SupercongError(
             f"block transforms do not add up to the t table at p={p}, x={x}")
-    return parts
-
-
-# shared by blocks with lemma23/24, and blocks_weighted with lemma33/34
-@lru_cache(maxsize=1024)
-def _block_sums_mod(p: int, x: Fraction, weighted: bool) -> tuple[int, ...]:
-    """The nine rectangle sums of w_k w_l P(k,l) mod p^2, row-major order:
-    block K x L is sum_{n<p} c_n A_K(n) A_L(n), c_n = n+1 or 1."""
-    parts = _block_transforms(p, x)
-    c = range(1, p + 1) if weighted else (1,) * p
-    mod = p * p
-    return tuple(sum(cn * a * b for cn, a, b in zip(c, ak, al)) % mod
-                 for ak in parts for al in parts)
+    products = [list(map(mul, ak, al)) for ak in parts for al in parts]
+    return (tuple(sum(ab) % mod for ab in products)
+            + tuple(sum(map(mul, range(1, p + 1), ab)) % mod
+                    for ab in products))
 
 
 # The exact cross-block equality is checked up to this prime.  Mod p^2 the
@@ -382,24 +379,28 @@ def _cross_blocks_exact(p: int, x: Fraction,
 _VANISHING_BLOCKS = (2, 4, 5, 6, 7, 8)  # row-major indices of blocks 3,5,6,7,8,9
 
 
-def _require_low_regime(px: PadicRational) -> None:
-    """The block statements need m < (p-1)/2.  Reflection x -> -1-x maps m
+def _regime_block_sums(p: int, x: "RationalLike | PadicRational",
+                       weighted: bool) -> tuple[PadicRational, tuple[int, ...]]:
+    """The split of x and the nine block sums of one split mod p^2.
+
+    The block statements need m < (p-1)/2.  Reflection x -> -1-x maps m
     to p-1-m, so m = (p-1)/2 stays put and is a skip, not a fault."""
-    if px.m == (px.p - 1) // 2:
+    px = _as_padic(x, p)
+    if px.m == (p - 1) // 2:
         raise RegimeError(
             "m = (p-1)/2 for both x and -1-x; outside the stated regime")
-    if px.m > (px.p - 1) // 2:
-        raise RegimeError(f"m = {px.m} > (p-1)/2 at p = {px.p}; "
+    if px.m > (p - 1) // 2:
+        raise RegimeError(f"m = {px.m} > (p-1)/2 at p = {p}; "
                           "reflect x to -1-x first")
+    sums = _block_sums_mod(p, px.x)
+    return px, sums[9:] if weighted else sums[:9]
 
 
 def block_vanishing_check(p: int, x: "RationalLike | PadicRational",
                           weighted: bool = False) -> bool:
     """Six far blocks vanish mod p^2 and, for p <= 50, the two cross blocks
     agree exactly."""
-    px = _as_padic(x, p)
-    _require_low_regime(px)
-    sums = _block_sums_mod(p, px.x, weighted)
+    px, sums = _regime_block_sums(p, x, weighted)
     if any(sums[i] for i in _VANISHING_BLOCKS):
         return False
     if p > _EXACT_CROSS_PMAX:
@@ -411,10 +412,8 @@ def block_vanishing_check(p: int, x: "RationalLike | PadicRational",
 def block_sums(p: int, x: "RationalLike | PadicRational",
                weighted: bool = False) -> tuple[Residue, ...]:
     """All nine block sums mod p^2 in row-major order (diagnostic view)."""
-    px = _as_padic(x, p)
-    _require_low_regime(px)
     mod = p * p
-    return tuple(Residue(v, mod) for v in _block_sums_mod(p, px.x, weighted))
+    return tuple(Residue(v, mod) for v in _regime_block_sums(p, x, weighted)[1])
 
 
 # statement -> (weighted decomposition, row-major block index, closed form c):
@@ -433,9 +432,8 @@ def block_lemma_check(name: str, p: int,
     mod p^2 against its closed form, by statement id (see BLOCK_LEMMAS)."""
     t0 = perf_counter_ns()
     weighted, block, closed = BLOCK_LEMMAS[name]
-    px = _as_padic(x, p)
-    _require_low_regime(px)
-    lhs = Residue(_block_sums_mod(p, px.x, weighted)[block], p * p)
+    px, sums = _regime_block_sums(p, x, weighted)
+    lhs = Residue(sums[block], p * p)
     rhs = p * closed(px.m) * (px.t if block else 1)
     return _report(name, p, px.x, lhs, _residue(rhs, p, 2), t0)
 

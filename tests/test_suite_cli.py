@@ -110,6 +110,19 @@ class TestReadmeLibraryBlock:
         assert passed is True
 
 
+class TestReadmeSuiteConfig:
+    def test_example_parses_to_its_values(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = re.search(r"### Suite config files\n.*?```ini\n(.*?)```",
+                          readme.read_text(encoding="utf-8"), re.S).group(1)
+        cfg = parse_config(block)
+        assert cfg.statements == expand_statements(("theorem1", "conjecture"))
+        assert (cfg.prime_min, cfg.prime_max) == (3, 200)
+        assert cfg.x_values == tuple(map(Fraction, ("-1/2", "-1/3", "0", "4")))
+        assert cfg.oracle_mode == "spot" and cfg.parallelism == 4
+        assert cfg.output_path == "run.jsonl" and cfg.inject_error is False
+
+
 class TestParseConfig:
     def test_empty_doc_gives_defaults(self):
         cfg = parse_config("# just a comment\n\n")
@@ -239,8 +252,7 @@ class TestRunCheck:
     ])
     def test_program_fault_is_an_internal_error_record(self, sid, name, fault,
                                                        monkeypatch, capsys):
-        # block results cached by earlier tests would bypass the fault
-        cg._block_transforms.cache_clear()
+        # block sums cached by earlier tests would bypass the fault
         cg._block_sums_mod.cache_clear()
         monkeypatch.setattr(cg, name, fault(getattr(cg, name)))
         x = None if sid == "weighted_8n5" else Fraction(2, 5)
@@ -248,6 +260,10 @@ class TestRunCheck:
         assert r.statement == sid and r.passed is False
         assert r.lhs is None and r.rhs is None
         assert r.skipped_reason.startswith("internal error: ")
+        if name == "_binomial_transform":  # caught by the check, not a crash
+            assert r.skipped_reason.startswith(
+                "internal error: SupercongError: block transforms do not add "
+                "up to the t table")
         assert "Traceback" in capsys.readouterr().err
 
     def test_every_statement_dispatches(self):
@@ -397,13 +413,12 @@ class TestRunSuite:
                     caches[f"{info.name}.{name}"] = fn
         assert set(caches) == {"sequences._factorials",
                                "sequences._table_values",
-                               "congruences._block_transforms",
                                "congruences._block_sums_mod"}
         for fn in caches.values():
             fn.cache_clear()
         # every table at one (p, e) reads one factorial basis, theorem2
-        # reuses theorem1's t table, lemma23 the plain block sums of blocks,
-        # lemma33 the transforms behind them
+        # reuses theorem1's t table, lemma23 and lemma33 the block entry
+        # that blocks built with both splits
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "blocks", "lemma23",
                         "lemma33"),
@@ -541,6 +556,16 @@ class TestCli:
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
             assert "bad rational '1/0'" in proc.stderr
+
+    def test_suite_file_not_utf8_is_a_usage_error(self, tmp_path):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"\xff\xfe")
+        proc = subprocess.run(
+            [sys.executable, "-m", "supercong", "verify", "--suite",
+             str(cfg_file)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("supercong: ")
 
     def test_serial_run_leaves_the_process_pool_unimported(self):
         code = (
