@@ -15,8 +15,9 @@ big-integer product against 1/j! packed once (Kronecker substitution), then
 O(p) work per block.  Both splits read the same transforms, so one cached
 entry per (p, x) holds the nine sums of each and the transforms are not
 kept (_block_sums_mod).  The three transforms must add up to the t table,
-which `sequences` builds by its recurrence in n, another route; a break is
-a program fault and raises.  The two cross blocks are additionally
+which `sequences` builds by its recurrence in n, another route, past its
+table cache, as nothing reads that table again; a break is a program fault
+and raises.  The two cross blocks are additionally
 compared as exact rationals for p <= 50, each as its own ordered sum over
 the cells it covers of a literal form of P(k,l) (_inner_exact); their
 equality is claimed exactly, not just mod p^2.
@@ -32,13 +33,14 @@ weights built once per argument.
 
 Each closed form is written once.  The near and cross blocks of Lemmas
 2.3/2.4 and 3.3/3.4 are p c(m) and p t c(m), with c the Lemma 2.2 or 3.2
-closed form taken from `identities` (BLOCK_LEMMAS); theorem1, theorem2 and
+closed form (BLOCK_LEMMAS).  Those two closed forms live here, beside
+BLOCK_LEMMAS, and `identities` imports them to check its double sums, so
+a verify run never loads the identity battery.  theorem1, theorem2 and
 sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -46,7 +48,7 @@ from math import comb
 from operator import mul
 from random import Random
 from time import perf_counter_ns
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     HypothesisViolatedError,
@@ -60,7 +62,6 @@ from .core import (
     require_odd_prime,
     to_fraction,
 )
-from .identities import lemma22_closed, lemma32_closed
 from .sequences import (
     S_MULT,
     SequenceTable,
@@ -69,15 +70,14 @@ from .sequences import (
     _oracle_rows,
     _pair_weights_exact,
     _pair_weights_mod,
-    _table_values,
+    _recurrence_values,
     _x_mod,
     s_table_mod,
     t_table_mod,
 )
 
 
-@dataclass(frozen=True)
-class PadicRational:
+class PadicRational(NamedTuple):
     """A p-integral rational split as x = m + p*t with m in [0, p-1]."""
 
     x: Fraction
@@ -136,25 +136,29 @@ def residue_table_check(p: int) -> bool:
             and _x_mod(p, 1, Fraction(-1, 6)) == sixth)
 
 
-@dataclass(frozen=True)
 class CongruenceReport:
     """One verification outcome; passed is None only for skipped checks."""
 
-    statement: str
-    p: int
-    x: Fraction | None
-    lhs: Residue | None
-    rhs: Residue | None
-    passed: bool | None
-    skipped_reason: str | None
-    micros: int
+    __slots__ = ("statement", "p", "x", "lhs", "rhs", "passed",
+                 "skipped_reason", "micros")
 
-    def __post_init__(self) -> None:
-        if self.lhs is not None and self.rhs is not None:
-            if self.lhs.modulus != self.rhs.modulus:
+    def __init__(self, statement: str, p: int, x: Fraction | None,
+                 lhs: Residue | None, rhs: Residue | None,
+                 passed: bool | None, skipped_reason: str | None,
+                 micros: int) -> None:
+        if lhs is not None and rhs is not None:
+            if lhs.modulus != rhs.modulus:
                 raise ValueError("lhs/rhs modulus mismatch in report")
-            if self.passed != (self.lhs == self.rhs):
+            if passed != (lhs == rhs):
                 raise ValueError("passed flag contradicts lhs/rhs")
+        self.statement = statement
+        self.p = p
+        self.x = x
+        self.lhs = lhs
+        self.rhs = rhs
+        self.passed = passed
+        self.skipped_reason = skipped_reason
+        self.micros = micros
 
 
 def _report(statement: str, p: int, x: Fraction | None, lhs: Residue,
@@ -323,7 +327,7 @@ def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
                for K in _block_ranges(p, _x_mod(p, 1, x))])
     mod = p * p
     if any((a + b + c) % mod != t for a, b, c, t in
-           zip(*parts, _table_values(p, 2, x, T_MULT))):
+           zip(*parts, _recurrence_values(p, 2, x, T_MULT))):
         raise SupercongError(
             f"block transforms do not add up to the t table at p={p}, x={x}")
     products = [list(map(mul, ak, al)) for ak in parts for al in parts]
@@ -414,6 +418,18 @@ def block_sums(p: int, x: "RationalLike | PadicRational",
     """All nine block sums mod p^2 in row-major order (diagnostic view)."""
     mod = p * p
     return tuple(Residue(v, mod) for v in _regime_block_sums(p, x, weighted)[1])
+
+
+def lemma22_closed(n: int) -> Fraction:
+    """Closed form (-1)^n / (2n+1) of identities.lemma22_double_sum."""
+    return Fraction((-1) ** n, 2 * n + 1)
+
+
+def lemma32_closed(n: int) -> Fraction:
+    """Closed form 1/4 - (-1)^n (2n^2+2n-1) / (8n+4) of
+    identities.lemma32_double_sum."""
+    return Fraction(1, 4) - Fraction((-1) ** n * (2 * n * n + 2 * n - 1),
+                                     8 * n + 4)
 
 
 # statement -> (weighted decomposition, row-major block index, closed form c):

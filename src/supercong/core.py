@@ -10,7 +10,6 @@ is exact; there are no floats anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Union
 
@@ -154,18 +153,25 @@ def legendre(a: int, p: int) -> LegendreValue:
     return 1 if r == 1 else -1
 
 
-@dataclass(frozen=True)
 class Residue:
-    """An element of Z/(m)Z carrying its modulus; arithmetic checks moduli."""
+    """An element of Z/(m)Z carrying its modulus; arithmetic checks moduli.
+    Equal value and modulus make equal, equally hashed residues."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus {self.modulus} < 2")
-        if not 0 <= self.value < self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int) -> None:
+        if modulus < 2:
+            raise ValueError(f"modulus {modulus} < 2")
+        self.value = value % modulus
+        self.modulus = modulus
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Residue):
+            return NotImplemented
+        return self.value == other.value and self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.modulus))
 
     def _other(self, other: "Residue | int") -> int:
         if isinstance(other, Residue):

@@ -1,8 +1,10 @@
 """Exact combinatorial identities underlying the congruence proofs.
 
 Each function evaluates one side (or both sides) of a finite binomial-sum
-identity over exact rationals.  Nothing here touches modular arithmetic;
-the congruence layer consumes these only through their closed forms.
+identity over exact rationals.  Nothing here touches modular arithmetic.
+The congruence layer reads only the closed forms of Lemmas 2.2 and 3.2,
+so those two (lemma22_closed, lemma32_closed) live in `congruences`; this
+module imports them and checks the double sums against them.
 identity_suite, the battery behind `supercong identities`, checks every
 family on fixed grids of points.
 """
@@ -14,6 +16,7 @@ from math import comb
 from random import Random
 from typing import Callable
 
+from .congruences import lemma22_closed, lemma32_closed
 from .core import (
     PoleError,
     RationalLike,
@@ -47,10 +50,6 @@ def lemma22_double_sum(n: int) -> Fraction:
     return total
 
 
-def lemma22_closed(n: int) -> Fraction:
-    return Fraction((-1) ** n, 2 * n + 1)
-
-
 def lemma32_double_sum(n: int) -> Fraction:
     """sum_{k,l<=n} C(n,k)C(n+k,k)C(n,l)C(n+l,l) (-2)^{k+l} / C(k+l+2, k+1).
 
@@ -66,11 +65,6 @@ def lemma32_double_sum(n: int) -> Fraction:
                 (-2) ** (k + l), comb(k + l + 2, k + 1)
             )
     return total
-
-
-def lemma32_closed(n: int) -> Fraction:
-    return Fraction(1, 4) - Fraction((-1) ** n * (2 * n * n + 2 * n - 1),
-                                     8 * n + 4)
 
 
 def pfd_sides(n: int, x: RationalLike) -> tuple[Fraction, Fraction]:

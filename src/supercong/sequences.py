@@ -13,9 +13,10 @@ C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
 (of order 2 when c = 1; at N = 1, 2 the terms before f_0 have coefficient
 0, so they need no start value).  A table needs rows N < p only, so the one
 division, by N^2, is by a unit mod p^e, read from the basis: the whole
-table is one loop of small-integer steps mod p^e (_table_values).  The pair
-weight w_k = C(x,k) C(x+k,k) c^k is the running product of c (x-k+1)(x+k)
-times (1/k!)^2 from the basis; `congruences` turns masked weights into its
+table is one loop of small-integer steps mod p^e (_recurrence_values,
+cached as _table_values for the table statements).  The pair weight
+w_k = C(x,k) C(x+k,k) c^k is the running product of c (x-k+1)(x+k) times
+(1/k!)^2 from the basis; `congruences` turns masked weights into its
 block sums by binomial transforms, and reads the same basis for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
 one row by a term-ratio recurrence as an integer numerator over
@@ -30,7 +31,6 @@ a table.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -154,15 +154,18 @@ def pfaff_check(n: int, z: RationalLike) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
 class SequenceTable:
     """Residues of one sequence family mod p^e for every row n in [0, p-1]."""
 
-    p: int
-    e: int
-    x: Fraction
-    mult: int
-    values: tuple[int, ...]
+    __slots__ = ("p", "e", "x", "mult", "values")
+
+    def __init__(self, p: int, e: int, x: Fraction, mult: int,
+                 values: tuple[int, ...]) -> None:
+        self.p = p
+        self.e = e
+        self.x = x
+        self.mult = mult
+        self.values = values
 
     @property
     def modulus(self) -> int:
@@ -218,9 +221,8 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
     return tuple(w)
 
 
-# shared by theorem1, theorem2, weighted_* and the block transforms at (p, x)
-@lru_cache(maxsize=4096)
-def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
+def _recurrence_values(p: int, e: int, x: Fraction,
+                       mult: int) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e, by the recurrence in n of the module
     docstring: f_N from f_{N-1}, f_{N-2}, f_{N-3} and the unit 1/N^2."""
     mod = p**e
@@ -236,6 +238,11 @@ def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
                       - c * m * (m - 1) * f3) * inv_sq[n] % mod, f1, f2
         f[n] = f1
     return tuple(f)
+
+
+# shared by theorem1, theorem2 and weighted_* at (p, x); the block
+# transforms' check reads its table once, so it calls the builder uncached
+_table_values = lru_cache(maxsize=4096)(_recurrence_values)
 
 
 # oracle row audit: full table for small p, else 5 deterministic spot rows

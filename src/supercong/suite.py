@@ -23,13 +23,11 @@ import json
 import os
 import re
 import sys
-import traceback
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter_ns
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import congruences as cg
 from .core import (
@@ -48,8 +46,7 @@ class ParseError(SupercongError):
     """Malformed suite configuration; message carries line/field context."""
 
 
-@dataclass(frozen=True)
-class StatementSpec:
+class StatementSpec(NamedTuple):
     """The one definition of a statement.
 
     `check(p, x, oracle)` returns a CongruenceReport, or a bool for the
@@ -135,21 +132,37 @@ def expand_statements(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass
 class SuiteConfig:
-    """Declarative description of one verification run."""
+    """Declarative description of one verification run; fields may be set
+    after construction, and validate() normalizes and checks them."""
 
-    statements: tuple[str, ...] = STATEMENT_ALIASES["all"]
-    prime_min: int = 3
-    prime_max: Optional[int] = None  # None: per-statement default cap
-    x_values: Optional[tuple[Fraction, ...]] = None  # None: default grid
-    oracle_mode: str = "off"
-    parallelism: int = 1
-    output_path: Optional[str] = None
-    inject_error: bool = False
+    __slots__ = ("statements", "prime_min", "prime_max", "x_values",
+                 "oracle_mode", "parallelism", "output_path", "inject_error")
+
+    def __init__(self,
+                 statements: tuple[str, ...] = STATEMENT_ALIASES["all"],
+                 prime_min: int = 3,
+                 prime_max: Optional[int] = None,
+                 x_values: Optional[tuple[Fraction, ...]] = None,
+                 oracle_mode: str = "off",
+                 parallelism: int = 1,
+                 output_path: Optional[str] = None,
+                 inject_error: bool = False) -> None:
+        self.statements = statements
+        self.prime_min = prime_min
+        self.prime_max = prime_max  # None: per-statement default cap
+        self.x_values = x_values  # None: default grid
+        self.oracle_mode = oracle_mode
+        self.parallelism = parallelism
+        self.output_path = output_path
+        self.inject_error = inject_error
 
     def validate(self) -> None:
+        """Expand aliases, drop repeated statements and x values (keeping
+        the first occurrence) and reject out-of-range settings."""
         self.statements = expand_statements(self.statements)
+        if self.x_values is not None:
+            self.x_values = tuple(dict.fromkeys(self.x_values))
         if self.prime_min < 3:
             raise ParseError(f"prime_min = {self.prime_min} < 3")
         if self.prime_max is not None and self.prime_max < self.prime_min:
@@ -215,13 +228,14 @@ def parse_config(text: str) -> SuiteConfig:
     return cfg
 
 
-@dataclass
 class RunSummary:
-    total: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    reports: list[CongruenceReport] = field(default_factory=list)
+    """Counts and reports of a run, in scan order."""
+
+    __slots__ = ("total", "passed", "failed", "skipped", "reports")
+
+    def __init__(self) -> None:
+        self.total = self.passed = self.failed = self.skipped = 0
+        self.reports: list[CongruenceReport] = []
 
     @property
     def failures(self) -> list[CongruenceReport]:
@@ -284,6 +298,7 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
         return CongruenceReport(sid, p, x, None, None, False,
                                 f"oracle mismatch: {e}", micros)
     except Exception as e:
+        import traceback  # only a fault needs it; verify starts without it
         traceback.print_exc(file=sys.stderr)
         micros = (perf_counter_ns() - t0) // 1000
         return CongruenceReport(sid, p, x, None, None, False,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import supercong
-from supercong import congruences as cg
+from supercong import congruences as cg, sequences
 from supercong.cli import main
 from supercong.identities import identity_suite
 from supercong.suite import (
@@ -180,6 +180,11 @@ class TestParseConfig:
             SuiteConfig(x_values=()).validate()
         # an empty prime range still runs, with zero checks
         assert run_suite(SuiteConfig(prime_min=4, prime_max=4)).total == 0
+
+    def test_repeated_x_values_keep_first_order(self):
+        cfg = SuiteConfig(x_values=tuple(map(Fraction, ("1/3", "0", "2/6"))))
+        cfg.validate()
+        assert cfg.x_values == (Fraction(1, 3), Fraction(0))
 
 
 def _corrupt_row_zero(real):
@@ -427,6 +432,18 @@ class TestRunSuite:
         for name, fn in caches.items():
             assert fn.cache_info().hits > 0, name
 
+    def test_block_statements_leave_the_table_cache_empty(self):
+        # the block transforms' check reads its t table once, so it is
+        # built past the cache that the table statements share
+        sequences._table_values.cache_clear()
+        cg._block_sums_mod.cache_clear()
+        summary = run_suite(SuiteConfig(
+            statements=("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
+                        "blocks_weighted"),
+            prime_max=13, x_values=(Fraction(2, 5), Fraction(1))))
+        assert summary.failed == 0 and summary.passed
+        assert sequences._table_values.cache_info().currsize == 0
+
 
 class TestEmitReport:
     def _summary(self, **kwargs):
@@ -568,13 +585,22 @@ class TestCli:
         assert proc.stderr.startswith("supercong: ")
 
     def test_serial_run_leaves_the_process_pool_unimported(self):
+        # nor what only a fault, the identity battery or dataclasses need;
+        # a module the bare interpreter already loads (a site hook) is not
+        # verify's doing, so it does not count
+        unused = {"concurrent.futures.process", "dataclasses", "inspect",
+                  "traceback", "supercong.identities"}
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys; print(*sys.modules)"],
+            capture_output=True, text=True, check=True).stdout.split()
         code = (
             "import sys\n"
             "from supercong import cli\n"
             "status = cli.main(['verify', '--statement', 'theorem1',\n"
             "                   '--pmax', '7', '--x', '0', '--jobs', '1'])\n"
             "assert status == 0, status\n"
-            "assert 'concurrent.futures.process' not in sys.modules\n")
+            f"loaded = sorted(sys.modules.keys() & {unused - set(bare)!r})\n"
+            "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -592,6 +618,19 @@ class TestCli:
             "prime_max = 7\n")
         assert main(["verify", "--suite", str(cfg_file)]) == 0
         assert "checks: 3" in capsys.readouterr().out
+
+    def test_repeated_x_runs_each_check_once(self, tmp_path, capsys):
+        cfg_file = tmp_path / "suite.cfg"
+        cfg_file.write_text(
+            "statements = theorem1\nprime_max = 11\nx_values = 1/3, 1/3\n")
+        for args in (["--suite", str(cfg_file)],
+                     ["--statement", "theorem1", "--pmax", "11",
+                      "--x", "1/3", "--x", "1/3"]):
+            assert main(["verify", *args, "--format", "jsonl"]) == 0
+            rows = [json.loads(line)
+                    for line in capsys.readouterr().out.splitlines()]
+            assert [(r["p"], r["x"]) for r in rows] == [
+                (3, "1/3"), (5, "1/3"), (7, "1/3"), (11, "1/3")]
 
     def test_flags_override_suite_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "suite.cfg"
