@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("human", "jsonl", "tap"),
                    default="human")
     v.add_argument("--jobs", type=int, metavar="N",
-                   help="worker processes (default 1)")
+                   help="worker processes (default 1); each takes every "
+                        "check at one prime at a time")
     v.add_argument("--inject-error", action="store_true",
                    help="negative control: add p to every expected residue")
 

@@ -308,10 +308,10 @@ def _binomial_transform(p: int, e: int,
     return out
 
 
-# One entry per (p, x) for the six block statements.  Tasks run statement,
-# then prime, then x, so 4096 holds one statement pass of the default grid
-# up to p = 500 (3,127 grid entries, 2,909 distinct keys).
-@lru_cache(maxsize=4096)
+# One entry per (p, x) for the six block statements, read again only within
+# the prime group that built it.  A group of the default grid has at most 35
+# x, and x = -1/2 is a skip, so at most 34 keys; measured over p <= 500.
+@lru_cache(maxsize=34)
 def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
     """The nine block sums mod p^2 of the plain split, then the nine of the
     weighted split, each row-major: block K x L is sum_{n<p} c_n A_K(n)

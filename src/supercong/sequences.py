@@ -181,7 +181,8 @@ class SequenceTable:
         return Residue(self.values[n], self.modulus)
 
 
-# tasks run statement, then prime, then x, so consecutive tables share (p, e)
+# tasks run by prime, and a prime group reads the bases (p, 2) and, for kw,
+# (p, 3), which no later group reads: each (p, e) is built once per run
 @lru_cache(maxsize=8)
 def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
                                          tuple[int, ...]]:
@@ -240,9 +241,12 @@ def _recurrence_values(p: int, e: int, x: Fraction,
     return tuple(f)
 
 
-# shared by theorem1, theorem2 and weighted_* at (p, x); the block
-# transforms' check reads its table once, so it calls the builder uncached
-_table_values = lru_cache(maxsize=4096)(_recurrence_values)
+# shared by theorem1, theorem2 and weighted_* at (p, x), within the prime
+# group that built it; the block transforms' check reads its table once, so
+# it calls the builder uncached.  A group of the default grid (at most 35
+# x) reads at most 71 tables: 36 t tables with theorem2's probe, 34 s tables
+# for sun_s, which skips x = -1/2, and one for kw; measured over p <= 500.
+_table_values = lru_cache(maxsize=71)(_recurrence_values)
 
 
 # oracle row audit: full table for small p, else 5 deterministic spot rows

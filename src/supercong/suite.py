@@ -1,13 +1,17 @@
 """Suite orchestration: which statements, which primes, which arguments.
 
-A suite is a list of (statement, p, x) tasks executed in a deterministic
-scan order (statement, then prime ascending, then x in configured order).
-Engine-level hypothesis failures become skip records rather than errors, so
-a run over a blanket grid is meaningful; genuine disagreements — including
-fast-path/oracle mismatches — become failing records, and so do faults of
-the program, whose reason starts with `internal error:`.  Records can be
-streamed to a JSON Lines file as they complete, which makes an interrupted
-run's log a prefix of the completed run's log.
+A suite is a list of (statement, p, x) tasks, recorded in a deterministic
+scan order (statement, then prime ascending, then x in configured order)
+but computed by prime: one group runs every task at one prime, in scan
+order, so the statements that share a table or a block entry at p meet it
+within the group, and the caches need to span one group only.  A finished
+report waits until its turn in scan order.  Engine-level hypothesis
+failures become skip records rather than errors, so a run over a blanket
+grid is meaningful; genuine disagreements — including fast-path/oracle
+mismatches — become failing records, and so do faults of the program,
+whose reason starts with `internal error:`.  Records can be streamed to a
+JSON Lines file as their turn comes, which makes an interrupted run's log a
+prefix of the completed run's log.
 
 The registry STATEMENTS is the only place a statement is defined: its
 StatementSpec gives the id, whether it takes an argument x, its least
@@ -312,7 +316,12 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
     return report
 
 
-def _task_args(cfg: SuiteConfig) -> Iterator[tuple[str, int, Optional[Fraction], str, bool]]:
+Task = tuple[str, int, Optional[Fraction], str, bool]  # run_check's arguments
+
+
+def _task_args(cfg: SuiteConfig) -> Iterator[Task]:
+    """Every task of the config, in scan order."""
+    grids: dict[int, tuple[Fraction, ...]] = {}  # default grid, once per p
     for sid in cfg.statements:
         spec = STATEMENTS[sid]
         pmax = cfg.prime_max if cfg.prime_max is not None else spec.default_pmax
@@ -323,7 +332,9 @@ def _task_args(cfg: SuiteConfig) -> Iterator[tuple[str, int, Optional[Fraction],
             if cfg.x_values is not None:
                 xs: tuple[Fraction, ...] = cfg.x_values
             else:
-                xs = cg.default_x_grid(p)
+                if p not in grids:
+                    grids[p] = cg.default_x_grid(p)
+                xs = grids[p]
                 if sid == "theorem2":
                     # probe the t-independence of the 2x = -1 (mod p) branch
                     xs = xs + (Fraction(-1, 2) + p,)
@@ -331,9 +342,19 @@ def _task_args(cfg: SuiteConfig) -> Iterator[tuple[str, int, Optional[Fraction],
                 yield sid, p, x, cfg.oracle_mode, cfg.inject_error
 
 
-def _run_task(args: tuple[str, int, Optional[Fraction], str, bool]) -> CongruenceReport:
-    sid, p, x, oracle, inject = args
-    return run_check(sid, p, x, oracle, inject)
+def _prime_groups(cfg: SuiteConfig) -> list[tuple[list[int], list[Task]]]:
+    """The tasks of each prime, primes ascending: their scan positions and
+    the tasks themselves, both in scan order."""
+    groups: dict[int, tuple[list[int], list[Task]]] = {}
+    for i, task in enumerate(_task_args(cfg)):
+        slots, tasks = groups.setdefault(task[1], ([], []))
+        slots.append(i)
+        tasks.append(task)
+    return [groups[p] for p in sorted(groups)]
+
+
+def _run_group(tasks: list[Task]) -> list[CongruenceReport]:
+    return [run_check(*task) for task in tasks]
 
 
 def report_record(report: CongruenceReport) -> dict:
@@ -362,14 +383,12 @@ def resolve_output_path(path: "str | os.PathLike[str]") -> Path:
 
 
 def run_suite(cfg: SuiteConfig) -> RunSummary:
-    """Execute every task of the config in deterministic scan order.
-
-    Tasks run on a process pool when cfg.parallelism > 1; results are
-    consumed and persisted in task order regardless, so logs from equal
-    configs are identical apart from the timing field.
-    """
+    """Execute every task of the config one prime group at a time, whole
+    groups on a process pool when cfg.parallelism > 1, and record the
+    reports in scan order, so logs from equal configs are identical apart
+    from the timing field."""
     cfg.validate()
-    tasks = list(_task_args(cfg))
+    groups = _prime_groups(cfg)
     summary = RunSummary()
     with ExitStack() as stack:
         sink = None
@@ -377,19 +396,23 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
             out = resolve_output_path(cfg.output_path)
             out.parent.mkdir(parents=True, exist_ok=True)
             sink = stack.enter_context(open(out, "a", encoding="utf-8"))
-        if cfg.parallelism > 1 and len(tasks) > 1:
+        work = [tasks for _, tasks in groups]
+        if cfg.parallelism > 1 and len(work) > 1:
             from concurrent.futures import ProcessPoolExecutor
-            chunk = max(1, min(32, len(tasks) // (cfg.parallelism * 4) or 1))
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=cfg.parallelism))
-            results = pool.map(_run_task, tasks, chunksize=chunk)
+            results = pool.map(_run_group, work)
         else:
-            results = map(_run_task, tasks)
-        for report in results:
-            summary.add(report)
-            if sink is not None:
-                sink.write(json.dumps(report_record(report)) + "\n")
-                sink.flush()
+            results = map(_run_group, work)
+        waiting: dict[int, CongruenceReport] = {}  # scan position -> report
+        for (slots, _), reports in zip(groups, results):
+            waiting.update(zip(slots, reports))
+            while summary.total in waiting:
+                report = waiting.pop(summary.total)
+                summary.add(report)
+                if sink is not None:
+                    sink.write(json.dumps(report_record(report)) + "\n")
+                    sink.flush()
     return summary
 
 

@@ -260,12 +260,6 @@ class TestBlockDecomposition:
         info = cg._block_sums_mod.cache_info()
         assert info.misses == 1 and info.hits >= 1
 
-    def test_block_cache_holds_one_statement_pass(self):
-        # tasks run statement, then prime, then x, so a block statement
-        # meets its (p, x) again one statement pass later
-        grid = sum(len(default_x_grid(p)) for p in odd_primes(3, 500))
-        assert cg._block_sums_mod.cache_info().maxsize >= grid
-
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             block_vanishing_check(7, Fraction(-2, 3))

@@ -32,6 +32,11 @@ from supercong.suite import (
 PRIMES_TO_50 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def _without_micros(jsonl: str) -> list[dict]:
+    return [{k: v for k, v in json.loads(line).items() if k != "micros"}
+            for line in jsonl.splitlines()]
+
+
 class TestParseX:
     def test_accepted_forms(self):
         assert parse_x("0") == 0
@@ -379,6 +384,24 @@ class TestRunSuite:
                            r.skipped_reason)
         assert [strip(r) for r in a.reports] == [strip(r) for r in b.reports]
 
+    def test_pool_matches_serial_on_many_statements(self, tmp_path):
+        # tables, skips (x = -1/2 for sun_s and the block regime; 2/5 at
+        # p = 5), reflections and structural verdicts, from workers that
+        # each take whole prime groups
+        args = ["verify", "--pmax", "40"]
+        for sid in ("theorem1", "theorem2", "sun_s", "blocks", "lemma21"):
+            args += ["--statement", sid]
+        for x in ("-1/2", "2/5", "3", "-7/4"):
+            args.append(f"--x={x}")
+        logs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs-{jobs}.jsonl"
+            assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+            logs.append(_without_micros(out.read_text()))
+        assert len(logs[0]) == 216
+        assert any(r["pass"] is None for r in logs[0])
+        assert logs[1] == logs[0]
+
     def test_alias_config(self):
         cfg = SuiteConfig(statements=("conjecture",), prime_max=11)
         summary = run_suite(cfg)
@@ -431,6 +454,34 @@ class TestRunSuite:
         assert summary.failed == 0
         for name, fn in caches.items():
             assert fn.cache_info().hits > 0, name
+
+    @pytest.mark.parametrize("statements, cache", [
+        (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
+          "blocks_weighted"), cg._block_sums_mod),
+        (("theorem1", "theorem2", "weighted_8n5"), sequences._table_values),
+    ], ids=["blocks", "tables"])
+    def test_cache_spans_one_prime_group(self, statements, cache):
+        # tasks run by prime, so each (p, x) is built once, although the
+        # run has more of them than the cache holds
+        cache.cache_clear()
+        summary = run_suite(SuiteConfig(statements=statements, prime_max=17))
+        assert summary.failed == 0
+        keys = {(r.p, r.x) for r in summary.reports if r.passed is not None}
+        assert len(keys) > cache.cache_info().maxsize
+        assert cache.cache_info().misses == len(keys)
+
+    def test_each_factorial_basis_is_built_once(self):
+        # a sweep's shape: tables mod p^2 and, for kw, p^3, at more primes
+        # than the basis cache holds keys; no later group reads a basis
+        sequences._factorials.cache_clear()
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "sun_s", "kw"), prime_min=400,
+            prime_max=450, x_values=(Fraction(-1, 3), Fraction(2, 7))))
+        assert summary.failed == 0
+        keys = {(r.p, r.lhs.modulus) for r in summary.reports}
+        assert len(keys) == 18
+        assert len(keys) > sequences._factorials.cache_info().maxsize
+        assert sequences._factorials.cache_info().misses == len(keys)
 
     def test_block_statements_leave_the_table_cache_empty(self):
         # the block transforms' check reads its t table once, so it is
@@ -528,6 +579,29 @@ class TestCli:
                                "pass", "skipped_reason", "micros"]
             assert r["pass"] is False and r["lhs"] is None
             assert r["skipped_reason"].startswith("internal error:")
+
+    def test_interrupted_run_leaves_a_prefix(self, tmp_path, monkeypatch):
+        args = ["verify", "--statement", "theorem1", "--statement",
+                "theorem2", "--statement", "kw", "--pmax", "13",
+                "--x", "0", "--x", "1/3"]
+        full = tmp_path / "full.jsonl"
+        assert main(args + ["--out", str(full)]) == 0
+        check = cg.theorem2_check
+
+        def interrupted(p, x, oracle="off"):
+            if p == 11:
+                raise KeyboardInterrupt
+            return check(p, x, oracle)
+
+        monkeypatch.setattr(cg, "theorem2_check", interrupted)
+        cut = tmp_path / "cut.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            main(args + ["--out", str(cut)])
+        text = cut.read_text()
+        assert text.endswith("\n")  # every line is whole JSON, see below
+        head, whole = _without_micros(text), _without_micros(full.read_text())
+        assert 0 < len(head) < len(whole)
+        assert head == whole[:len(head)]
 
     def test_verify_tap_format(self, capsys):
         assert main(["verify", "--statement", "kw", "--pmax", "5",
