@@ -20,7 +20,8 @@ table cache, as nothing reads that table again; a break is a program fault
 and raises.  The two cross blocks are additionally
 compared as exact rationals for p <= 50, each as its own ordered sum over
 the cells it covers of a literal form of P(k,l) (_inner_exact); their
-equality is claimed exactly, not just mod p^2.
+equality is claimed exactly, not just mod p^2.  One cached pass per (p, x)
+sums the cross blocks of both splits (_cross_blocks_exact).
 
 Each public check validates p once, through padic_split or the table it
 builds (sun_s_check, which decides its exclusion before its table, does
@@ -344,40 +345,58 @@ def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
 _EXACT_CROSS_PMAX = 50
 
 
-def _inner_weights(p: int, weighted: bool) -> list[int]:
-    """d_n, n < p, of the literal inner sum _inner_exact: C(p,n+1) for the
-    plain split, (n+1) C(p+1,n+2) for the weighted one."""
-    if weighted:
-        return [(n + 1) * comb(p + 1, n + 2) for n in range(p)]
-    return [comb(p, n + 1) for n in range(p)]
+def _inner_weights(p: int) -> tuple[list[int], list[int]]:
+    """d_n, n < p, of the literal inner sums _inner_exact: C(p,n+1) for the
+    plain split, then (n+1) C(p+1,n+2) for the weighted one."""
+    return ([comb(p, n + 1) for n in range(p)],
+            [(n + 1) * comb(p + 1, n + 2) for n in range(p)])
 
 
-def _inner_exact(d: Sequence[int], k: int, l: int) -> int:
-    """P(k,l) = sum_n C(n,l) C(l,n-k) d_n over n < p = len(d).
+def _inner_exact(plain: Sequence[int], weighted: Sequence[int], k: int,
+                 l: int) -> tuple[int, int]:
+    """P(k,l) = sum_n C(n,l) C(l,n-k) d_n over n < p = len(plain), for
+    d = plain and d = weighted, from one pass over the coefficients.
 
-    With d from _inner_weights this equals sum_{n<p} C(n,k) C(n,l), times
-    n+1 when weighted (identities.binom_conv_sum and weighted_binom_conv_sum
-    at N = p).  The summand is not visibly symmetric under k <-> l, so
-    summing each ordered cell literally keeps the exact cross-block equality
-    a real check.
+    With the d of _inner_weights these equal sum_{n<p} C(n,k) C(n,l), times
+    n+1 in the weighted one (identities.binom_conv_sum and
+    weighted_binom_conv_sum at N = p).  The summand is not visibly symmetric
+    under k <-> l, so summing each ordered cell literally keeps the exact
+    cross-block equality a real check.
     """
-    return sum(comb(n, l) * comb(l, n - k) * d[n]
-               for n in range(max(k, l), min(k + l, len(d) - 1) + 1))
+    a = b = 0
+    for n in range(max(k, l), min(k + l, len(plain) - 1) + 1):
+        c = comb(n, l) * comb(l, n - k)
+        a += c * plain[n]
+        b += c * weighted[n]
+    return a, b
 
 
-def _cross_blocks_exact(p: int, x: Fraction,
-                        weighted: bool) -> tuple[Fraction, Fraction]:
-    """Blocks 2 and 4 (lo x mid and mid x lo) as exact rationals, two
-    separate ordered sums over the integers with the weights on their one
-    common denominator."""
-    d = _inner_weights(p, weighted)
+# One entry per (p, x), read again only within its prime group, where
+# blocks comes just before blocks_weighted: at most 34 keys, as for
+# _block_sums_mod.
+@lru_cache(maxsize=34)
+def _cross_blocks_exact(p: int, x: Fraction) -> tuple[
+        tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Blocks 2 and 4 (lo x mid and mid x lo) of the plain split, then of
+    the weighted split, as exact rationals: each block one ordered sum over
+    the integers with the weights on their one common denominator, both
+    splits summed in one walk over the cells."""
+    plain, weighted = _inner_weights(p)
     num, den = _pair_weights_exact(x, p - 1, T_MULT)
     lo, mid, _ = _block_ranges(p, _x_mod(p, 1, x))
-    lo_mid = sum(num[k] * sum(num[l] * _inner_exact(d, k, l) for l in mid)
-                 for k in lo)
-    mid_lo = sum(num[k] * sum(num[l] * _inner_exact(d, k, l) for l in lo)
-                 for k in mid)
-    return Fraction(lo_mid, den * den), Fraction(mid_lo, den * den)
+    blocks = []  # (plain, weighted) of lo x mid, then of mid x lo
+    for rows, cols in ((lo, mid), (mid, lo)):
+        a = b = 0
+        for k in rows:
+            row_a = row_b = 0
+            for l in cols:
+                pa, pb = _inner_exact(plain, weighted, k, l)
+                row_a += num[l] * pa
+                row_b += num[l] * pb
+            a += num[k] * row_a
+            b += num[k] * row_b
+        blocks.append((Fraction(a, den * den), Fraction(b, den * den)))
+    return tuple(zip(*blocks))
 
 
 _VANISHING_BLOCKS = (2, 4, 5, 6, 7, 8)  # row-major indices of blocks 3,5,6,7,8,9
@@ -409,7 +428,7 @@ def block_vanishing_check(p: int, x: "RationalLike | PadicRational",
         return False
     if p > _EXACT_CROSS_PMAX:
         return True
-    lo_mid, mid_lo = _cross_blocks_exact(p, px.x, weighted)
+    lo_mid, mid_lo = _cross_blocks_exact(p, px.x)[weighted]
     return lo_mid == mid_lo
 
 

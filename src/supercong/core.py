@@ -56,20 +56,39 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin.  Below each bound, the strong pseudoprime
+# test to the first `count` prime bases is proven exact, the bound being
+# the least composite that passes it (Jaeschke 1993; Jiang and Deng 2014;
+# Sorenson and Webster 2017).  No base set here is proven past the last
+# bound, so is_prime refuses there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = ((2_047, 1), (1_373_653, 2), (25_326_001, 3),
+              (3_215_031_751, 4), (2_152_302_898_747, 5),
+              (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+              (3_825_123_056_546_413_051, 9),
+              (318_665_857_834_031_151_167_461, 12),
+              (3_317_044_064_679_887_385_961_981, 13))
+PRIME_TEST_BOUND = _MR_BOUNDS[-1][0]
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_TEST_BOUND; ValueError above."""
     if n < 2:
         return False
-    for b in _MR_BASES:
+    for bound, count in _MR_BOUNDS:
+        if n < bound:
+            break
+    else:
+        raise ValueError(f"n = {n} is not below {PRIME_TEST_BOUND}, where "
+                         "the primality test is proven")
+    bases = _MR_BASES[:count]
+    for b in bases:
         if n % b == 0:
             return n == b
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -181,9 +181,10 @@ class SequenceTable:
         return Residue(self.values[n], self.modulus)
 
 
-# tasks run by prime, and a prime group reads the bases (p, 2) and, for kw,
-# (p, 3), which no later group reads: each (p, e) is built once per run
-@lru_cache(maxsize=8)
+# tasks run by prime, and a prime group reads at most the two bases (p, 2)
+# and, for kw, (p, 3), which no later group reads: each (p, e) is built once
+# per run
+@lru_cache(maxsize=2)
 def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
                                          tuple[int, ...]]:
     """The (p, e) basis of every table: n!, 1/n! and 1/n^2 mod p^e for

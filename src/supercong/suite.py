@@ -38,6 +38,7 @@ from .core import (
     HypothesisViolatedError,
     NonPIntegralError,
     OracleMismatchError,
+    PRIME_TEST_BOUND,
     RegimeError,
     Residue,
     SupercongError,
@@ -172,6 +173,10 @@ class SuiteConfig:
         if self.prime_max is not None and self.prime_max < self.prime_min:
             raise ParseError(
                 f"prime_max = {self.prime_max} < prime_min = {self.prime_min}")
+        top = self.prime_min if self.prime_max is None else self.prime_max
+        if top >= PRIME_TEST_BOUND:
+            raise ParseError(f"primes must be below {PRIME_TEST_BOUND}, "
+                             "where the primality test is proven")
         if self.oracle_mode not in ORACLE_MODES:
             raise ParseError(f"oracle_mode must be one of {ORACLE_MODES}")
         if self.parallelism < 1:

@@ -260,6 +260,13 @@ class TestBlockDecomposition:
         info = cg._block_sums_mod.cache_info()
         assert info.misses == 1 and info.hits >= 1
 
+    def test_both_splits_share_one_cross_entry(self):
+        cg._cross_blocks_exact.cache_clear()
+        assert block_vanishing_check(13, Fraction(2, 5), weighted=False)
+        assert block_vanishing_check(13, Fraction(2, 5), weighted=True)
+        info = cg._cross_blocks_exact.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             block_vanishing_check(7, Fraction(-2, 3))
@@ -268,29 +275,27 @@ class TestBlockDecomposition:
 
     def test_integer_inner_table_is_the_convolution_identity(self):
         for p in odd_primes(3, 13):
-            plain = cg._inner_weights(p, False)
-            weighted = cg._inner_weights(p, True)
+            plain, weighted = cg._inner_weights(p)
             for k in range(p):
                 for l in range(p):
-                    assert cg._inner_exact(plain, k, l) == (
-                        binom_conv_sum(p, k, l)[1])
-                    assert cg._inner_exact(weighted, k, l) == (
+                    assert cg._inner_exact(plain, weighted, k, l) == (
+                        binom_conv_sum(p, k, l)[1],
                         weighted_binom_conv_sum(p, k, l)[1])
 
     def test_exact_cross_blocks_match_literal_sums(self):
         cases = 0
-        for p in odd_primes(5, 13):
+        for p in odd_primes(5, 23):
             for x in (Fraction(0), Fraction(1), Fraction(-1, 3),
                       Fraction(2, 5), Fraction(-7, 9), Fraction(13, 4)):
                 if (x.denominator % p == 0
                         or padic_split(x, p).m >= (p - 1) // 2):
                     continue
-                for weighted in (False, True):
-                    cells = _brute_cells(p, x, weighted)
-                    assert cg._cross_blocks_exact(p, x, weighted) == (
-                        cells[1], cells[3])
-                    cases += 1
-        assert cases == 28
+                # one call gives both cross blocks of both splits
+                plain, weighted = (_brute_cells(p, x, w) for w in (False, True))
+                assert cg._cross_blocks_exact(p, x) == (
+                    (plain[1], plain[3]), (weighted[1], weighted[3]))
+                cases += 1
+        assert cases == 26
 
 
 @given(primes_to_43, st.booleans(), st.data())
@@ -301,8 +306,9 @@ def test_block_transforms_match_the_literal_table(p, weighted, data):
     assume(m < (p - 1) // 2)
     sums = block_sums(p, x, weighted)
     # the literal integer inner table, weights mod p^2
-    d = cg._inner_weights(p, weighted)
-    inner = [[cg._inner_exact(d, k, l) for l in range(p)] for k in range(p)]
+    d = cg._inner_weights(p)
+    inner = [[cg._inner_exact(*d, k, l)[weighted] for l in range(p)]
+             for k in range(p)]
     w = cg._pair_weights_mod(p, 2, x, T_MULT)
     ranges = cg._block_ranges(p, m)
     literal = tuple(

@@ -122,6 +122,30 @@ class TestPrimality:
         assert not is_prime(561)
         assert is_prime(2_147_483_647)  # 2^31 - 1
 
+    def test_agrees_with_a_sieve(self):
+        n = 100_000
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for i in range(2, int(n**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+        assert [i for i in range(n) if is_prime(i)] == [
+            i for i in range(n) if sieve[i]]
+
+    def test_least_strong_pseudoprime_of_each_witness_set(self):
+        # the least composite passing the strong test to the first 1, 2,
+        # ..., 8, then 9 to 11, then 12 prime bases: each is the bound
+        # below which that set is proven, so the next set must catch it
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  318665857834031151167461):
+            assert not is_prime(n), n
+
+    def test_refuses_past_the_last_proven_bound(self):
+        # the least strong pseudoprime to the first 13 prime bases
+        with pytest.raises(ValueError):
+            is_prime(3317044064679887385961981)
+
 
 class TestModReduce:
     def test_examples(self):

@@ -169,6 +169,9 @@ class TestParseConfig:
             "inject_error = yes\n",
             "parallelism = 0\n",
             "statements = theorem1, nope\n",
+            # the least strong pseudoprime to the first 13 prime bases,
+            # past which the primality test is not proven
+            "prime_max = 3317044064679887385961981\n",
         ]
         for doc in bad_docs:
             with pytest.raises(ParseError):
@@ -441,15 +444,17 @@ class TestRunSuite:
                     caches[f"{info.name}.{name}"] = fn
         assert set(caches) == {"sequences._factorials",
                                "sequences._table_values",
-                               "congruences._block_sums_mod"}
+                               "congruences._block_sums_mod",
+                               "congruences._cross_blocks_exact"}
         for fn in caches.values():
             fn.cache_clear()
         # every table at one (p, e) reads one factorial basis, theorem2
-        # reuses theorem1's t table, lemma23 and lemma33 the block entry
-        # that blocks built with both splits
+        # reuses theorem1's t table, and lemma23 and lemma33 the block
+        # entry, blocks_weighted the exact cross blocks, that blocks built
+        # with both splits
         summary = run_suite(SuiteConfig(
-            statements=("theorem1", "theorem2", "blocks", "lemma23",
-                        "lemma33"),
+            statements=("theorem1", "theorem2", "blocks", "blocks_weighted",
+                        "lemma23", "lemma33"),
             prime_max=13, x_values=(Fraction(1),)))
         assert summary.failed == 0
         for name, fn in caches.items():
@@ -458,8 +463,9 @@ class TestRunSuite:
     @pytest.mark.parametrize("statements, cache", [
         (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
           "blocks_weighted"), cg._block_sums_mod),
+        (("blocks", "blocks_weighted"), cg._cross_blocks_exact),
         (("theorem1", "theorem2", "weighted_8n5"), sequences._table_values),
-    ], ids=["blocks", "tables"])
+    ], ids=["blocks", "cross", "tables"])
     def test_cache_spans_one_prime_group(self, statements, cache):
         # tasks run by prime, so each (p, x) is built once, although the
         # run has more of them than the cache holds
@@ -635,6 +641,10 @@ class TestCli:
         capsys.readouterr()
         assert main(["identities", "--nmax", "-1"]) == 2
         capsys.readouterr()
+        psi13 = "3317044064679887385961981"
+        assert main(["verify", "--statement", "residue_table", "--pmin",
+                     psi13, "--pmax", psi13]) == 2
+        assert "primality test" in capsys.readouterr().err
 
     def test_zero_denominator_is_a_usage_error(self, tmp_path):
         cfg_file = tmp_path / "suite.cfg"
