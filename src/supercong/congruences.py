@@ -12,21 +12,22 @@ sum_{n<p} c_n C(n,k) C(n,l), with c_n = 1 (plain) or n+1 (weighted).  So a
 rectangle is sum_{n<p} c_n A_K(n) A_L(n) with A_K(n) = sum_{k in K} C(n,k)
 w_k: three masked binomial transforms mod p^2 per argument, each one
 big-integer product against 1/j! packed once (Kronecker substitution), then
-O(p) work per block.  Both splits read the same transforms, so one cached
-entry per (p, x) holds the nine sums of each and the transforms are not
-kept (_block_sums_mod).  The three transforms must add up to the t table,
-which `sequences` builds by its recurrence in n, another route, past its
-table cache, as nothing reads that table again; a break is a program fault
-and raises.  The two cross blocks are additionally
-compared as exact rationals for p <= 50, each as its own ordered sum over
-the cells it covers of a literal form of P(k,l) (_inner_exact); their
-equality is claimed exactly, not just mod p^2.  One cached pass per (p, x)
-sums the cross blocks of both splits (_cross_blocks_exact).
+O(p) work per block.  Both splits read the same transforms, so one entry
+per (p, x) holds the nine sums of each and the transforms are not kept
+(_block_sums_mod).  The three transforms must add up to the t table, which
+`sequences` builds by its recurrence in n, another route (_table_values,
+which the table statements share); a break is a program fault and raises.
+The two cross blocks are additionally compared as exact rationals for
+p <= 50, each as its own ordered sum over the cells it covers of a literal
+form of P(k,l) (_inner_exact); their equality is claimed exactly, not just
+mod p^2.  One pass per (p, x) sums the cross blocks of both splits
+(_cross_blocks_exact).  Both entries are memos of one prime at a time
+(sequences._per_prime), so a prime group builds each once.
 
 Each public check validates p once, through padic_split or the table it
-builds (sun_s_check, which decides its exclusion before its table, does
-both), and passes it on to helpers that take it as given: reduce_ratio,
-not mod_reduce, and (-1/p) from p mod 4, not legendre.
+builds (sun_s_check decides its exclusion by padic_split, then builds its
+table by sequences._table), and passes p on to helpers that take it as
+given: reduce_ratio, not mod_reduce, and (-1/p) from p mod 4, not legendre.
 
 Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2; the literal
 exact-rational route (lemma21_check) is its oracle, with the exact pair
@@ -43,7 +44,6 @@ sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from math import comb
 from operator import mul
@@ -71,7 +71,9 @@ from .sequences import (
     _oracle_rows,
     _pair_weights_exact,
     _pair_weights_mod,
-    _recurrence_values,
+    _per_prime,
+    _table,
+    _table_values,
     _x_mod,
     s_table_mod,
     t_table_mod,
@@ -309,10 +311,8 @@ def _binomial_transform(p: int, e: int,
     return out
 
 
-# One entry per (p, x) for the six block statements, read again only within
-# the prime group that built it.  A group of the default grid has at most 35
-# x, and x = -1/2 is a skip, so at most 34 keys; measured over p <= 500.
-@lru_cache(maxsize=34)
+# one entry per (p, x), read by all six block statements
+@_per_prime
 def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
     """The nine block sums mod p^2 of the plain split, then the nine of the
     weighted split, each row-major: block K x L is sum_{n<p} c_n A_K(n)
@@ -328,7 +328,7 @@ def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
                for K in _block_ranges(p, _x_mod(p, 1, x))])
     mod = p * p
     if any((a + b + c) % mod != t for a, b, c, t in
-           zip(*parts, _recurrence_values(p, 2, x, T_MULT))):
+           zip(*parts, _table_values(p, 2, x, T_MULT))):
         raise SupercongError(
             f"block transforms do not add up to the t table at p={p}, x={x}")
     products = [list(map(mul, ak, al)) for ak in parts for al in parts]
@@ -371,10 +371,8 @@ def _inner_exact(plain: Sequence[int], weighted: Sequence[int], k: int,
     return a, b
 
 
-# One entry per (p, x), read again only within its prime group, where
-# blocks comes just before blocks_weighted: at most 34 keys, as for
-# _block_sums_mod.
-@lru_cache(maxsize=34)
+# one entry per (p, x), read by blocks and then by blocks_weighted
+@_per_prime
 def _cross_blocks_exact(p: int, x: Fraction) -> tuple[
         tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Blocks 2 and 4 (lo x mid and mid x lo) of the plain split, then of
@@ -595,7 +593,7 @@ def sun_s_check(p: int, x: RationalLike,
     px = _as_padic(x, p)
     if 2 * px.m + 1 == p:
         raise HypothesisViolatedError("2x = -1 (mod p) is excluded")
-    table = s_table_mod(p, 2, px.x, oracle=oracle)
+    table = _table(p, 2, px.x, S_MULT, oracle)
     lhs = _weighted_square_sum(table, 0, 1)
     rhs = _residue(_sign_ratio(px), p, 2)
     return _report("sun_s", p, px.x, lhs, rhs, t0)

@@ -201,15 +201,11 @@ def weighted_binom_conv_sum(N: int, k: int, l: int) -> tuple[Fraction, Fraction]
 def _seeded_rationals(seed: int, count: int, den_max: int = 9,
                       num_bound: int = 30) -> list[Fraction]:
     rng = Random(seed)
-    out: list[Fraction] = []
-    seen: set[Fraction] = set()
+    out: dict[Fraction, None] = {}  # distinct, in order of first draw
     while len(out) < count:
-        q = Fraction(rng.randint(-num_bound, num_bound),
-                     rng.randint(1, den_max))
-        if q not in seen:
-            seen.add(q)
-            out.append(q)
-    return out
+        out[Fraction(rng.randint(-num_bound, num_bound),
+                     rng.randint(1, den_max))] = None
+    return list(out)
 
 
 def _check_closed_forms(nmax: int) -> bool:
@@ -227,10 +223,8 @@ def _check_pfd(nmax: int) -> bool:
             if not pfd_check(n, x):
                 return False
         # special points: zeros at x = 1..n, closed value at x = n+1
-        for k in range(n):
-            lhs, rhs = pfd_sides(n, k + 1)
-            if lhs != 0 or rhs != 0:
-                return False
+        if any(pfd_sides(n, k) != (0, 0) for k in range(1, n + 1)):
+            return False
         lhs, rhs = pfd_sides(n, n + 1)
         expected = Fraction((-1) ** n, (2 * n + 1) * comb(2 * n, n))
         if lhs != rhs or lhs != expected:
@@ -239,21 +233,16 @@ def _check_pfd(nmax: int) -> bool:
 
 
 def _check_pfaff(nmax: int) -> bool:
-    for n in range(min(nmax, 30) + 1):
-        points = _seeded_rationals(104729 * n + 3, max(n + 1, 20))
-        points += [Fraction(17, 5), Fraction(1, 2)]
-        if not all(pfaff_check(n, z) for z in points):
-            return False
-    return True
+    return all(pfaff_check(n, z) for n in range(min(nmax, 30) + 1)
+               for z in _seeded_rationals(104729 * n + 3, max(n + 1, 20))
+               + [Fraction(17, 5), Fraction(1, 2)])
 
 
 def _check_pfaff_derivative(nmax: int) -> bool:
-    for n in range(1, min(nmax, 25) + 1):
-        points = _seeded_rationals(15485863 * n + 11, max(n, 20))
-        points += [Fraction(3, 7), Fraction(-2)]
-        if not all(pfaff_derivative_check(n, z) for z in points):
-            return False
-    return True
+    return all(pfaff_derivative_check(n, z)
+               for n in range(1, min(nmax, 25) + 1)
+               for z in _seeded_rationals(15485863 * n + 11, max(n, 20))
+               + [Fraction(3, 7), Fraction(-2)])
 
 
 def _check_inner_sums(bound: int = 15) -> bool:
@@ -264,25 +253,12 @@ def _check_inner_sums(bound: int = 15) -> bool:
 
 
 def _check_convolutions() -> bool:
-    for N in range(1, 13):
-        for k in range(9):
-            for l in range(9):
-                lhs, rhs = binom_conv_sum(N, k, l)
-                if lhs != rhs:
-                    return False
-                lhs, rhs = weighted_binom_conv_sum(N, k, l)
-                if lhs != rhs:
-                    return False
-    for N in odd_primes(3, 31):
-        for k in range(N):
-            for l in range(N):
-                lhs, rhs = binom_conv_sum(N, k, l)
-                if lhs != rhs:
-                    return False
-                lhs, rhs = weighted_binom_conv_sum(N, k, l)
-                if lhs != rhs:
-                    return False
-    return True
+    grid = [(N, range(9)) for N in range(1, 13)] + [
+        (N, range(N)) for N in odd_primes(3, 31)]
+    return all(lhs == rhs
+               for N, ks in grid for k in ks for l in ks
+               for lhs, rhs in (binom_conv_sum(N, k, l),
+                                weighted_binom_conv_sum(N, k, l)))
 
 
 def identity_suite(nmax: int = 40) -> list[tuple[str, bool]]:

@@ -1,7 +1,7 @@
 """The binomial double-product sequences: exact values and residue tables.
 
 Two evaluation routes are kept strictly separate on purpose.  The fast route
-works entirely mod p^e over one basis per (p, e), built once and cached
+works entirely mod p^e over one basis per (p, e), built once per prime
 (_factorials): n!, 1/n! and 1/n^2 for 0 < n < p, all units since no number
 below p has a factor p.  Both families are f_n = sum_k C(n,k) C(x,k)
 C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
@@ -13,8 +13,9 @@ C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
 (of order 2 when c = 1; at N = 1, 2 the terms before f_0 have coefficient
 0, so they need no start value).  A table needs rows N < p only, so the one
 division, by N^2, is by a unit mod p^e, read from the basis: the whole
-table is one loop of small-integer steps mod p^e (_recurrence_values,
-cached as _table_values for the table statements).  The pair weight
+table is one loop of small-integer steps mod p^e (_table_values).  Both
+keep the entries of the latest prime only (_per_prime), as do the memos of
+`congruences`: a run computes prime by prime.  The pair weight
 w_k = C(x,k) C(x+k,k) c^k is the running product of c (x-k+1)(x+k) times
 (1/k!)^2 from the basis; `congruences` turns masked weights into its
 block sums by binomial transforms, and reads the same basis for Lemma 2.1.
@@ -32,8 +33,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import update_wrapper
 from math import comb, factorial
+from typing import Callable
 
 from .core import (
     NonPIntegralError,
@@ -181,10 +183,28 @@ class SequenceTable:
         return Residue(self.values[n], self.modulus)
 
 
-# tasks run by prime, and a prime group reads at most the two bases (p, 2)
-# and, for kw, (p, 3), which no later group reads: each (p, e) is built once
-# per run
-@lru_cache(maxsize=2)
+class _per_prime:
+    """Memo of build(p, ...) for the latest p: a call at another p first
+    drops every entry."""
+
+    def __init__(self, build: Callable) -> None:
+        update_wrapper(self, build)
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.p, self.entries, self.hits = None, {}, 0
+
+    def __call__(self, *args):  # args[0] is p
+        if args[0] != self.p:
+            self.p, self.entries = args[0], {}
+        value = self.entries.get(args, self)  # self: no entry yet
+        if value is self:
+            return self.entries.setdefault(args, self.__wrapped__(*args))
+        self.hits += 1
+        return value
+
+
+@_per_prime
 def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
                                          tuple[int, ...]]:
     """The (p, e) basis of every table: n!, 1/n! and 1/n^2 mod p^e for
@@ -223,8 +243,9 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
     return tuple(w)
 
 
-def _recurrence_values(p: int, e: int, x: Fraction,
-                       mult: int) -> tuple[int, ...]:
+# t tables: shared by theorem1, theorem2, weighted_* and the block check
+@_per_prime
+def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e, by the recurrence in n of the module
     docstring: f_N from f_{N-1}, f_{N-2}, f_{N-3} and the unit 1/N^2."""
     mod = p**e
@@ -240,14 +261,6 @@ def _recurrence_values(p: int, e: int, x: Fraction,
                       - c * m * (m - 1) * f3) * inv_sq[n] % mod, f1, f2
         f[n] = f1
     return tuple(f)
-
-
-# shared by theorem1, theorem2 and weighted_* at (p, x), within the prime
-# group that built it; the block transforms' check reads its table once, so
-# it calls the builder uncached.  A group of the default grid (at most 35
-# x) reads at most 71 tables: 36 t tables with theorem2's probe, 34 s tables
-# for sun_s, which skips x = -1/2, and one for kw; measured over p <= 500.
-_table_values = lru_cache(maxsize=71)(_recurrence_values)
 
 
 # oracle row audit: full table for small p, else 5 deterministic spot rows
@@ -283,7 +296,12 @@ def _build_table(p: int, e: int, x: RationalLike, mult: int,
     require_odd_prime(p)
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"exponent e = {e!r} must be a positive integer")
-    x = to_fraction(x)
+    return _table(p, e, to_fraction(x), mult, oracle)
+
+
+def _table(p: int, e: int, x: Fraction, mult: int,
+           oracle: str) -> SequenceTable:
+    """_build_table for p and e already validated."""
     values = _table_values(p, e, x, mult)
     if oracle != "off":
         _audit_table(p, e, x, mult, values, oracle)

@@ -4,7 +4,8 @@ A suite is a list of (statement, p, x) tasks, recorded in a deterministic
 scan order (statement, then prime ascending, then x in configured order)
 but computed by prime: one group runs every task at one prime, in scan
 order, so the statements that share a table or a block entry at p meet it
-within the group, and the caches need to span one group only.  A finished
+within the group.  Every memo keeps the entries of one prime only
+(sequences._per_prime), so each entry is built once per run.  A finished
 report waits until its turn in scan order.  Engine-level hypothesis
 failures become skip records rather than errors, so a run over a blanket
 grid is meaningful; genuine disagreements — including fast-path/oracle
@@ -183,6 +184,12 @@ class SuiteConfig:
             raise ParseError(f"parallelism = {self.parallelism} < 1")
         if self.x_values == ():
             raise ParseError("no x values given")
+        if self.prime_max is None and next(_task_args(self), None) is None:
+            caps = ", ".join(f"{sid} {STATEMENTS[sid].default_pmax}"
+                             for sid in self.statements)
+            raise ParseError(
+                f"prime_min = {self.prime_min} selects no check under the "
+                f"default prime caps ({caps}); give --pmax or prime_max")
 
 
 _CONFIG_KEYS = ("schema_version", "statements", "prime_min", "prime_max",

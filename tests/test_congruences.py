@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supercong import congruences as cg
+from supercong import congruences as cg, core
 from supercong.congruences import (
     BLOCK_LEMMAS,
     CONJECTURE_CASES,
@@ -257,15 +257,15 @@ class TestBlockDecomposition:
         cg._block_sums_mod.cache_clear()
         block_lemma_check("lemma23", 13, Fraction(2, 5))
         block_lemma_check("lemma33", 13, Fraction(2, 5))
-        info = cg._block_sums_mod.cache_info()
-        assert info.misses == 1 and info.hits >= 1
+        assert list(cg._block_sums_mod.entries) == [(13, Fraction(2, 5))]
+        assert cg._block_sums_mod.hits == 1
 
     def test_both_splits_share_one_cross_entry(self):
         cg._cross_blocks_exact.cache_clear()
         assert block_vanishing_check(13, Fraction(2, 5), weighted=False)
         assert block_vanishing_check(13, Fraction(2, 5), weighted=True)
-        info = cg._cross_blocks_exact.cache_info()
-        assert info.misses == 1 and info.hits >= 1
+        assert list(cg._cross_blocks_exact.entries) == [(13, Fraction(2, 5))]
+        assert cg._cross_blocks_exact.hits == 1
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):
@@ -486,6 +486,21 @@ class TestDeeperCongruences:
             sun_s_check(7, Fraction(-1, 2))
         with pytest.raises(HypothesisViolatedError):
             sun_s_check(7, Fraction(-1, 2) + 7)
+
+    def test_sun_validates_p_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "is_prime",
+                            lambda n, f=core.is_prime: calls.append(n) or f(n))
+        assert sun_s_check(13, Fraction(2, 5)).passed
+        assert calls == [13]
+        # and every input it refuses still raises what it did
+        with pytest.raises(ValueError, match=r"^p = 9 is not an odd prime$"):
+            sun_s_check(9, 1)
+        with pytest.raises(NonPIntegralError,
+                           match=r"^1/13 is not 13-integral$"):
+            sun_s_check(13, Fraction(1, 13))
+        with pytest.raises(ValueError, match=r"^unknown oracle mode 'x'$"):
+            sun_s_check(13, 1, oracle="x")
 
 
 class TestDefaultGrid:

@@ -15,6 +15,7 @@ import supercong
 from supercong import congruences as cg, sequences
 from supercong.cli import main
 from supercong.identities import identity_suite
+from supercong.sequences import T_MULT
 from supercong.suite import (
     ParseError,
     STATEMENTS,
@@ -30,6 +31,20 @@ from supercong.suite import (
 )
 
 PRIMES_TO_50 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _record_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Wrap module.name for one test; the list gains the arguments of each
+    call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def _without_micros(jsonl: str) -> list[dict]:
@@ -432,21 +447,30 @@ class TestRunSuite:
             "7a25e73656cf41702d3c7514adc9a668"
             "544a1497d1306a0f190fb9bcce48d01f")
 
-    def test_every_cache_is_hit(self):
-        # the package's lru_caches, each counted once, in its own module
-        caches = {}
+    @staticmethod
+    def _memos():
+        # the package's per-prime memos, each counted once, in its own module
+        memos = {}
         for info in pkgutil.iter_modules(supercong.__path__):
             if info.name == "__main__":  # importing it runs the CLI
                 continue
             mod = importlib.import_module(f"supercong.{info.name}")
             for name, fn in vars(mod).items():
-                if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
-                    caches[f"{info.name}.{name}"] = fn
-        assert set(caches) == {"sequences._factorials",
-                               "sequences._table_values",
-                               "congruences._block_sums_mod",
-                               "congruences._cross_blocks_exact"}
-        for fn in caches.values():
+                if (isinstance(fn, sequences._per_prime)
+                        and fn.__module__ == mod.__name__):
+                    memos[f"{info.name}.{name}"] = fn
+        return memos
+
+    def test_every_cache_is_hit(self):
+        memos = self._memos()
+        assert set(memos) == {"sequences._factorials",
+                              "sequences._table_values",
+                              "congruences._block_sums_mod",
+                              "congruences._cross_blocks_exact"}
+        # and no other cache: nothing in the package sizes one
+        for path in Path(supercong.__file__).parent.glob("*.py"):
+            assert "lru_cache" not in path.read_text(encoding="utf-8"), path
+        for fn in memos.values():
             fn.cache_clear()
         # every table at one (p, e) reads one factorial basis, theorem2
         # reuses theorem1's t table, and lemma23 and lemma33 the block
@@ -457,49 +481,56 @@ class TestRunSuite:
                         "lemma23", "lemma33"),
             prime_max=13, x_values=(Fraction(1),)))
         assert summary.failed == 0
-        for name, fn in caches.items():
-            assert fn.cache_info().hits > 0, name
+        for name, fn in memos.items():
+            assert fn.hits > 0, name
 
-    @pytest.mark.parametrize("statements, cache", [
-        (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
-          "blocks_weighted"), cg._block_sums_mod),
-        (("blocks", "blocks_weighted"), cg._cross_blocks_exact),
-        (("theorem1", "theorem2", "weighted_8n5"), sequences._table_values),
-    ], ids=["blocks", "cross", "tables"])
-    def test_cache_spans_one_prime_group(self, statements, cache):
-        # tasks run by prime, so each (p, x) is built once, although the
-        # run has more of them than the cache holds
-        cache.cache_clear()
-        summary = run_suite(SuiteConfig(statements=statements, prime_max=17))
-        assert summary.failed == 0
-        keys = {(r.p, r.x) for r in summary.reports if r.passed is not None}
-        assert len(keys) > cache.cache_info().maxsize
-        assert cache.cache_info().misses == len(keys)
-
-    def test_each_factorial_basis_is_built_once(self):
-        # a sweep's shape: tables mod p^2 and, for kw, p^3, at more primes
-        # than the basis cache holds keys; no later group reads a basis
-        sequences._factorials.cache_clear()
-        summary = run_suite(SuiteConfig(
-            statements=("theorem1", "sun_s", "kw"), prime_min=400,
-            prime_max=450, x_values=(Fraction(-1, 3), Fraction(2, 7))))
-        assert summary.failed == 0
-        keys = {(r.p, r.lhs.modulus) for r in summary.reports}
-        assert len(keys) == 18
-        assert len(keys) > sequences._factorials.cache_info().maxsize
-        assert sequences._factorials.cache_info().misses == len(keys)
-
-    def test_block_statements_leave_the_table_cache_empty(self):
-        # the block transforms' check reads its t table once, so it is
-        # built past the cache that the table statements share
-        sequences._table_values.cache_clear()
+    def test_one_prime_builds_each_block_entry_once(self, monkeypatch):
+        # 40 x at one prime, more than a group of the default grid reads:
+        # each block entry computes its pair weights once
+        builds = _record_calls(monkeypatch, cg, "_pair_weights_mod")
         cg._block_sums_mod.cache_clear()
+        xs = tuple(map(Fraction, range(40)))
         summary = run_suite(SuiteConfig(
             statements=("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
                         "blocks_weighted"),
-            prime_max=13, x_values=(Fraction(2, 5), Fraction(1))))
-        assert summary.failed == 0 and summary.passed
-        assert sequences._table_values.cache_info().currsize == 0
+            prime_min=101, prime_max=101, x_values=xs))
+        assert (summary.total, summary.passed) == (240, 240)
+        assert len(builds) == 40
+        assert set(builds) == {(101, 2, x, T_MULT) for x in xs}
+
+    def test_one_prime_builds_each_t_table_once(self, monkeypatch):
+        # 80 x at one prime: each t table reduces its x once
+        builds = _record_calls(monkeypatch, sequences, "_x_mod")
+        sequences._table_values.cache_clear()
+        xs = tuple(map(Fraction, range(80)))
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "theorem2"), prime_min=499,
+            prime_max=499, x_values=xs))
+        assert (summary.total, summary.passed) == (160, 160)
+        assert len(builds) == 80
+        assert set(builds) == {(499, 2, x) for x in xs}
+
+    def test_memos_keep_only_the_last_prime(self, monkeypatch):
+        # a run over several primes builds each entry once, in its prime
+        # group, and leaves each memo with the entries of its last group
+        # only, here the bases (13, 2) and, for kw, (13, 3); both x are
+        # p-integral at every p, since a build that raises stores nothing
+        memos = self._memos()
+        for fn in memos.values():
+            fn.cache_clear()
+        builds = {name: _record_calls(monkeypatch, fn, "__wrapped__")
+                  for name, fn in memos.items()}
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "theorem2", "kw", "sun_s", "blocks",
+                        "blocks_weighted", "lemma23"),
+            prime_max=13, x_values=(Fraction(-1, 4), Fraction(1))))
+        assert summary.failed == 0
+        for name, fn in memos.items():
+            assert builds[name] and len(set(builds[name])) == len(
+                builds[name]), name
+            assert fn.entries, name
+            assert {key[0] for key in fn.entries} == {13}, name
+        assert set(sequences._factorials.entries) == {(13, 2), (13, 3)}
 
 
 class TestEmitReport:
@@ -645,6 +676,27 @@ class TestCli:
         assert main(["verify", "--statement", "residue_table", "--pmin",
                      psi13, "--pmax", psi13]) == 2
         assert "primality test" in capsys.readouterr().err
+
+    def test_pmin_above_every_default_cap_is_a_usage_error(self, tmp_path,
+                                                           capsys):
+        # without a cap of its own the run would verify nothing and pass
+        cfg_file = tmp_path / "suite.cfg"
+        cfg_file.write_text("statements = kw, blocks\nprime_min = 101\n")
+        for args in (["--pmin", "1000"], ["--suite", str(cfg_file)]):
+            assert main(["verify", *args]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            [line] = err.splitlines()
+            assert "default prime caps" in line
+        assert "(kw 100, blocks 50)" in line
+        # a statement whose default cap is above --pmin still runs
+        assert main(["verify", "--statement", "blocks", "--statement",
+                     "residue_table", "--pmin", "497"]) == 0
+        assert "checks: 1 " in capsys.readouterr().out
+
+    def test_explicit_empty_prime_range_runs_no_check(self, capsys):
+        assert main(["verify", "--pmin", "4", "--pmax", "4"]) == 0
+        assert "checks: 0 " in capsys.readouterr().out
 
     def test_zero_denominator_is_a_usage_error(self, tmp_path):
         cfg_file = tmp_path / "suite.cfg"
