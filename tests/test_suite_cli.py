@@ -484,6 +484,42 @@ class TestRunSuite:
         for name, fn in memos.items():
             assert fn.hits > 0, name
 
+    @pytest.mark.parametrize("statements, cache", [
+        (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
+          "blocks_weighted"), cg._block_sums_mod),
+        (("blocks", "blocks_weighted"), cg._cross_blocks_exact),
+        (("theorem1", "theorem2", "weighted_8n5"), sequences._table_values),
+    ], ids=["blocks", "cross", "tables"])
+    def test_cache_spans_one_prime_group(self, monkeypatch, statements,
+                                         cache):
+        # tasks run by prime, so each entry is built once, in its prime
+        # group, although later groups drop it; the builds cover every
+        # (p, x) that a check read
+        cache.cache_clear()
+        builds = _record_calls(monkeypatch, cache, "__wrapped__")
+        summary = run_suite(SuiteConfig(statements=statements, prime_max=17))
+        assert summary.failed == 0
+        keys = {(r.p, r.x) for r in summary.reports if r.passed is not None}
+        assert len({p for p, _ in keys}) > 1
+        assert len(set(builds)) == len(builds)
+        assert {(args[0], next(a for a in args[1:] if isinstance(a, Fraction)))
+                for args in builds} == keys
+
+    def test_each_factorial_basis_is_built_once(self, monkeypatch):
+        # a sweep's shape: tables mod p^2 and, for kw, p^3, at many primes;
+        # no later group reads a basis, and none is built twice
+        sequences._factorials.cache_clear()
+        builds = _record_calls(monkeypatch, sequences._factorials,
+                               "__wrapped__")
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "sun_s", "kw"), prime_min=400,
+            prime_max=450, x_values=(Fraction(-1, 3), Fraction(2, 7))))
+        assert summary.failed == 0
+        keys = {(r.p, r.lhs.modulus) for r in summary.reports}
+        assert len(keys) == 18
+        assert len(set(builds)) == len(builds) == len(keys)
+        assert {(p, p**e) for p, e in builds} == keys
+
     def test_one_prime_builds_each_block_entry_once(self, monkeypatch):
         # 40 x at one prime, more than a group of the default grid reads:
         # each block entry computes its pair weights once
