@@ -12,15 +12,17 @@ sum_{n<p} c_n C(n,k) C(n,l), with c_n = 1 (plain) or n+1 (weighted).  So a
 rectangle is sum_{n<p} c_n A_K(n) A_L(n) with A_K(n) = sum_{k in K} C(n,k)
 w_k: three masked binomial transforms mod p^2 per argument, each one
 big-integer product against 1/j! packed once (Kronecker substitution), then
-O(p) work per block.  Both splits read the same transforms, so one entry
-per (p, x) holds the nine sums of each and the transforms are not kept
+O(p) work per distinct product A_K A_L (six; a mirrored block reads its
+twin).  Both splits read the same transforms, so one entry per (p, x)
+holds the nine sums of each and the transforms are not kept
 (_block_sums_mod).  The three transforms must add up to the t table, which
 `sequences` builds by its recurrence in n, another route (_table_values,
 which the table statements share); a break is a program fault and raises.
 The two cross blocks are additionally compared as exact rationals for
-p <= 50, each as its own ordered sum over the cells it covers of a literal
-form of P(k,l) (_inner_exact); their equality is claimed exactly, not just
-mod p^2.  One pass per (p, x) sums the cross blocks of both splits
+p <= 50, each as its own ordered sum of P(k,l) = sum_n C(n,l) C(l,n-k) d_n
+over its cells, one column l at a time, with the sum over its rows
+carried from l-1 to l by Pascal's rule; their equality is claimed exactly,
+not just mod p^2.  One pass per (p, x) sums the cross blocks of both splits
 (_cross_blocks_exact).  Both entries are memos of one prime at a time
 (sequences._per_prime), so a prime group builds each once.
 
@@ -44,9 +46,9 @@ sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 from math import comb
-from operator import mul
+from operator import add, mul
 from random import Random
 from time import perf_counter_ns
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -331,44 +333,22 @@ def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
            zip(*parts, _table_values(p, 2, x, T_MULT))):
         raise SupercongError(
             f"block transforms do not add up to the t table at p={p}, x={x}")
-    products = [list(map(mul, ak, al)) for ak in parts for al in parts]
-    return (tuple(sum(ab) % mod for ab in products)
-            + tuple(sum(map(mul, range(1, p + 1), ab)) % mod
-                    for ab in products))
+    sums = {}  # (K, L) -> both sums of A_K A_L, the mirrored cell its twin
+    for i, j in combinations_with_replacement(range(3), 2):
+        ab = list(map(mul, parts[i], parts[j]))
+        sums[i, j] = sums[j, i] = (
+            sum(ab) % mod, sum(map(mul, range(1, p + 1), ab)) % mod)
+    plain, weighted = zip(*(sums[i, j] for i in range(3) for j in range(3)))
+    return plain + weighted
 
 
 # The exact cross-block equality is checked up to this prime.  Mod p^2 the
 # two cross blocks are one product read twice, and over Q their equality is
 # the symmetry of P(k,l) = sum_n c_n C(n,k) C(n,l), which holds at every p;
-# the literal, ordered sums of _inner_exact only witness that identity, at
-# O(p^3) per argument, so above this size they are skipped.
+# the ordered sums of _cross_blocks_exact only witness that identity, in
+# O(p) passes over lists of p big integers per argument, so above this size
+# they are skipped.
 _EXACT_CROSS_PMAX = 50
-
-
-def _inner_weights(p: int) -> tuple[list[int], list[int]]:
-    """d_n, n < p, of the literal inner sums _inner_exact: C(p,n+1) for the
-    plain split, then (n+1) C(p+1,n+2) for the weighted one."""
-    return ([comb(p, n + 1) for n in range(p)],
-            [(n + 1) * comb(p + 1, n + 2) for n in range(p)])
-
-
-def _inner_exact(plain: Sequence[int], weighted: Sequence[int], k: int,
-                 l: int) -> tuple[int, int]:
-    """P(k,l) = sum_n C(n,l) C(l,n-k) d_n over n < p = len(plain), for
-    d = plain and d = weighted, from one pass over the coefficients.
-
-    With the d of _inner_weights these equal sum_{n<p} C(n,k) C(n,l), times
-    n+1 in the weighted one (identities.binom_conv_sum and
-    weighted_binom_conv_sum at N = p).  The summand is not visibly symmetric
-    under k <-> l, so summing each ordered cell literally keeps the exact
-    cross-block equality a real check.
-    """
-    a = b = 0
-    for n in range(max(k, l), min(k + l, len(plain) - 1) + 1):
-        c = comb(n, l) * comb(l, n - k)
-        a += c * plain[n]
-        b += c * weighted[n]
-    return a, b
 
 
 # one entry per (p, x), read by blocks and then by blocks_weighted
@@ -376,23 +356,34 @@ def _inner_exact(plain: Sequence[int], weighted: Sequence[int], k: int,
 def _cross_blocks_exact(p: int, x: Fraction) -> tuple[
         tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Blocks 2 and 4 (lo x mid and mid x lo) of the plain split, then of
-    the weighted split, as exact rationals: each block one ordered sum over
-    the integers with the weights on their one common denominator, both
-    splits summed in one walk over the cells."""
-    plain, weighted = _inner_weights(p)
+    the weighted split, as exact rationals, each summed over the integers
+    with the weights on their one common denominator.
+
+    A block K x L is sum_{l in L} W_l sum_{n<p} d_n C(n,l) g_l(n), with
+    g_l(n) = sum_{k in K} W_k C(l,n-k), which is P(k,l) = sum_n C(n,l)
+    C(l,n-k) d_n summed over the cells.  d_n = C(p,n+1) gives the plain
+    split and (n+1) C(p+1,n+2) the weighted one (identities.binom_conv_sum
+    and weighted_binom_conv_sum at N = p).  g_0 is W masked to K, and
+    Pascal's rule C(l,j) = C(l-1,j) + C(l-1,j-1) steps it from l-1 to l.
+    K enters only through C(l,n-k) and L only through d_n C(n,l), so the two
+    orders of a cross block are different sums, and their equality is a
+    real check of the symmetry of P(k,l).
+    """
+    plain = [comb(p, n + 1) for n in range(p)]
+    weighted = [(n + 1) * comb(p + 1, n + 2) for n in range(p)]
     num, den = _pair_weights_exact(x, p - 1, T_MULT)
     lo, mid, _ = _block_ranges(p, _x_mod(p, 1, x))
     blocks = []  # (plain, weighted) of lo x mid, then of mid x lo
     for rows, cols in ((lo, mid), (mid, lo)):
+        # g[i] = g_l(l+i): C(n,l) = 0 for n < l, so only n >= l is kept
+        g = [w if n in rows else 0 for n, w in enumerate(num)]
         a = b = 0
-        for k in rows:
-            row_a = row_b = 0
-            for l in cols:
-                pa, pb = _inner_exact(plain, weighted, k, l)
-                row_a += num[l] * pa
-                row_b += num[l] * pb
-            a += num[k] * row_a
-            b += num[k] * row_b
+        for l in range(cols.stop):
+            if l in cols:
+                h = list(map(mul, g, map(comb, range(l, p), repeat(l))))
+                a += num[l] * sum(map(mul, plain[l:], h))
+                b += num[l] * sum(map(mul, weighted[l:], h))
+            g = list(map(add, g[1:], g))  # g_l to g_{l+1}
         blocks.append((Fraction(a, den * den), Fraction(b, den * den)))
     return tuple(zip(*blocks))
 

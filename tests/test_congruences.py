@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -223,6 +224,49 @@ def _brute_blocks(p: int, x: Fraction, weighted: bool) -> tuple[Residue, ...]:
                  for cell in _brute_cells(p, x, weighted))
 
 
+def _inner_weights(p: int) -> tuple[list[int], list[int]]:
+    """d_n, n < p, of the literal inner sums: C(p,n+1) for the plain split,
+    then (n+1) C(p+1,n+2) for the weighted one."""
+    return ([comb(p, n + 1) for n in range(p)],
+            [(n + 1) * comb(p + 1, n + 2) for n in range(p)])
+
+
+def _inner_exact(plain: list[int], weighted: list[int], k: int,
+                 l: int) -> tuple[int, int]:
+    """The literal P(k,l) = sum_n C(n,l) C(l,n-k) d_n over n < p =
+    len(plain), for d = plain and d = weighted.  With the d of
+    _inner_weights these equal sum_{n<p} C(n,k) C(n,l), times n+1 in the
+    weighted one."""
+    a = b = 0
+    for n in range(max(k, l), min(k + l, len(plain) - 1) + 1):
+        c = comb(n, l) * comb(l, n - k)
+        a += c * plain[n]
+        b += c * weighted[n]
+    return a, b
+
+
+def _cell_walk(p: int, x: Fraction) -> tuple[
+        tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """The reference for cg._cross_blocks_exact, in its layout: each cross
+    block an ordered sum of _inner_exact over every (k, l) cell it covers."""
+    plain, weighted = _inner_weights(p)
+    num, den = cg._pair_weights_exact(x, p - 1, T_MULT)
+    lo, mid, _ = cg._block_ranges(p, padic_split(x, p).m)
+    blocks = []  # (plain, weighted) of lo x mid, then of mid x lo
+    for rows, cols in ((lo, mid), (mid, lo)):
+        a = b = 0
+        for k in rows:
+            row_a = row_b = 0
+            for l in cols:
+                pa, pb = _inner_exact(plain, weighted, k, l)
+                row_a += num[l] * pa
+                row_b += num[l] * pb
+            a += num[k] * row_a
+            b += num[k] * row_b
+        blocks.append((Fraction(a, den * den), Fraction(b, den * den)))
+    return tuple(zip(*blocks))
+
+
 class TestBlockDecomposition:
     def test_matches_literal_sums(self):
         for p, x in ((5, Fraction(1)), (7, Fraction(-1, 3))):
@@ -275,27 +319,33 @@ class TestBlockDecomposition:
 
     def test_integer_inner_table_is_the_convolution_identity(self):
         for p in odd_primes(3, 13):
-            plain, weighted = cg._inner_weights(p)
+            plain, weighted = _inner_weights(p)
             for k in range(p):
                 for l in range(p):
-                    assert cg._inner_exact(plain, weighted, k, l) == (
+                    assert _inner_exact(plain, weighted, k, l) == (
                         binom_conv_sum(p, k, l)[1],
                         weighted_binom_conv_sum(p, k, l)[1])
 
     def test_exact_cross_blocks_match_literal_sums(self):
         cases = 0
-        for p in odd_primes(5, 23):
+        for p in odd_primes(5, 47):
             for x in (Fraction(0), Fraction(1), Fraction(-1, 3),
                       Fraction(2, 5), Fraction(-7, 9), Fraction(13, 4)):
-                if (x.denominator % p == 0
-                        or padic_split(x, p).m >= (p - 1) // 2):
+                if x.denominator % p == 0:
+                    continue
+                x = half_regime(p, x)
+                if padic_split(x, p).m == (p - 1) // 2:
                     continue
                 # one call gives both cross blocks of both splits
-                plain, weighted = (_brute_cells(p, x, w) for w in (False, True))
-                assert cg._cross_blocks_exact(p, x) == (
-                    (plain[1], plain[3]), (weighted[1], weighted[3]))
+                exact = cg._cross_blocks_exact(p, x)
+                assert exact == _cell_walk(p, x)
+                if p <= 23:
+                    plain, weighted = (_brute_cells(p, x, w)
+                                       for w in (False, True))
+                    assert exact == ((plain[1], plain[3]),
+                                     (weighted[1], weighted[3]))
                 cases += 1
-        assert cases == 26
+        assert cases == 75  # 39 up to p = 23, six at each of 29..47
 
 
 @given(primes_to_43, st.booleans(), st.data())
@@ -306,8 +356,8 @@ def test_block_transforms_match_the_literal_table(p, weighted, data):
     assume(m < (p - 1) // 2)
     sums = block_sums(p, x, weighted)
     # the literal integer inner table, weights mod p^2
-    d = cg._inner_weights(p)
-    inner = [[cg._inner_exact(*d, k, l)[weighted] for l in range(p)]
+    d = _inner_weights(p)
+    inner = [[_inner_exact(*d, k, l)[weighted] for l in range(p)]
              for k in range(p)]
     w = cg._pair_weights_mod(p, 2, x, T_MULT)
     ranges = cg._block_ranges(p, m)
