@@ -13,15 +13,16 @@ import argparse
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from .suite import (
     ORACLE_MODES,
     ParseError,
+    ReportWriter,
     STATEMENT_ALIASES,
     STATEMENTS,
     SuiteConfig,
-    emit_report,
     parse_config,
     parse_x,
     run_suite,
@@ -54,19 +55,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="statement id or alias; repeatable "
                         f"(ids: {', '.join(STATEMENTS)}; "
                         f"aliases: {', '.join(STATEMENT_ALIASES)})")
-    v.add_argument("--pmin", type=int, metavar="P")
-    v.add_argument("--pmax", type=int, metavar="P")
+    v.add_argument("--pmin", type=int, metavar="P", dest="prime_min")
+    v.add_argument("--pmax", type=int, metavar="P", dest="prime_max")
     v.add_argument("--x", action="append", metavar="A/B",
                    help="argument x (sign, integer or a/b); repeatable; "
                         "default is the built-in per-prime grid")
-    v.add_argument("--oracle", choices=ORACLE_MODES,
+    v.add_argument("--oracle", choices=ORACLE_MODES, dest="oracle_mode",
                    help="cross-check fast tables against exact rationals")
-    v.add_argument("--out", metavar="FILE",
+    v.add_argument("--out", metavar="FILE", dest="output_path",
                    help="append one JSONL record per check to FILE "
                         "(relative paths resolve under $SUPERCONG_OUT_DIR)")
     v.add_argument("--format", choices=("human", "jsonl", "tap"),
                    default="human")
-    v.add_argument("--jobs", type=int, metavar="N",
+    v.add_argument("--jobs", type=int, metavar="N", dest="parallelism",
                    help="worker processes (default 1); each takes every "
                         "check at one prime at a time")
     v.add_argument("--inject-error", action="store_true",
@@ -86,30 +87,23 @@ def _verify_config(args: argparse.Namespace) -> SuiteConfig:
         cfg = SuiteConfig()
     if args.statement:
         cfg.statements = tuple(args.statement)
-    if args.pmin is not None:
-        cfg.prime_min = args.pmin
-    if args.pmax is not None:
-        cfg.prime_max = args.pmax
     if args.x:
         cfg.x_values = tuple(parse_x(s) for s in args.x)
-    if args.oracle is not None:
-        cfg.oracle_mode = args.oracle
-    if args.out is not None:
-        cfg.output_path = args.out
-    if args.jobs is not None:
-        cfg.parallelism = args.jobs
+    for key in ("prime_min", "prime_max", "oracle_mode", "output_path",
+                "parallelism"):  # each flag's dest is its config key
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     if args.inject_error:
         cfg.inject_error = True
     cfg.validate()
     return cfg
 
 
-def _print_to_reader(text: str) -> None:
-    """Print text; if the reader left early (`| head`), point stdout at
-    devnull so the flush at exit cannot raise, and keep the caller's status."""
+def _to_reader(write: Callable[..., object], *args: str) -> None:
+    """Call write(*args), a print or stdout's flush; if the reader left early
+    (`| head`), point stdout at devnull, so that no later write can raise."""
     try:
-        print(text)
-        sys.stdout.flush()
+        write(*args)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -121,12 +115,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"supercong: {e}", file=sys.stderr)
         return EXIT_USAGE
+    writer = ReportWriter(args.format, partial(_to_reader, print))
     try:
-        summary = run_suite(cfg)
+        summary = run_suite(cfg, writer.record, writer.plan)
     except OSError as e:
         print(f"supercong: cannot write output: {e}", file=sys.stderr)
         return EXIT_USAGE
-    _print_to_reader(emit_report(summary, args.format))
+    writer.finish(summary)
     if summary.internal_errors:
         return EXIT_INTERNAL
     return EXIT_FAILURES if summary.failed else EXIT_OK
@@ -142,19 +137,16 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     lines = [f"{'ok' if ok else 'FAIL'} - {name}" for name, ok in results]
     lines.append(
         f"identities: {len(results) - failed}/{len(results)} families hold")
-    _print_to_reader("\n".join(lines))
+    _to_reader(print, "\n".join(lines))
     return EXIT_FAILURES if failed else EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "identities":
-        return _cmd_identities(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return EXIT_USAGE  # pragma: no cover
+    args = _build_parser().parse_args(argv)
+    command = _cmd_verify if args.command == "verify" else _cmd_identities
+    status = command(args)
+    _to_reader(sys.stdout.flush)  # lines are printed unflushed, as they come
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,9 +10,10 @@ report waits until its turn in scan order.  Engine-level hypothesis
 failures become skip records rather than errors, so a run over a blanket
 grid is meaningful; genuine disagreements — including fast-path/oracle
 mismatches — become failing records, and so do faults of the program,
-whose reason starts with `internal error:`.  Records can be streamed to a
-JSON Lines file as their turn comes, which makes an interrupted run's log a
-prefix of the completed run's log.
+whose reason starts with `internal error:`.  Output happens only at a
+record's turn, to a JSON Lines file and a caller's hook (a ReportWriter
+prints `jsonl` or `tap` with it), so an interrupted run's output is a
+prefix of the completed run's; RunSummary keeps counts and failures only.
 
 The registry STATEMENTS is the only place a statement is defined: its
 StatementSpec gives the id, whether it takes an argument x, its least
@@ -30,6 +31,7 @@ import re
 import sys
 from contextlib import ExitStack
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -236,26 +238,20 @@ def parse_config(text: str) -> SuiteConfig:
                 if value not in ("true", "false"):
                     raise ParseError("inject_error must be true or false")
                 cfg.inject_error = value == "true"
-        except ValueError as e:
-            raise ParseError(f"line {lineno}: {e}") from None
-        except ParseError as e:
+        except (ValueError, ParseError) as e:
             raise ParseError(f"line {lineno}: {e}") from None
     cfg.validate()
     return cfg
 
 
 class RunSummary:
-    """Counts and reports of a run, in scan order."""
+    """Counts of a run and its failing reports, in scan order."""
 
-    __slots__ = ("total", "passed", "failed", "skipped", "reports")
+    __slots__ = ("total", "passed", "failed", "skipped", "failures")
 
     def __init__(self) -> None:
         self.total = self.passed = self.failed = self.skipped = 0
-        self.reports: list[CongruenceReport] = []
-
-    @property
-    def failures(self) -> list[CongruenceReport]:
-        return [r for r in self.reports if r.passed is False]
+        self.failures: list[CongruenceReport] = []
 
     @property
     def internal_errors(self) -> list[CongruenceReport]:
@@ -263,7 +259,6 @@ class RunSummary:
                 if (r.skipped_reason or "").startswith(INTERNAL_ERROR)]
 
     def add(self, report: CongruenceReport) -> None:
-        self.reports.append(report)
         self.total += 1
         if report.passed is None:
             self.skipped += 1
@@ -271,6 +266,7 @@ class RunSummary:
             self.passed += 1
         else:
             self.failed += 1
+            self.failures.append(report)
 
 
 def _dispatch(sid: str, p: int, x: Optional[Fraction],
@@ -307,25 +303,22 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
     try:
         report = _dispatch(sid, p, x, oracle)
     except (HypothesisViolatedError, NonPIntegralError, RegimeError) as e:
-        micros = (perf_counter_ns() - t0) // 1000
-        return CongruenceReport(sid, p, x, None, None, None, str(e), micros)
+        passed, reason = None, str(e)
     except OracleMismatchError as e:
-        micros = (perf_counter_ns() - t0) // 1000
-        return CongruenceReport(sid, p, x, None, None, False,
-                                f"oracle mismatch: {e}", micros)
+        passed, reason = False, f"oracle mismatch: {e}"
     except Exception as e:
         import traceback  # only a fault needs it; verify starts without it
         traceback.print_exc(file=sys.stderr)
-        micros = (perf_counter_ns() - t0) // 1000
-        return CongruenceReport(sid, p, x, None, None, False,
-                                f"{INTERNAL_ERROR} {type(e).__name__}: {e}",
-                                micros)
-    if inject_error and report.rhs is not None:
-        bumped = Residue(report.rhs.value + p, report.rhs.modulus)
-        report = CongruenceReport(report.statement, report.p, report.x,
-                                  report.lhs, bumped, report.lhs == bumped,
-                                  report.skipped_reason, report.micros)
-    return report
+        passed, reason = False, f"{INTERNAL_ERROR} {type(e).__name__}: {e}"
+    else:
+        if inject_error and report.rhs is not None:
+            bumped = Residue(report.rhs.value + p, report.rhs.modulus)
+            report = CongruenceReport(report.statement, report.p, report.x,
+                                      report.lhs, bumped, report.lhs == bumped,
+                                      report.skipped_reason, report.micros)
+        return report
+    micros = (perf_counter_ns() - t0) // 1000
+    return CongruenceReport(sid, p, x, None, None, passed, reason, micros)
 
 
 Task = tuple[str, int, Optional[Fraction], str, bool]  # run_check's arguments
@@ -387,27 +380,78 @@ def report_record(report: CongruenceReport) -> dict:
 
 
 def resolve_output_path(path: "str | os.PathLike[str]") -> Path:
-    """Relative output paths land in $SUPERCONG_OUT_DIR (default: cwd)."""
-    p = Path(path)
-    if p.is_absolute():
-        return p
-    return Path(os.environ.get(OUT_DIR_ENV, ".")) / p
+    """Relative paths land in $SUPERCONG_OUT_DIR (default: cwd); absolute
+    paths stay as they are."""
+    return Path(os.environ.get(OUT_DIR_ENV, ".")) / path
 
 
-def run_suite(cfg: SuiteConfig) -> RunSummary:
+def _describe(r: CongruenceReport) -> str:
+    return f"{r.statement} p={r.p}" + ("" if r.x is None else f" x={r.x}")
+
+
+class ReportWriter:
+    """Writes a run in one format through emit, deterministic apart from
+    the micros field: `tap` its plan (`plan`, run_suite's on_plan), `jsonl`
+    and `tap` a line per record at its turn (`record`, the on_record hook),
+    `human` the counts and failures when the run is over (`finish`)."""
+
+    __slots__ = ("format", "emit", "numbered")
+
+    def __init__(self, format: str, emit: Callable[[str], object]) -> None:
+        if format not in ("human", "jsonl", "tap"):
+            raise ValueError(f"unknown report format {format!r}")
+        self.format, self.emit, self.numbered = format, emit, 0
+
+    def plan(self, total: int) -> None:
+        if self.format == "tap":
+            self.emit(f"1..{total}")
+
+    def record(self, r: CongruenceReport) -> None:
+        if self.format == "jsonl":
+            self.emit(json.dumps(report_record(r)))
+        elif self.format == "tap":
+            self.numbered += 1
+            skip = "" if r.passed is not None else f" # SKIP {r.skipped_reason}"
+            self.emit(f"{'not ok' if r.passed is False else 'ok'} "
+                      f"{self.numbered} - {_describe(r)}{skip}")
+
+    def finish(self, summary: RunSummary) -> None:
+        if self.format != "human":
+            return
+        lines = [f"checks: {summary.total}  passed: {summary.passed}  "
+                 f"failed: {summary.failed}  skipped: {summary.skipped}"]
+        for r in summary.failures:
+            detail = (f"lhs={r.lhs.value} rhs={r.rhs.value} "
+                      f"mod {r.lhs.modulus}" if r.lhs is not None
+                      and r.rhs is not None else (r.skipped_reason or
+                                                  "structural check false"))
+            lines.append(f"FAIL {_describe(r)}: {detail}")
+        if summary.failed == 0 and summary.total:
+            lines.append("all checks passed")
+        self.emit("\n".join(lines))
+
+
+def run_suite(cfg: SuiteConfig,
+              on_record: Optional[Callable[[CongruenceReport], None]] = None,
+              on_plan: Optional[Callable[[int], None]] = None) -> RunSummary:
     """Execute every task of the config one prime group at a time, whole
     groups on a process pool when cfg.parallelism > 1, and record the
     reports in scan order, so logs from equal configs are identical apart
-    from the timing field."""
+    from the timing field.  on_plan gets the number of tasks first; at a
+    report's turn its line goes to cfg.output_path and it to on_record.  A
+    run of several statements holds the later ones' reports to its end."""
     cfg.validate()
     groups = _prime_groups(cfg)
     summary = RunSummary()
     with ExitStack() as stack:
-        sink = None
+        log = None
         if cfg.output_path is not None:
             out = resolve_output_path(cfg.output_path)
             out.parent.mkdir(parents=True, exist_ok=True)
             sink = stack.enter_context(open(out, "a", encoding="utf-8"))
+            log = ReportWriter("jsonl", partial(print, file=sink, flush=True))
+        if on_plan is not None:
+            on_plan(sum(len(slots) for slots, _ in groups))
         work = [tasks for _, tasks in groups]
         if cfg.parallelism > 1 and len(work) > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -422,46 +466,8 @@ def run_suite(cfg: SuiteConfig) -> RunSummary:
             while summary.total in waiting:
                 report = waiting.pop(summary.total)
                 summary.add(report)
-                if sink is not None:
-                    sink.write(json.dumps(report_record(report)) + "\n")
-                    sink.flush()
+                if log is not None:
+                    log.record(report)
+                if on_record is not None:
+                    on_record(report)
     return summary
-
-
-def _describe(report: CongruenceReport) -> str:
-    parts = [report.statement, f"p={report.p}"]
-    if report.x is not None:
-        parts.append(f"x={report.x}")
-    return " ".join(parts)
-
-
-def emit_report(summary: RunSummary, format: str = "human") -> str:
-    """Serialize a summary; 'jsonl' and 'tap' are deterministic apart from
-    the micros timing field."""
-    if format == "jsonl":
-        return "\n".join(json.dumps(report_record(r)) for r in summary.reports)
-    if format == "tap":
-        lines = [f"1..{summary.total}"]
-        for i, r in enumerate(summary.reports, start=1):
-            if r.passed is None:
-                lines.append(f"ok {i} - {_describe(r)} # SKIP {r.skipped_reason}")
-            elif r.passed:
-                lines.append(f"ok {i} - {_describe(r)}")
-            else:
-                lines.append(f"not ok {i} - {_describe(r)}")
-        return "\n".join(lines)
-    if format == "human":
-        lines = [
-            f"checks: {summary.total}  passed: {summary.passed}  "
-            f"failed: {summary.failed}  skipped: {summary.skipped}"
-        ]
-        for r in summary.failures:
-            detail = (f"lhs={r.lhs.value} rhs={r.rhs.value} "
-                      f"mod {r.lhs.modulus}" if r.lhs is not None
-                      and r.rhs is not None else (r.skipped_reason or
-                                                  "structural check false"))
-            lines.append(f"FAIL {_describe(r)}: {detail}")
-        if summary.failed == 0 and summary.total:
-            lines.append("all checks passed")
-        return "\n".join(lines)
-    raise ValueError(f"unknown report format {format!r}")

@@ -74,7 +74,9 @@ def test_criterion_3_plain_square_sums(capfd):
 
 def test_criterion_4_shifted_square_sums(capfd):
     t0 = monotonic()
-    summary = run_suite(SuiteConfig(statements=("theorem2",), prime_max=200))
+    reports = []
+    summary = run_suite(SuiteConfig(statements=("theorem2",), prime_max=200),
+                        reports.append)
     elapsed = monotonic() - t0
     problems = []
     if summary.total == 0 or summary.failed or summary.skipped:
@@ -83,8 +85,7 @@ def test_criterion_4_shifted_square_sums(capfd):
             f"skipped={summary.skipped}")
     for p in odd_primes(3, 200):
         probe = Fraction(-1, 2) + p
-        if not any(r.x == probe and r.passed for r in summary.reports
-                   if r.p == p):
+        if not any(r.x == probe and r.passed for r in reports if r.p == p):
             problems.append(f"missing boundary probe at p={p}")
     if elapsed >= 300:
         problems.append(f"runtime {elapsed:.1f}s, budget 300s")
@@ -111,12 +112,14 @@ def test_criterion_6_regime_and_block_lemmas(capfd):
     t0 = monotonic()
     statements = ("lemma21", "lemma23", "lemma24", "lemma33", "lemma34",
                   "blocks", "blocks_weighted")
-    summary = run_suite(SuiteConfig(statements=statements, prime_max=50))
+    reports = []
+    summary = run_suite(SuiteConfig(statements=statements, prime_max=50),
+                        reports.append)
     elapsed = monotonic() - t0
     problems = [f"{r.statement} p={r.p} x={r.x}" for r in summary.failures]
     if summary.total == 0 or summary.passed == 0:
         problems.append("suite ran nothing")
-    for r in summary.reports:
+    for r in reports:
         if r.passed is None and "regime" not in r.skipped_reason:
             problems.append(f"unexpected skip: {r.skipped_reason}")
     if elapsed >= 120:
@@ -126,17 +129,20 @@ def test_criterion_6_regime_and_block_lemmas(capfd):
 
 
 def test_criterion_7_deeper_congruences(capfd):
-    kw = run_suite(SuiteConfig(statements=("kw",)))  # default cap 100
-    sun = run_suite(SuiteConfig(statements=("sun_s",), prime_max=100))
+    kw_reports, sun_reports = [], []
+    kw = run_suite(SuiteConfig(statements=("kw",)),  # default cap 100
+                   kw_reports.append)
+    sun = run_suite(SuiteConfig(statements=("sun_s",), prime_max=100),
+                    sun_reports.append)
     problems = []
     if kw.failed or kw.skipped or kw.total == 0:
         problems.append(f"mod-p^3 run: failed={kw.failed} "
                         f"skipped={kw.skipped} total={kw.total}")
-    if max(r.p for r in kw.reports) != 97:
+    if max(r.p for r in kw_reports) != 97:
         problems.append("mod-p^3 run did not reach its default prime cap")
     if sun.failed or sun.total == 0:
         problems.append(f"companion run: failed={sun.failed}")
-    for r in sun.reports:
+    for r in sun_reports:
         if r.passed is None and "excluded" not in r.skipped_reason:
             problems.append(f"unexpected skip: {r.skipped_reason}")
     _criterion(7, "mod-p^3 sum at -1/2 (p <= 100) and companion mod-p^2 grid",

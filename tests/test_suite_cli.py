@@ -18,9 +18,9 @@ from supercong.identities import identity_suite
 from supercong.sequences import T_MULT
 from supercong.suite import (
     ParseError,
+    ReportWriter,
     STATEMENTS,
     SuiteConfig,
-    emit_report,
     expand_statements,
     parse_config,
     parse_x,
@@ -342,11 +342,12 @@ class TestRunSuite:
     def test_small_clean_run(self):
         cfg = SuiteConfig(statements=("theorem1",), prime_max=50,
                           x_values=(Fraction(0),))
-        summary = run_suite(cfg)
+        reports = []
+        summary = run_suite(cfg, reports.append)
         assert summary.total == len(PRIMES_TO_50)
         assert summary.passed == summary.total
         assert summary.failed == 0 and summary.skipped == 0
-        assert [r.p for r in summary.reports] == list(PRIMES_TO_50)
+        assert [r.p for r in reports] == list(PRIMES_TO_50)
 
     def test_skips_counted(self):
         cfg = SuiteConfig(statements=("sun_s",), prime_min=5, prime_max=13,
@@ -357,9 +358,11 @@ class TestRunSuite:
     def test_injection_fails_every_residue_statement(self):
         cfg = SuiteConfig(statements=("theorem1", "kw"), prime_max=13,
                           x_values=(Fraction(0),), inject_error=True)
-        summary = run_suite(cfg)
+        reports = []
+        summary = run_suite(cfg, reports.append)
         assert summary.failed == summary.total
-        assert all(r.passed is False for r in summary.reports)
+        assert all(r.passed is False for r in reports)
+        assert summary.failures == reports
 
     def test_failure_records_pinpoint(self):
         cfg = SuiteConfig(statements=("theorem1",), prime_max=5,
@@ -397,10 +400,12 @@ class TestRunSuite:
         parallel = SuiteConfig(statements=("theorem1",), prime_max=30,
                                x_values=(Fraction(0), Fraction(1)),
                                parallelism=2)
-        a, b = run_suite(serial), run_suite(parallel)
+        a, b = [], []
+        run_suite(serial, a.append)
+        run_suite(parallel, b.append)
         strip = lambda r: (r.statement, r.p, r.x, r.lhs, r.rhs, r.passed,
                            r.skipped_reason)
-        assert [strip(r) for r in a.reports] == [strip(r) for r in b.reports]
+        assert [strip(r) for r in a] == [strip(r) for r in b]
 
     def test_pool_matches_serial_on_many_statements(self, tmp_path):
         # tables, skips (x = -1/2 for sun_s and the block regime; 2/5 at
@@ -422,9 +427,10 @@ class TestRunSuite:
 
     def test_alias_config(self):
         cfg = SuiteConfig(statements=("conjecture",), prime_max=11)
-        summary = run_suite(cfg)
+        reports = []
+        summary = run_suite(cfg, reports.append)
         assert summary.failed == 0
-        assert {r.statement for r in summary.reports} == {
+        assert {r.statement for r in reports} == {
             "weighted_8n5", "weighted_32n21", "weighted_18n7",
             "weighted_72n49"}
 
@@ -434,12 +440,13 @@ class TestRunSuite:
         # p-integral at some p; the digest is of the JSONL lines without
         # micros, so any change to a residue, a verdict or a skip reason
         # of any record shows here
+        reports = []
         summary = run_suite(SuiteConfig(
             statements=("all",), prime_max=31,
             x_values=tuple(map(Fraction, ("-1/2", "-1/3", "2/5", "3",
-                                          "-7/4")))))
+                                          "-7/4")))), reports.append)
         lines = [json.dumps({k: v for k, v in report_record(r).items()
-                             if k != "micros"}) for r in summary.reports]
+                             if k != "micros"}) for r in reports]
         assert (summary.total, summary.failed, summary.skipped) == (
             552, 0, 108)
         digest = hashlib.sha256(("\n".join(lines) + "\n").encode())
@@ -497,9 +504,11 @@ class TestRunSuite:
         # (p, x) that a check read
         cache.cache_clear()
         builds = _record_calls(monkeypatch, cache, "__wrapped__")
-        summary = run_suite(SuiteConfig(statements=statements, prime_max=17))
+        reports = []
+        summary = run_suite(SuiteConfig(statements=statements, prime_max=17),
+                            reports.append)
         assert summary.failed == 0
-        keys = {(r.p, r.x) for r in summary.reports if r.passed is not None}
+        keys = {(r.p, r.x) for r in reports if r.passed is not None}
         assert len({p for p, _ in keys}) > 1
         assert len(set(builds)) == len(builds)
         assert {(args[0], next(a for a in args[1:] if isinstance(a, Fraction)))
@@ -511,11 +520,13 @@ class TestRunSuite:
         sequences._factorials.cache_clear()
         builds = _record_calls(monkeypatch, sequences._factorials,
                                "__wrapped__")
+        reports = []
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "sun_s", "kw"), prime_min=400,
-            prime_max=450, x_values=(Fraction(-1, 3), Fraction(2, 7))))
+            prime_max=450, x_values=(Fraction(-1, 3), Fraction(2, 7))),
+            reports.append)
         assert summary.failed == 0
-        keys = {(r.p, r.lhs.modulus) for r in summary.reports}
+        keys = {(r.p, r.lhs.modulus) for r in reports}
         assert len(keys) == 18
         assert len(set(builds)) == len(builds) == len(keys)
         assert {(p, p**e) for p, e in builds} == keys
@@ -570,46 +581,64 @@ class TestRunSuite:
 
 
 class TestEmitReport:
-    def _summary(self, **kwargs):
+    @staticmethod
+    def _emit(format, **kwargs):
+        # a run's output in one format: what the CLI prints, line by line
         cfg = SuiteConfig(statements=("theorem1",), prime_max=7,
-                          x_values=(Fraction(0),), **kwargs)
-        return run_suite(cfg)
+                          x_values=(Fraction(0),))
+        for key, value in kwargs.items():
+            setattr(cfg, key, value)
+        lines = []
+        writer = ReportWriter(format, lines.append)
+        writer.finish(run_suite(cfg, writer.record, writer.plan))
+        return "\n".join(lines)
 
     def test_jsonl(self):
-        text = emit_report(self._summary(), "jsonl")
+        text = self._emit("jsonl")
         rows = [json.loads(line) for line in text.splitlines()]
         assert len(rows) == 3 and all(r["pass"] for r in rows)
 
     def test_tap(self):
-        text = emit_report(self._summary(), "tap")
+        text = self._emit("tap")
         lines = text.splitlines()
         assert lines[0] == "1..3"
         assert lines[1] == "ok 1 - theorem1 p=3 x=0"
 
     def test_tap_skip_suffix(self):
-        cfg = SuiteConfig(statements=("sun_s",), prime_min=5, prime_max=5,
-                          x_values=(Fraction(-1, 2),))
-        text = emit_report(run_suite(cfg), "tap")
+        text = self._emit("tap", statements=("sun_s",), prime_min=5,
+                          prime_max=5, x_values=(Fraction(-1, 2),))
         assert "# SKIP" in text.splitlines()[1]
 
     def test_human_pass(self):
-        text = emit_report(self._summary(), "human")
+        text = self._emit("human")
         assert "all checks passed" in text
         assert text.startswith("checks: 3  passed: 3  failed: 0  skipped: 0")
 
     def test_human_failure_detail(self):
-        text = emit_report(self._summary(inject_error=True), "human")
+        text = self._emit("human", inject_error=True)
         assert "FAIL theorem1 p=3 x=0: lhs=" in text
         assert "all checks passed" not in text
 
     def test_empty_summary(self):
-        from supercong.suite import RunSummary
-        assert emit_report(RunSummary(), "tap") == "1..0"
-        assert "all checks passed" not in emit_report(RunSummary(), "human")
+        # a run whose prime range holds no prime
+        assert self._emit("tap", prime_min=4, prime_max=4) == "1..0"
+        assert self._emit("jsonl", prime_min=4, prime_max=4) == ""
+        assert "all checks passed" not in self._emit(
+            "human", prime_min=4, prime_max=4)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            emit_report(self._summary(), "xml")
+            ReportWriter("xml", print)
+
+    def test_summary_keeps_only_failures(self):
+        cfg = SuiteConfig(statements=("theorem1", "sun_s"), prime_min=5,
+                          prime_max=7, x_values=(Fraction(-1, 2),
+                                                 Fraction(0)))
+        reports = []
+        summary = run_suite(cfg, reports.append)
+        assert summary.skipped and summary.passed and not summary.failed
+        assert summary.failures == [] and len(reports) == summary.total
+        assert not hasattr(summary, "reports")
 
 
 class TestIdentitySuiteRunner:
@@ -653,12 +682,15 @@ class TestCli:
             assert r["pass"] is False and r["lhs"] is None
             assert r["skipped_reason"].startswith("internal error:")
 
-    def test_interrupted_run_leaves_a_prefix(self, tmp_path, monkeypatch):
+    def test_interrupted_run_leaves_a_prefix(self, tmp_path, monkeypatch,
+                                             capsys):
+        # in the --out file and on stdout alike
         args = ["verify", "--statement", "theorem1", "--statement",
                 "theorem2", "--statement", "kw", "--pmax", "13",
-                "--x", "0", "--x", "1/3"]
+                "--x", "0", "--x", "1/3", "--format", "jsonl"]
         full = tmp_path / "full.jsonl"
         assert main(args + ["--out", str(full)]) == 0
+        printed = capsys.readouterr().out
         check = cg.theorem2_check
 
         def interrupted(p, x, oracle="off"):
@@ -675,6 +707,8 @@ class TestCli:
         head, whole = _without_micros(text), _without_micros(full.read_text())
         assert 0 < len(head) < len(whole)
         assert head == whole[:len(head)]
+        assert capsys.readouterr().out == text  # the same lines, micros too
+        assert _without_micros(printed) == whole
 
     def test_verify_tap_format(self, capsys):
         assert main(["verify", "--statement", "kw", "--pmax", "5",
@@ -732,7 +766,14 @@ class TestCli:
 
     def test_explicit_empty_prime_range_runs_no_check(self, capsys):
         assert main(["verify", "--pmin", "4", "--pmax", "4"]) == 0
-        assert "checks: 0 " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "checks: 0 " in out and "all checks passed" not in out
+        args = ["verify", "--pmin", "4", "--pmax", "4", "--format"]
+        assert main(args + ["tap"]) == 0
+        assert capsys.readouterr().out == "1..0\n"
+        # jsonl prints no line at all, so every line read back parses
+        assert main(args + ["jsonl"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_zero_denominator_is_a_usage_error(self, tmp_path):
         cfg_file = tmp_path / "suite.cfg"
@@ -837,12 +878,16 @@ class TestCli:
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
 
-    @pytest.mark.parametrize("flags, status", [([], 0),
-                                               (["--inject-error"], 1)])
+    @pytest.mark.parametrize("flags, status", [
+        (["--format", "jsonl"], 0),
+        (["--format", "jsonl", "--inject-error"], 1),
+        (["--format", "tap"], 0)])
     def test_reader_closing_stdout_early(self, flags, status):
+        # lines are printed during the run, and at p <= 41 either format
+        # fills the stdout buffer, so the pipe breaks in the run's middle
         assert _run_with_stdout_closed(
-            "verify", "--statement", "theorem1", "--pmax", "13",
-            "--format", "jsonl", *flags) == status
+            "verify", "--statement", "theorem1", "--pmax", "41",
+            *flags) == status
 
     def test_identities_reader_closing_stdout_early(self):
         assert _run_with_stdout_closed("identities", "--nmax", "6") == 0
