@@ -50,7 +50,6 @@ from itertools import combinations_with_replacement, repeat
 from math import comb
 from operator import add, mul
 from random import Random
-from time import perf_counter_ns
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -167,9 +166,9 @@ class CongruenceReport:
 
 
 def _report(statement: str, p: int, x: Fraction | None, lhs: Residue,
-            rhs: Residue, t0: int) -> CongruenceReport:
-    micros = (perf_counter_ns() - t0) // 1000
-    return CongruenceReport(statement, p, x, lhs, rhs, lhs == rhs, None, micros)
+            rhs: Residue) -> CongruenceReport:
+    """A residue verdict; micros is 0 until suite.run_check times the task."""
+    return CongruenceReport(statement, p, x, lhs, rhs, lhs == rhs, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +453,11 @@ def block_lemma_check(name: str, p: int,
                       x: "RationalLike | PadicRational") -> CongruenceReport:
     """The near or cross block of the plain or (n+1)-weighted decomposition
     mod p^2 against its closed form, by statement id (see BLOCK_LEMMAS)."""
-    t0 = perf_counter_ns()
     weighted, block, closed = BLOCK_LEMMAS[name]
     px, sums = _regime_block_sums(p, x, weighted)
     lhs = Residue(sums[block], p * p)
     rhs = p * closed(px.m) * (px.t if block else 1)
-    return _report(name, p, px.x, lhs, _residue(rhs, p, 2), t0)
+    return _report(name, p, px.x, lhs, _residue(rhs, p, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +489,10 @@ def theorem1_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
 def theorem1_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} t_n(x)^2 mod p^2 against theorem1_rhs."""
-    t0 = perf_counter_ns()
     table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 0, 1)
     return _report("theorem1", p, table.x, lhs,
-                   theorem1_rhs(p, _split(table.x, p)), t0)
+                   theorem1_rhs(p, _split(table.x, p)))
 
 
 def theorem2_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
@@ -514,11 +511,10 @@ def theorem2_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
 def theorem2_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} (n+1) t_n(x)^2 mod p^2 against theorem2_rhs."""
-    t0 = perf_counter_ns()
     table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 1, 1)
     return _report("theorem2", p, table.x, lhs,
-                   theorem2_rhs(p, _split(table.x, p)), t0)
+                   theorem2_rhs(p, _split(table.x, p)))
 
 
 def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
@@ -530,7 +526,6 @@ def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
     (b - a) * [sum t^2]; disagreement there is an internal error, not a
     verification failure, so it raises.
     """
-    t0 = perf_counter_ns()
     mod = p * p
     if isinstance(expected, int):
         expected = Residue(expected, mod)
@@ -544,7 +539,7 @@ def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
     if lhs != a * shifted + (b - a) * plain:
         raise SupercongError(
             f"linear-weight recombination failed at p={p}, x={table.x}")
-    return _report(f"weighted_{a}n{b}", p, table.x, lhs, expected, t0)
+    return _report(f"weighted_{a}n{b}", p, table.x, lhs, expected)
 
 
 # (a, b, x, coefficient c in the expected residue c*p, minimum prime)
@@ -566,19 +561,17 @@ def conjecture_check(name: str, p: int, oracle: str = "off") -> CongruenceReport
 
 def kw_check(p: int, oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} s_n(-1/2)^2 = (-1/p) mod p^3 (note: one power deeper)."""
-    t0 = perf_counter_ns()
     x = Fraction(-1, 2)
     table = s_table_mod(p, 3, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 0, 1)
     rhs = Residue(_minus_one_symbol(p), p**3)
-    return _report("kw", p, x, lhs, rhs, t0)
+    return _report("kw", p, x, lhs, rhs)
 
 
 def sun_s_check(p: int, x: RationalLike,
                 oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} s_n(x)^2 = (-1)^m (p + 2(x-m)) / (2x+1) mod p^2,
     hypotheses p > 3 and 2x != -1 (mod p)."""
-    t0 = perf_counter_ns()
     if p <= 3:
         raise HypothesisViolatedError("stated for p > 3 only")
     px = _as_padic(x, p)
@@ -587,7 +580,7 @@ def sun_s_check(p: int, x: RationalLike,
     table = _table(p, 2, px.x, S_MULT, oracle)
     lhs = _weighted_square_sum(table, 0, 1)
     rhs = _residue(_sign_ratio(px), p, 2)
-    return _report("sun_s", p, px.x, lhs, rhs, t0)
+    return _report("sun_s", p, px.x, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

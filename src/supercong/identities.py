@@ -12,6 +12,7 @@ family on fixed grids of points.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 from random import Random
 from typing import Callable
@@ -33,21 +34,24 @@ def _pair_coeffs(n: int) -> list[int]:
     return [comb(n, k) * comb(n + k, k) for k in range(n + 1)]
 
 
-def lemma22_double_sum(n: int) -> Fraction:
-    """sum_{k,l<=n} C(n,k)C(n+k,k)C(n,l)C(n+l,l) (-2)^{k+l} / ((k+l+1) C(k+l,k)).
-
-    Equals (-1)^n / (2n+1).
-    """
+def _double_sum(n: int, kernel_den: Callable[[int, int], int]) -> Fraction:
+    """sum_{k,l<=n} C(n,k)C(n+k,k)C(n,l)C(n+l,l) (-2)^{k+l} / kernel_den(k,l)."""
     if n < 0:
         raise ValueError("requires n >= 0")
     c = _pair_coeffs(n)
     total = Fraction(0)
     for k in range(n + 1):
         for l in range(n + 1):
-            total += c[k] * c[l] * Fraction(
-                (-2) ** (k + l), (k + l + 1) * comb(k + l, k)
-            )
+            total += c[k] * c[l] * Fraction((-2) ** (k + l), kernel_den(k, l))
     return total
+
+
+def lemma22_double_sum(n: int) -> Fraction:
+    """sum_{k,l<=n} C(n,k)C(n+k,k)C(n,l)C(n+l,l) (-2)^{k+l} / ((k+l+1) C(k+l,k)).
+
+    Equals (-1)^n / (2n+1).
+    """
+    return _double_sum(n, lambda k, l: (k + l + 1) * comb(k + l, k))
 
 
 def lemma32_double_sum(n: int) -> Fraction:
@@ -55,16 +59,7 @@ def lemma32_double_sum(n: int) -> Fraction:
 
     Equals 1/4 - (-1)^n (2n^2+2n-1) / (8n+4).
     """
-    if n < 0:
-        raise ValueError("requires n >= 0")
-    c = _pair_coeffs(n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        for l in range(n + 1):
-            total += c[k] * c[l] * Fraction(
-                (-2) ** (k + l), comb(k + l + 2, k + 1)
-            )
-    return total
+    return _double_sum(n, lambda k, l: comb(k + l + 2, k + 1))
 
 
 def pfd_sides(n: int, x: RationalLike) -> tuple[Fraction, Fraction]:
@@ -117,19 +112,29 @@ def pfaff_derivative_check(n: int, z: RationalLike) -> bool:
     return lhs == rhs
 
 
+def _inner_sum(k: int, l: int, shift: int,
+               coeff: Callable[[int], int]) -> Fraction:
+    """sum_{n=0}^{k+l} coeff(n) / (n+shift) * C(n,l) C(l,n-k), k, l >= 0."""
+    if k < 0 or l < 0:
+        raise ValueError("requires k, l >= 0")
+    total = Fraction(0)
+    for n in range(l, k + l + 1):  # C(n,l) = 0 for n < l
+        c = coeff(n) * comb(n, l) * binom_int(l, n - k)
+        if c:
+            total += Fraction(c, n + shift)
+    return total
+
+
+def _alternating(n: int) -> int:
+    return (-1) ** n
+
+
 def liu22_sum(k: int, l: int) -> Fraction:
     """sum_{n=0}^{k+l} (-1)^n / (n+1) * C(n,l) C(l,n-k).
 
     Equals (-1)^{l+k} / ((l+k+1) C(l+k,l)).
     """
-    if k < 0 or l < 0:
-        raise ValueError("requires k, l >= 0")
-    total = Fraction(0)
-    for n in range(k + l + 1):
-        c = comb(n, l) * binom_int(l, n - k) if n >= l else 0
-        if c:
-            total += Fraction((-1) ** n * c, n + 1)
-    return total
+    return _inner_sum(k, l, 1, _alternating)
 
 
 def liu22_closed(k: int, l: int) -> Fraction:
@@ -141,18 +146,30 @@ def lemma31_sum(k: int, l: int) -> Fraction:
 
     Equals (-1)^{l+k} / C(k+l+2, l+1).
     """
-    if k < 0 or l < 0:
-        raise ValueError("requires k, l >= 0")
-    total = Fraction(0)
-    for n in range(k + l + 1):
-        c = comb(n, l) * binom_int(l, n - k) if n >= l else 0
-        if c:
-            total += Fraction((-1) ** n * c, n + 2)
-    return total
+    return _inner_sum(k, l, 2, _alternating)
 
 
 def lemma31_closed(k: int, l: int) -> Fraction:
     return Fraction((-1) ** (l + k), comb(k + l + 2, l + 1))
+
+
+def _convolution(N: int, k: int, l: int,
+                 shift: int) -> tuple[Fraction, Fraction]:
+    """Both sides of the convolution with weight C(n+shift-1, n), which is 1
+    at shift 1 and n+1 at shift 2:
+
+    sum_{n=0}^{N-1} C(n+shift-1, n) C(n,k) C(n,l)
+        == shift C(N+shift-1, shift)
+           * sum_{n=0}^{k+l} 1/(n+shift) * C(n,l) C(l,n-k) C(N-1,n),
+
+    where shift C(N+shift-1, shift) is N at shift 1 and N(N+1) at shift 2.
+    """
+    if N < 1:
+        raise ValueError("requires N >= 1")
+    rhs = _inner_sum(k, l, shift, partial(binom_int, N - 1))
+    lhs = sum(comb(n + shift - 1, n) * comb(n, k) * comb(n, l)
+              for n in range(N))
+    return Fraction(lhs), shift * comb(N + shift - 1, shift) * rhs
 
 
 def binom_conv_sum(N: int, k: int, l: int) -> tuple[Fraction, Fraction]:
@@ -163,17 +180,7 @@ def binom_conv_sum(N: int, k: int, l: int) -> tuple[Fraction, Fraction]:
 
     Returns (lhs, rhs) so callers can assert equality themselves.
     """
-    if N < 1:
-        raise ValueError("requires N >= 1")
-    if k < 0 or l < 0:
-        raise ValueError("requires k, l >= 0")
-    lhs = Fraction(sum(comb(n, k) * comb(n, l) for n in range(N)))
-    rhs = Fraction(0)
-    for n in range(k + l + 1):
-        c = comb(n, l) * binom_int(l, n - k) * binom_int(N - 1, n)
-        if c:
-            rhs += Fraction(c, n + 1)
-    return lhs, N * rhs
+    return _convolution(N, k, l, 1)
 
 
 def weighted_binom_conv_sum(N: int, k: int, l: int) -> tuple[Fraction, Fraction]:
@@ -182,17 +189,7 @@ def weighted_binom_conv_sum(N: int, k: int, l: int) -> tuple[Fraction, Fraction]
     sum_{n=0}^{N-1} (n+1) C(n,k) C(n,l)
         == N(N+1) * sum_{n=0}^{k+l} 1/(n+2) * C(n,l) C(l,n-k) C(N-1,n).
     """
-    if N < 1:
-        raise ValueError("requires N >= 1")
-    if k < 0 or l < 0:
-        raise ValueError("requires k, l >= 0")
-    lhs = Fraction(sum((n + 1) * comb(n, k) * comb(n, l) for n in range(N)))
-    rhs = Fraction(0)
-    for n in range(k + l + 1):
-        c = comb(n, l) * binom_int(l, n - k) * binom_int(N - 1, n)
-        if c:
-            rhs += Fraction(c, n + 2)
-    return lhs, N * (N + 1) * rhs
+    return _convolution(N, k, l, 2)
 
 
 # ---------------------------------------------------------------------------

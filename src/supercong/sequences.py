@@ -13,10 +13,11 @@ C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
 (of order 2 when c = 1; at N = 1, 2 the terms before f_0 have coefficient
 0, so they need no start value).  A table needs rows N < p only, so the one
 division, by N^2, is by a unit mod p^e, read from the basis: the whole
-table is one loop of small-integer steps mod p^e (_table_values).  Both
-keep the entries of the latest prime only (_per_prime), as do the memos of
-`congruences`: a run computes prime by prime.  The pair weight
-w_k = C(x,k) C(x+k,k) c^k is the running product of c (x-k+1)(x+k) times
+table is one loop of small-integer steps mod p^e (_table_values), and
+_table keeps it with its audit, so each table is audited once per oracle
+mode.  All three keep the entries of the latest prime only (_per_prime),
+as do the memos of `congruences`: a run computes prime by prime.  The pair
+weight w_k = C(x,k) C(x+k,k) c^k is the running product of c (x-k+1)(x+k) times
 (1/k!)^2 from the basis; `congruences` turns masked weights into its
 block sums by binomial transforms, and reads the same basis for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
@@ -299,9 +300,12 @@ def _build_table(p: int, e: int, x: RationalLike, mult: int,
     return _table(p, e, to_fraction(x), mult, oracle)
 
 
+# audited tables: a table read by several statements is audited once
+@_per_prime
 def _table(p: int, e: int, x: Fraction, mult: int,
            oracle: str) -> SequenceTable:
-    """_build_table for p and e already validated."""
+    """_build_table for p and e already validated.  A failed audit raises
+    before the memo stores the table, so each reader meets the mismatch."""
     values = _table_values(p, e, x, mult)
     if oracle != "off":
         _audit_table(p, e, x, mult, values, oracle)

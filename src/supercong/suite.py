@@ -269,26 +269,6 @@ class RunSummary:
             self.failures.append(report)
 
 
-def _dispatch(sid: str, p: int, x: Optional[Fraction],
-              oracle: str) -> CongruenceReport:
-    spec = STATEMENTS[sid]
-    if p < spec.min_p:
-        raise HypothesisViolatedError(f"{sid} requires p >= {spec.min_p}")
-    arg = x
-    if spec.reflects:
-        # the split validates p once; the check takes it as it is
-        arg = cg.padic_split(x, p)
-        if arg.m > (p - 1) // 2:
-            arg = arg.reflect()
-        x = arg.x
-    t0 = perf_counter_ns()
-    result = spec.check(p, arg, oracle)
-    if isinstance(result, CongruenceReport):
-        return result
-    micros = (perf_counter_ns() - t0) // 1000
-    return CongruenceReport(sid, p, x, None, None, result, None, micros)
-
-
 def run_check(sid: str, p: int, x: Optional[Fraction] = None,
               oracle: str = "off", inject_error: bool = False) -> CongruenceReport:
     """One task: dispatch, convert hypothesis failures to skips, and apply
@@ -297,28 +277,42 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
     Any other exception is a fault of the program, not a result about the
     maths: it becomes a failing record whose reason starts with
     INTERNAL_ERROR, and its traceback goes to stderr, so a run goes on and
-    its log stays complete.
+    its log stays complete.  micros is the wall time of the whole task,
+    measured here for every kind of record.
     """
     t0 = perf_counter_ns()
     try:
-        report = _dispatch(sid, p, x, oracle)
+        spec = STATEMENTS[sid]
+        if p < spec.min_p:
+            raise HypothesisViolatedError(f"{sid} requires p >= {spec.min_p}")
+        arg = x
+        if spec.reflects:
+            # the split validates p once; the check takes it as it is
+            arg = cg.padic_split(x, p)
+            if arg.m > (p - 1) // 2:
+                arg = arg.reflect()
+        result = spec.check(p, arg, oracle)
     except (HypothesisViolatedError, NonPIntegralError, RegimeError) as e:
-        passed, reason = None, str(e)
+        result, reason = None, str(e)
     except OracleMismatchError as e:
-        passed, reason = False, f"oracle mismatch: {e}"
+        result, reason = False, f"oracle mismatch: {e}"
     except Exception as e:
         import traceback  # only a fault needs it; verify starts without it
         traceback.print_exc(file=sys.stderr)
-        passed, reason = False, f"{INTERNAL_ERROR} {type(e).__name__}: {e}"
+        result, reason = False, f"{INTERNAL_ERROR} {type(e).__name__}: {e}"
     else:
-        if inject_error and report.rhs is not None:
-            bumped = Residue(report.rhs.value + p, report.rhs.modulus)
-            report = CongruenceReport(report.statement, report.p, report.x,
-                                      report.lhs, bumped, report.lhs == bumped,
-                                      report.skipped_reason, report.micros)
-        return report
-    micros = (perf_counter_ns() - t0) // 1000
-    return CongruenceReport(sid, p, x, None, None, passed, reason, micros)
+        reason = None
+        if spec.reflects:
+            x = arg.x  # a structural verdict shows the x it was checked at
+    if not isinstance(result, CongruenceReport):  # a verdict, a skip, a fault
+        result = CongruenceReport(sid, p, x, None, None, result, reason, 0)
+    elif inject_error and result.rhs is not None:
+        bumped = Residue(result.rhs.value + p, result.rhs.modulus)
+        result = CongruenceReport(result.statement, result.p, result.x,
+                                  result.lhs, bumped, result.lhs == bumped,
+                                  result.skipped_reason, 0)
+    result.micros = (perf_counter_ns() - t0) // 1000
+    return result
 
 
 Task = tuple[str, int, Optional[Fraction], str, bool]  # run_check's arguments

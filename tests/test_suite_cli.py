@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,6 +295,33 @@ class TestRunCheck:
                 "up to the t table")
         assert "Traceback" in capsys.readouterr().err
 
+    def test_micros_times_the_whole_task(self, monkeypatch, capsys):
+        # one timing site around the dispatch, for every kind of record:
+        # each check here first sleeps 2 ms, and its record covers that
+        direct = cg.theorem1_check(7, Fraction(1))
+
+        def slowed(name, real):
+            def check(*args, **kwargs):
+                time.sleep(0.002)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cg, name, check)
+
+        slowed("theorem1_check", cg.theorem1_check)
+        slowed("block_vanishing_check", cg.block_vanishing_check)
+        slowed("sun_s_check", cg.sun_s_check)
+        slowed("kw_check", _raise(RuntimeError("planted"))(None))
+        reports = [run_check("theorem1", 7, Fraction(1)),  # residue
+                   run_check("blocks", 7, Fraction(-1, 3)),  # structural
+                   run_check("sun_s", 7, Fraction(-1, 2)),  # skip
+                   run_check("kw", 7)]  # fault
+        assert [r.passed for r in reports] == [True, True, None, False]
+        assert reports[3].skipped_reason.startswith("internal error:")
+        for r in reports:
+            assert type(r.micros) is int and r.micros >= 2000
+        # a report from a direct library call is not timed
+        assert direct.passed is True and direct.micros == 0
+        assert "planted" in capsys.readouterr().err
+
     def test_every_statement_dispatches(self):
         for sid, spec in STATEMENTS.items():
             p = max(5, spec.min_p)
@@ -472,6 +500,7 @@ class TestRunSuite:
         memos = self._memos()
         assert set(memos) == {"sequences._factorials",
                               "sequences._table_values",
+                              "sequences._table",
                               "congruences._block_sums_mod",
                               "congruences._cross_blocks_exact"}
         # and no other cache: nothing in the package sizes one
@@ -490,6 +519,23 @@ class TestRunSuite:
         assert summary.failed == 0
         for name, fn in memos.items():
             assert fn.hits > 0, name
+
+    def test_spot_oracle_audits_each_table_once(self, monkeypatch):
+        # theorem2 and weighted_8n5 read theorem1's t tables; each distinct
+        # table re-derives its spot rows exactly once
+        sequences._table.cache_clear()
+        rows = _record_calls(monkeypatch, sequences, "_row_exact")
+        reports = []
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "theorem2", "weighted_8n5"),
+            prime_min=53, prime_max=71, oracle_mode="spot"), reports.append)
+        assert summary.failed == 0
+        tables = {(r.p, r.x) for r in reports}
+        assert len(tables) < summary.total  # tables are shared
+        expected = [(n, x, T_MULT) for p, x in tables
+                    for n in sequences._oracle_rows(p, 2, x, T_MULT, "spot")]
+        assert len(rows) == 5 * len(tables)
+        assert sorted(rows) == sorted(expected)
 
     @pytest.mark.parametrize("statements, cache", [
         (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
@@ -681,6 +727,30 @@ class TestCli:
                                "pass", "skipped_reason", "micros"]
             assert r["pass"] is False and r["lhs"] is None
             assert r["skipped_reason"].startswith("internal error:")
+
+    def test_oracle_mismatch_fails_every_reader(self, tmp_path, monkeypatch):
+        # a table that fails its audit is not kept, so each statement that
+        # reads it records the mismatch for itself
+        sequences._table.cache_clear()
+        real = sequences._row_exact
+
+        def off_by_one(n, x, mult):
+            num, den = real(n, x, mult)
+            return num + den, den
+
+        monkeypatch.setattr(sequences, "_row_exact", off_by_one)
+        out = tmp_path / "run.jsonl"
+        code = main(["verify", "--statement", "theorem1", "--statement",
+                     "theorem2", "--statement", "weighted_8n5", "--pmin",
+                     "53", "--pmax", "71", "--oracle", "spot", "--format",
+                     "jsonl", "--out", str(out)])
+        assert code == 1
+        rows = [json.loads(s) for s in out.read_text().splitlines()]
+        assert {r["statement"] for r in rows} == {"theorem1", "theorem2",
+                                                  "weighted_8n5"}
+        for r in rows:
+            assert r["pass"] is False and r["lhs"] is None
+            assert r["skipped_reason"].startswith("oracle mismatch: ")
 
     def test_interrupted_run_leaves_a_prefix(self, tmp_path, monkeypatch,
                                              capsys):
