@@ -3,8 +3,9 @@
 Two subcommands: `verify` runs congruence statements over prime ranges and
 argument grids (configured by file and/or flags), `identities` runs the
 exact identity battery.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 configuration or usage error, 3 at least one check hit a
-fault of the program (an `internal error:` record).
+check failed, 2 configuration or usage error, 3 a fault of the program: at
+least one check hit one (an `internal error:` record), or the run crashed
+outside any check (a lost pool worker, say), its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -144,7 +145,12 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     command = _cmd_verify if args.command == "verify" else _cmd_identities
-    status = command(args)
+    try:
+        status = command(args)
+    except Exception:  # a crash of the program, not a result about the maths
+        import traceback  # only a crash needs it; verify starts without it
+        traceback.print_exc(file=sys.stderr)
+        status = EXIT_INTERNAL
     _to_reader(sys.stdout.flush)  # lines are printed unflushed, as they come
     return status
 

@@ -16,8 +16,8 @@ O(p) work per distinct product A_K A_L (six; a mirrored block reads its
 twin).  Both splits read the same transforms, so one entry per (p, x)
 holds the nine sums of each and the transforms are not kept
 (_block_sums_mod).  The three transforms must add up to the t table, which
-`sequences` builds by its recurrence in n, another route (_table_values,
-which the table statements share); a break is a program fault and raises.
+`sequences` builds by its recurrence in n, another route (_table, which
+the table statements share); a break is a program fault and raises.
 The two cross blocks are additionally compared as exact rationals for
 p <= 50, each as its own ordered sum of P(k,l) = sum_n C(n,l) C(l,n-k) d_n
 over its cells, one column l at a time, with the sum over its rows
@@ -25,11 +25,6 @@ carried from l-1 to l by Pascal's rule; their equality is claimed exactly,
 not just mod p^2.  One pass per (p, x) sums the cross blocks of both splits
 (_cross_blocks_exact).  Both entries are memos of one prime at a time
 (sequences._per_prime), so a prime group builds each once.
-
-Each public check validates p once, through padic_split or the table it
-builds (sun_s_check decides its exclusion by padic_split, then builds its
-table by sequences._table), and passes p on to helpers that take it as
-given: reduce_ratio, not mod_reduce, and (-1/p) from p mod 4, not legendre.
 
 Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2; the literal
 exact-rational route (lemma21_check) is its oracle, with the exact pair
@@ -60,6 +55,8 @@ from .core import (
     Residue,
     SupercongError,
     harmonic,
+    legendre,
+    mod_reduce,
     reduce_ratio,
     require_odd_prime,
     to_fraction,
@@ -74,7 +71,6 @@ from .sequences import (
     _pair_weights_mod,
     _per_prime,
     _table,
-    _table_values,
     _x_mod,
     s_table_mod,
     t_table_mod,
@@ -90,41 +86,24 @@ class PadicRational(NamedTuple):
     t: Fraction
 
     def t_mod(self, e: int = 1) -> Residue:
-        return _residue(self.t, self.p, e)
+        return mod_reduce(self.t, self.p, e)
 
     def reflect(self) -> "PadicRational":
         """The split of -1-x; maps m to p-1-m and preserves p-integrality."""
-        return _split(-1 - self.x, self.p)
+        return padic_split(-1 - self.x, self.p)
 
 
-def padic_split(x: RationalLike, p: int) -> PadicRational:
-    """Split a p-integral rational as x = m + p*t, m the least residue."""
-    require_odd_prime(p)
-    return _split(to_fraction(x), p)
-
-
-def _split(x: Fraction, p: int) -> PadicRational:
-    """padic_split for a p already validated."""
-    m = _x_mod(p, 1, x)
-    return PadicRational(x, p, m, (x - m) / p)
-
-
-def _as_padic(x: "RationalLike | PadicRational", p: int) -> PadicRational:
+def padic_split(x: "RationalLike | PadicRational", p: int) -> PadicRational:
+    """Split a p-integral rational as x = m + p*t, m the least residue; a
+    split at p is returned as it is."""
     if isinstance(x, PadicRational):
         if x.p != p:
             raise ValueError(f"PadicRational was split at p={x.p}, not {p}")
         return x
-    return padic_split(x, p)
-
-
-def _residue(q: Fraction, p: int, e: int) -> Residue:
-    """A p-integral rational mod p^e."""
-    return Residue(reduce_ratio(q.numerator, q.denominator, p, e), p**e)
-
-
-def _minus_one_symbol(p: int) -> int:
-    """The Legendre symbol (-1/p): 1 when p = 1 (mod 4), else -1."""
-    return 1 if p % 4 == 1 else -1
+    require_odd_prime(p)
+    x = to_fraction(x)
+    m = _x_mod(p, 1, x)
+    return PadicRational(x, p, m, (x - m) / p)
 
 
 def residue_table_check(p: int) -> bool:
@@ -197,7 +176,7 @@ def _lemma21_exact(px: PadicRational,
             rhs_exact = Fraction(sign * comb(m + k, k),
                                  (k - m) * comb(k, m)) * p * t
         sides.append((reduce_ratio(num[k], den, p, 2),
-                      _residue(rhs_exact, p, 2).value))
+                      mod_reduce(rhs_exact, p, 2).value))
     return sides
 
 
@@ -213,7 +192,7 @@ def lemma21_check(p: int, x: "RationalLike | PadicRational", k: int) -> bool:
     (the exact pair weights, the regime formula in Fractions) and reduced
     mod p^2 only at the end, so it is the oracle for lemma21_all.
     """
-    px = _as_padic(x, p)
+    px = padic_split(x, p)
     _require_half_regime(px)
     if not 0 <= k <= p - 1:
         raise ValueError(f"k = {k} outside [0, {p - 1}]")
@@ -257,7 +236,7 @@ def lemma21_all(p: int, x: "RationalLike | PadicRational",
     lemma21_check; 'full' at every k.  A disagreement raises
     OracleMismatchError.
     """
-    px = _as_padic(x, p)
+    px = padic_split(x, p)
     _require_half_regime(px)
     lhs, rhs = _lemma21_sides(px)
     if oracle != "off":
@@ -329,7 +308,7 @@ def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
                for K in _block_ranges(p, _x_mod(p, 1, x))])
     mod = p * p
     if any((a + b + c) % mod != t for a, b, c, t in
-           zip(*parts, _table_values(p, 2, x, T_MULT))):
+           zip(*parts, _table(p, 2, x, T_MULT, "off").values)):
         raise SupercongError(
             f"block transforms do not add up to the t table at p={p}, x={x}")
     sums = {}  # (K, L) -> both sums of A_K A_L, the mirrored cell its twin
@@ -396,13 +375,11 @@ def _regime_block_sums(p: int, x: "RationalLike | PadicRational",
 
     The block statements need m < (p-1)/2.  Reflection x -> -1-x maps m
     to p-1-m, so m = (p-1)/2 stays put and is a skip, not a fault."""
-    px = _as_padic(x, p)
+    px = padic_split(x, p)
     if px.m == (p - 1) // 2:
         raise RegimeError(
             "m = (p-1)/2 for both x and -1-x; outside the stated regime")
-    if px.m > (p - 1) // 2:
-        raise RegimeError(f"m = {px.m} > (p-1)/2 at p = {p}; "
-                          "reflect x to -1-x first")
+    _require_half_regime(px)
     sums = _block_sums_mod(p, px.x)
     return px, sums[9:] if weighted else sums[:9]
 
@@ -457,7 +434,7 @@ def block_lemma_check(name: str, p: int,
     px, sums = _regime_block_sums(p, x, weighted)
     lhs = Residue(sums[block], p * p)
     rhs = p * closed(px.m) * (px.t if block else 1)
-    return _report(name, p, px.x, lhs, _residue(rhs, p, 2))
+    return _report(name, p, px.x, lhs, mod_reduce(rhs, p, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +457,10 @@ def _sign_ratio(px: PadicRational) -> Fraction:
 def theorem1_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
     """Closed form for sum t_n(x)^2 mod p^2: the Legendre symbol (-1/p)
     when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1)."""
-    px = _as_padic(x, p)
+    px = padic_split(x, p)
     if 2 * px.m + 1 == p:
-        return Residue(_minus_one_symbol(p), p * p)
-    return _residue(_sign_ratio(px), p, 2)
+        return Residue(legendre(-1, p), p * p)
+    return mod_reduce(_sign_ratio(px), p, 2)
 
 
 def theorem1_check(p: int, x: RationalLike,
@@ -491,21 +468,20 @@ def theorem1_check(p: int, x: RationalLike,
     """sum_{n<p} t_n(x)^2 mod p^2 against theorem1_rhs."""
     table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 0, 1)
-    return _report("theorem1", p, table.x, lhs,
-                   theorem1_rhs(p, _split(table.x, p)))
+    return _report("theorem1", p, table.x, lhs, theorem1_rhs(p, table.x))
 
 
 def theorem2_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
     """Closed form for sum (n+1) t_n(x)^2 mod p^2:
     p/4 + (3/8)(-1/p) when 2x = -1 (mod p), else
     p/4 - (-1)^m (2x^2 + 2x - 1)(p + 2(x-m)) / (8x+4)."""
-    px = _as_padic(x, p)
+    px = padic_split(x, p)
     if 2 * px.m + 1 == p:
-        val = Fraction(p, 4) + Fraction(3, 8) * _minus_one_symbol(p)
+        val = Fraction(p, 4) + Fraction(3, 8) * legendre(-1, p)
     else:
         val = Fraction(p, 4) - (
             (2 * px.x * px.x + 2 * px.x - 1) / 4 * _sign_ratio(px))
-    return _residue(val, p, 2)
+    return mod_reduce(val, p, 2)
 
 
 def theorem2_check(p: int, x: RationalLike,
@@ -513,8 +489,7 @@ def theorem2_check(p: int, x: RationalLike,
     """sum_{n<p} (n+1) t_n(x)^2 mod p^2 against theorem2_rhs."""
     table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 1, 1)
-    return _report("theorem2", p, table.x, lhs,
-                   theorem2_rhs(p, _split(table.x, p)))
+    return _report("theorem2", p, table.x, lhs, theorem2_rhs(p, table.x))
 
 
 def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
@@ -564,7 +539,7 @@ def kw_check(p: int, oracle: str = "off") -> CongruenceReport:
     x = Fraction(-1, 2)
     table = s_table_mod(p, 3, x, oracle=oracle)
     lhs = _weighted_square_sum(table, 0, 1)
-    rhs = Residue(_minus_one_symbol(p), p**3)
+    rhs = Residue(legendre(-1, p), p**3)
     return _report("kw", p, x, lhs, rhs)
 
 
@@ -574,12 +549,12 @@ def sun_s_check(p: int, x: RationalLike,
     hypotheses p > 3 and 2x != -1 (mod p)."""
     if p <= 3:
         raise HypothesisViolatedError("stated for p > 3 only")
-    px = _as_padic(x, p)
+    px = padic_split(x, p)
     if 2 * px.m + 1 == p:
         raise HypothesisViolatedError("2x = -1 (mod p) is excluded")
     table = _table(p, 2, px.x, S_MULT, oracle)
     lhs = _weighted_square_sum(table, 0, 1)
-    rhs = _residue(_sign_ratio(px), p, 2)
+    rhs = mod_reduce(_sign_ratio(px), p, 2)
     return _report("sun_s", p, px.x, lhs, rhs)
 
 

@@ -15,7 +15,7 @@ C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
 division, by N^2, is by a unit mod p^e, read from the basis: the whole
 table is one loop of small-integer steps mod p^e (_table_values), and
 _table keeps it with its audit, so each table is audited once per oracle
-mode.  All three keep the entries of the latest prime only (_per_prime),
+mode.  Both keep the entries of the latest prime only (_per_prime),
 as do the memos of `congruences`: a run computes prime by prime.  The pair
 weight w_k = C(x,k) C(x+k,k) c^k is the running product of c (x-k+1)(x+k) times
 (1/k!)^2 from the basis; `congruences` turns masked weights into its
@@ -244,8 +244,6 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
     return tuple(w)
 
 
-# t tables: shared by theorem1, theorem2, weighted_* and the block check
-@_per_prime
 def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e, by the recurrence in n of the module
     docstring: f_N from f_{N-1}, f_{N-2}, f_{N-3} and the unit 1/N^2."""
@@ -300,7 +298,8 @@ def _build_table(p: int, e: int, x: RationalLike, mult: int,
     return _table(p, e, to_fraction(x), mult, oracle)
 
 
-# audited tables: a table read by several statements is audited once
+# audited tables, shared by theorem1, theorem2, weighted_* and the block
+# check: a table read by several statements is built and audited once
 @_per_prime
 def _table(p: int, e: int, x: Fraction, mult: int,
            oracle: str) -> SequenceTable:

@@ -287,7 +287,6 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
             raise HypothesisViolatedError(f"{sid} requires p >= {spec.min_p}")
         arg = x
         if spec.reflects:
-            # the split validates p once; the check takes it as it is
             arg = cg.padic_split(x, p)
             if arg.m > (p - 1) // 2:
                 arg = arg.reflect()
@@ -449,8 +448,8 @@ def run_suite(cfg: SuiteConfig,
         work = [tasks for _, tasks in groups]
         if cfg.parallelism > 1 and len(work) > 1:
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=cfg.parallelism))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(cfg.parallelism, len(work))))
             results = pool.map(_run_group, work)
         else:
             results = map(_run_group, work)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supercong import congruences as cg, core
+from supercong import congruences as cg
 from supercong.congruences import (
     BLOCK_LEMMAS,
     CONJECTURE_CASES,
@@ -111,8 +111,49 @@ class TestPadicSplit:
             padic_split(Fraction(1, 5), 5)
         with pytest.raises(ValueError):
             padic_split(1, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^PadicRational was split at p=5, not 7$"):
             theorem1_rhs(7, padic_split(0, 5))
+
+    def test_a_split_at_p_passes_through(self):
+        px = padic_split(Fraction(-1, 3), 7)
+        assert padic_split(px, 7) is px
+
+
+# every public check and split, called as f(p, x); True when it takes an x
+PUBLIC_ENTRIES = {
+    "padic_split": (lambda p, x: padic_split(x, p), True),
+    "default_x_grid": (lambda p, x: default_x_grid(p), False),
+    "residue_table_check": (lambda p, x: residue_table_check(p), False),
+    "lemma21_check": (lambda p, x: lemma21_check(p, x, 0), True),
+    "lemma21_all": (lemma21_all, True),
+    "block_vanishing_check": (block_vanishing_check, True),
+    "block_sums": (block_sums, True),
+    "block_lemma_check": (
+        lambda p, x: block_lemma_check("lemma23", p, x), True),
+    "theorem1_rhs": (theorem1_rhs, True),
+    "theorem1_check": (theorem1_check, True),
+    "theorem2_rhs": (theorem2_rhs, True),
+    "theorem2_check": (theorem2_check, True),
+    "weighted_sum_check": (
+        lambda p, x: weighted_sum_check(p, 8, 5, x, 0), True),
+    "conjecture_check": (
+        lambda p, x: conjecture_check("weighted_8n5", p), False),
+    "kw_check": (lambda p, x: kw_check(p), False),
+    "sun_s_check": (sun_s_check, True),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_ENTRIES)
+def test_public_entry_validates_its_input(name):
+    # each entry refuses a composite p and a non-p-integral x by itself
+    call, takes_x = PUBLIC_ENTRIES[name]
+    with pytest.raises(ValueError, match=r"^p = 9 is not an odd prime$"):
+        call(9, Fraction(2, 5))
+    if takes_x:
+        with pytest.raises(NonPIntegralError,
+                           match=r"^1/13 is not 13-integral$"):
+            call(13, Fraction(1, 13))
 
 
 class TestResidueCaseTable:
@@ -537,13 +578,7 @@ class TestDeeperCongruences:
         with pytest.raises(HypothesisViolatedError):
             sun_s_check(7, Fraction(-1, 2) + 7)
 
-    def test_sun_validates_p_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(core, "is_prime",
-                            lambda n, f=core.is_prime: calls.append(n) or f(n))
-        assert sun_s_check(13, Fraction(2, 5)).passed
-        assert calls == [13]
-        # and every input it refuses still raises what it did
+    def test_sun_refusals(self):
         with pytest.raises(ValueError, match=r"^p = 9 is not an odd prime$"):
             sun_s_check(9, 1)
         with pytest.raises(NonPIntegralError,

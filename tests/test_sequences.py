@@ -13,6 +13,7 @@ from supercong.sequences import (
     _factorials,
     _oracle_rows,
     _row_exact,
+    _table,
     _table_values,
     j2,
     pfaff_check,
@@ -141,7 +142,7 @@ class TestTables:
         # and several x in turn: a basis cached under the wrong key would
         # feed one modulus's factorials into another's table
         _factorials.cache_clear()
-        _table_values.cache_clear()
+        _table.cache_clear()
         xs = (Fraction(-1, 3), Fraction(2, 5), Fraction(7))
         for p, e in ((11, 2), (11, 3), (13, 2), (11, 2)):
             for x in xs:

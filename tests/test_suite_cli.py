@@ -48,6 +48,32 @@ def _record_calls(monkeypatch, module, name: str) -> list[tuple]:
     return calls
 
 
+def _inline_pool(monkeypatch, fault: "Exception | None" = None) -> list[int]:
+    """Replace ProcessPoolExecutor for one test by a pool that runs every
+    group in this process, or raises fault; the list gains the max_workers
+    of each pool built."""
+    import concurrent.futures
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, work):
+            if fault is not None:
+                raise fault
+            return map(fn, work)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
 def _without_micros(jsonl: str) -> list[dict]:
     return [{k: v for k, v in json.loads(line).items() if k != "micros"}
             for line in jsonl.splitlines()]
@@ -435,6 +461,17 @@ class TestRunSuite:
                            r.skipped_reason)
         assert [strip(r) for r in a] == [strip(r) for r in b]
 
+    @pytest.mark.parametrize("jobs, pmax, workers", [(4, 5, 2), (3, 11, 3)])
+    def test_pool_has_no_more_workers_than_prime_groups(self, monkeypatch,
+                                                        jobs, pmax, workers):
+        # a pool forks all its workers at once, however few groups there are
+        sizes = _inline_pool(monkeypatch)
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1",), prime_max=pmax,
+            x_values=(Fraction(1),), parallelism=jobs))
+        assert summary.passed == summary.total > 1
+        assert sizes == [workers]
+
     def test_pool_matches_serial_on_many_statements(self, tmp_path):
         # tables, skips (x = -1/2 for sun_s and the block regime; 2/5 at
         # p = 5), reflections and structural verdicts, from workers that
@@ -499,7 +536,6 @@ class TestRunSuite:
     def test_every_cache_is_hit(self):
         memos = self._memos()
         assert set(memos) == {"sequences._factorials",
-                              "sequences._table_values",
                               "sequences._table",
                               "congruences._block_sums_mod",
                               "congruences._cross_blocks_exact"}
@@ -541,7 +577,7 @@ class TestRunSuite:
         (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
           "blocks_weighted"), cg._block_sums_mod),
         (("blocks", "blocks_weighted"), cg._cross_blocks_exact),
-        (("theorem1", "theorem2", "weighted_8n5"), sequences._table_values),
+        (("theorem1", "theorem2", "weighted_8n5"), sequences._table),
     ], ids=["blocks", "cross", "tables"])
     def test_cache_spans_one_prime_group(self, monkeypatch, statements,
                                          cache):
@@ -594,7 +630,7 @@ class TestRunSuite:
     def test_one_prime_builds_each_t_table_once(self, monkeypatch):
         # 80 x at one prime: each t table reduces its x once
         builds = _record_calls(monkeypatch, sequences, "_x_mod")
-        sequences._table_values.cache_clear()
+        sequences._table.cache_clear()
         xs = tuple(map(Fraction, range(80)))
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2"), prime_min=499,
@@ -698,6 +734,33 @@ class TestCli:
     def test_verify_ok(self, capsys):
         assert main(["verify", "--statement", "kw", "--pmax", "7"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module, name, argv", [
+        ("supercong.cli", "run_suite",
+         ["verify", "--statement", "kw", "--pmax", "5"]),
+        ("supercong.identities", "identity_suite",
+         ["identities", "--nmax", "2"]),
+    ])
+    def test_crash_outside_a_check_exits_3(self, monkeypatch, capsys, module,
+                                           name, argv):
+        # a fault of the program must not read as a failed congruence (1)
+        def crash(*args):
+            raise RuntimeError("planted crash")
+
+        monkeypatch.setattr(importlib.import_module(module), name, crash)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: planted crash\n")
+
+    def test_lost_pool_worker_exits_3(self, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+        _inline_pool(monkeypatch, BrokenProcessPool("a worker died"))
+        assert main(["verify", "--statement", "theorem1", "--pmax", "5",
+                     "--x", "1", "--jobs", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("BrokenProcessPool: a worker died\n")
 
     def test_verify_failure_exit(self, capsys):
         code = main(["verify", "--statement", "theorem1", "--pmax", "5",
