@@ -26,9 +26,10 @@ def main() -> None:
                  (Fraction(-1, 6), 11)):
         px = padic_split(x, p)
         print(f"  x = {x}, p = {p}:  m = {px.m}, t = {px.t}")
-    px = padic_split(Fraction(-1, 3), 11)
-    print(f"  x = -1/3, p = 11 has m = {px.m} > (p-1)/2; its reflection "
-          f"-1-x = {px.reflect().x} has m = {px.reflect().m}")
+    x, p = Fraction(-1, 3), 11
+    px, rx = padic_split(x, p), padic_split(-1 - x, p)
+    print(f"  x = {x}, p = {p} has m = {px.m} > (p-1)/2; its reflection "
+          f"-1-x = {rx.x} has m = {rx.m} = p-1-m")
 
     print("\n== pair-weight regimes: all k in [0, p-1] at once ==")
     for p, x in ((11, Fraction(-2, 3)), (13, Fraction(-1, 4))):

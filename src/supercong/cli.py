@@ -2,10 +2,10 @@
 
 Two subcommands: `verify` runs congruence statements over prime ranges and
 argument grids (configured by file and/or flags), `identities` runs the
-exact identity battery.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 configuration or usage error, 3 a fault of the program: at
-least one check hit one (an `internal error:` record), or the run crashed
-outside any check (a lost pool worker, say), its traceback on stderr.
+exact identity battery.  Exit codes: 0 no check failed, 1 a check failed,
+2 a bad configuration, usage or --out file, 3 a fault of the program: a
+check hit one (an `internal error:` record) or the run crashed outside any
+check (a pool that cannot start or lost a worker), traceback on stderr.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from typing import Callable, Optional, Sequence
 
 from .suite import (
     ORACLE_MODES,
+    OutputError,
     ParseError,
     ReportWriter,
+    SETTINGS,
     STATEMENT_ALIASES,
     STATEMENTS,
     SuiteConfig,
@@ -53,12 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", metavar="FILE",
                    help="suite config file (flat key = value schema)")
     v.add_argument("--statement", action="append", metavar="ID",
+                   dest="statements",
                    help="statement id or alias; repeatable "
                         f"(ids: {', '.join(STATEMENTS)}; "
                         f"aliases: {', '.join(STATEMENT_ALIASES)})")
     v.add_argument("--pmin", type=int, metavar="P", dest="prime_min")
     v.add_argument("--pmax", type=int, metavar="P", dest="prime_max")
-    v.add_argument("--x", action="append", metavar="A/B",
+    v.add_argument("--x", action="append", metavar="A/B", dest="x_values",
                    help="argument x (sign, integer or a/b); repeatable; "
                         "default is the built-in per-prime grid")
     v.add_argument("--oracle", choices=ORACLE_MODES, dest="oracle_mode",
@@ -71,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=int, metavar="N", dest="parallelism",
                    help="worker processes (default 1); each takes every "
                         "check at one prime at a time")
-    v.add_argument("--inject-error", action="store_true",
+    v.add_argument("--inject-error", action="store_true", default=None,
                    help="negative control: add p to every expected residue")
 
     i = sub.add_parser("identities", help="run the exact identity battery")
@@ -81,21 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _verify_config(args: argparse.Namespace) -> SuiteConfig:
+    cfg = SuiteConfig()
     if args.suite is not None:
         with open(args.suite, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    else:
-        cfg = SuiteConfig()
-    if args.statement:
-        cfg.statements = tuple(args.statement)
-    if args.x:
-        cfg.x_values = tuple(parse_x(s) for s in args.x)
-    for key in ("prime_min", "prime_max", "oracle_mode", "output_path",
-                "parallelism"):  # each flag's dest is its config key
+    if args.x_values is not None:
+        args.x_values = tuple(map(parse_x, args.x_values))
+    for key in SETTINGS:  # each flag's dest is its setting
         if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
-    if args.inject_error:
-        cfg.inject_error = True
     cfg.validate()
     return cfg
 
@@ -119,7 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     writer = ReportWriter(args.format, partial(_to_reader, print))
     try:
         summary = run_suite(cfg, writer.record, writer.plan)
-    except OSError as e:
+    except OutputError as e:
         print(f"supercong: cannot write output: {e}", file=sys.stderr)
         return EXIT_USAGE
     writer.finish(summary)

@@ -88,18 +88,9 @@ class PadicRational(NamedTuple):
     def t_mod(self, e: int = 1) -> Residue:
         return mod_reduce(self.t, self.p, e)
 
-    def reflect(self) -> "PadicRational":
-        """The split of -1-x; maps m to p-1-m and preserves p-integrality."""
-        return padic_split(-1 - self.x, self.p)
 
-
-def padic_split(x: "RationalLike | PadicRational", p: int) -> PadicRational:
-    """Split a p-integral rational as x = m + p*t, m the least residue; a
-    split at p is returned as it is."""
-    if isinstance(x, PadicRational):
-        if x.p != p:
-            raise ValueError(f"PadicRational was split at p={x.p}, not {p}")
-        return x
+def padic_split(x: RationalLike, p: int) -> PadicRational:
+    """Split a p-integral rational as x = m + p*t, m the least residue."""
     require_odd_prime(p)
     x = to_fraction(x)
     m = _x_mod(p, 1, x)
@@ -180,7 +171,7 @@ def _lemma21_exact(px: PadicRational,
     return sides
 
 
-def lemma21_check(p: int, x: "RationalLike | PadicRational", k: int) -> bool:
+def lemma21_check(p: int, x: RationalLike, k: int) -> bool:
     """C(x,k) C(x+k,k) mod p^2 matches its regime formula at x = m + pt:
 
       0 <= k <= m:        C(m,k) C(m+k,k) (1 + pt H_{m+k} - pt H_{m-k})
@@ -227,8 +218,7 @@ def _lemma21_sides(px: PadicRational) -> tuple[tuple[int, ...], tuple[int, ...]]
     return _pair_weights_mod(p, 2, px.x, S_MULT), tuple(rhs)
 
 
-def lemma21_all(p: int, x: "RationalLike | PadicRational",
-                oracle: str = "off") -> bool:
+def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
     """lemma21_check at every k in [0, p-1], both sides computed mod p^2.
 
     oracle='off' trusts the modular pass; 'spot' re-derives both sides at
@@ -369,7 +359,7 @@ def _cross_blocks_exact(p: int, x: Fraction) -> tuple[
 _VANISHING_BLOCKS = (2, 4, 5, 6, 7, 8)  # row-major indices of blocks 3,5,6,7,8,9
 
 
-def _regime_block_sums(p: int, x: "RationalLike | PadicRational",
+def _regime_block_sums(p: int, x: RationalLike,
                        weighted: bool) -> tuple[PadicRational, tuple[int, ...]]:
     """The split of x and the nine block sums of one split mod p^2.
 
@@ -384,7 +374,7 @@ def _regime_block_sums(p: int, x: "RationalLike | PadicRational",
     return px, sums[9:] if weighted else sums[:9]
 
 
-def block_vanishing_check(p: int, x: "RationalLike | PadicRational",
+def block_vanishing_check(p: int, x: RationalLike,
                           weighted: bool = False) -> bool:
     """Six far blocks vanish mod p^2 and, for p <= 50, the two cross blocks
     agree exactly."""
@@ -397,7 +387,7 @@ def block_vanishing_check(p: int, x: "RationalLike | PadicRational",
     return lo_mid == mid_lo
 
 
-def block_sums(p: int, x: "RationalLike | PadicRational",
+def block_sums(p: int, x: RationalLike,
                weighted: bool = False) -> tuple[Residue, ...]:
     """All nine block sums mod p^2 in row-major order (diagnostic view)."""
     mod = p * p
@@ -426,8 +416,7 @@ BLOCK_LEMMAS: dict[str, tuple[bool, int, Callable[[int], Fraction]]] = {
 }
 
 
-def block_lemma_check(name: str, p: int,
-                      x: "RationalLike | PadicRational") -> CongruenceReport:
+def block_lemma_check(name: str, p: int, x: RationalLike) -> CongruenceReport:
     """The near or cross block of the plain or (n+1)-weighted decomposition
     mod p^2 against its closed form, by statement id (see BLOCK_LEMMAS)."""
     weighted, block, closed = BLOCK_LEMMAS[name]
@@ -454,7 +443,7 @@ def _sign_ratio(px: PadicRational) -> Fraction:
     return (-1) ** px.m * (px.p + 2 * (px.x - px.m)) / (2 * px.x + 1)
 
 
-def theorem1_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
+def theorem1_rhs(p: int, x: RationalLike) -> Residue:
     """Closed form for sum t_n(x)^2 mod p^2: the Legendre symbol (-1/p)
     when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1)."""
     px = padic_split(x, p)
@@ -471,7 +460,7 @@ def theorem1_check(p: int, x: RationalLike,
     return _report("theorem1", p, table.x, lhs, theorem1_rhs(p, table.x))
 
 
-def theorem2_rhs(p: int, x: "RationalLike | PadicRational") -> Residue:
+def theorem2_rhs(p: int, x: RationalLike) -> Residue:
     """Closed form for sum (n+1) t_n(x)^2 mod p^2:
     p/4 + (3/8)(-1/p) when 2x = -1 (mod p), else
     p/4 - (-1)^m (2x^2 + 2x - 1)(p + 2(x-m)) / (8x+4)."""

@@ -15,11 +15,12 @@ record's turn, to a JSON Lines file and a caller's hook (a ReportWriter
 prints `jsonl` or `tap` with it), so an interrupted run's output is a
 prefix of the completed run's; RunSummary keeps counts and failures only.
 
-The registry STATEMENTS is the only place a statement is defined: its
-StatementSpec gives the id, whether it takes an argument x, its least
-prime, its default prime cap, its check and whether x is reflected first;
-a regime that even the reflection misses is the check's own RegimeError.
-To add a statement, write its engine function in `congruences` and add one
+The registry STATEMENTS is the only place a statement is defined (as
+SETTINGS is for a run setting): a StatementSpec gives the id, whether it
+takes an argument x, its least prime, its default prime cap, its check and
+whether x is reflected to -1-x for the check and its record; a regime that
+even the reflection misses is the check's own RegimeError.  To add a
+statement, write its engine function in `congruences` and add one
 StatementSpec; dispatch, the "all" alias and the scanner follow from it.
 """
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import congruences as cg
 from .core import (
@@ -54,14 +55,16 @@ class ParseError(SupercongError):
     """Malformed suite configuration; message carries line/field context."""
 
 
+class OutputError(SupercongError):
+    """The output file cannot be opened or written; carries the OSError."""
+
+
 class StatementSpec(NamedTuple):
     """The one definition of a statement.
 
     `check(p, x, oracle)` returns a CongruenceReport, or a bool for the
-    structural statements; x is None unless needs_x, and the PadicRational
-    split of x when reflects.  The suite applies min_p and the reflection
-    before calling it.  Adding a statement takes its engine function plus
-    one entry in STATEMENTS; the check looks the function up in
+    structural statements; x is None unless needs_x, else a rational, which
+    the check splits itself.  The check looks its engine function up in
     `congruences` at call time, so the module attribute stays the single
     binding (and can be wrapped, e.g. by a tracer).
     """
@@ -70,8 +73,7 @@ class StatementSpec(NamedTuple):
     needs_x: bool
     min_p: int
     default_pmax: int
-    check: Callable[[int, "Fraction | cg.PadicRational | None", str],
-                    "CongruenceReport | bool"]
+    check: Callable[[int, Optional[Fraction], str], "CongruenceReport | bool"]
     reflects: bool = False  # apply x -> -1-x when m > (p-1)/2
 
 
@@ -140,30 +142,43 @@ def expand_statements(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in value.split(",") if s.strip())
+
+
+def _bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ParseError("inject_error must be true or false")
+    return value == "true"
+
+
+# The one list of run settings: name -> (default, parser of its suite-file
+# value).  SuiteConfig, parse_config and the CLI overrides all read it, so a
+# new setting is one row here plus a verify flag whose dest is its name.
+SETTINGS: dict[str, tuple[object, Callable[[str], object]]] = {
+    "statements": (STATEMENT_ALIASES["all"], _names),
+    "prime_min": (3, int),
+    "prime_max": (None, int),  # None: per-statement default cap
+    "x_values": (None, lambda v: tuple(map(parse_x, _names(v)))),  # None: grid
+    "oracle_mode": ("off", str),
+    "parallelism": (1, int),
+    "output_path": (None, str),
+    "inject_error": (False, _bool),
+}
+
+
 class SuiteConfig:
-    """Declarative description of one verification run; fields may be set
-    after construction, and validate() normalizes and checks them."""
+    """Declarative description of one verification run, one attribute per
+    SETTINGS row; fields may be set after construction, and validate()
+    normalizes and checks them."""
 
-    __slots__ = ("statements", "prime_min", "prime_max", "x_values",
-                 "oracle_mode", "parallelism", "output_path", "inject_error")
+    __slots__ = tuple(SETTINGS)
 
-    def __init__(self,
-                 statements: tuple[str, ...] = STATEMENT_ALIASES["all"],
-                 prime_min: int = 3,
-                 prime_max: Optional[int] = None,
-                 x_values: Optional[tuple[Fraction, ...]] = None,
-                 oracle_mode: str = "off",
-                 parallelism: int = 1,
-                 output_path: Optional[str] = None,
-                 inject_error: bool = False) -> None:
-        self.statements = statements
-        self.prime_min = prime_min
-        self.prime_max = prime_max  # None: per-statement default cap
-        self.x_values = x_values  # None: default grid
-        self.oracle_mode = oracle_mode
-        self.parallelism = parallelism
-        self.output_path = output_path
-        self.inject_error = inject_error
+    def __init__(self, **settings: object) -> None:
+        for key, (default, _) in SETTINGS.items():
+            setattr(self, key, settings.pop(key, default))
+        if settings:  # what is left names no setting
+            raise TypeError(f"unknown settings: {', '.join(settings)}")
 
     def validate(self) -> None:
         """Expand aliases, drop repeated statements and x values (keeping
@@ -194,11 +209,6 @@ class SuiteConfig:
                 f"default prime caps ({caps}); give --pmax or prime_max")
 
 
-_CONFIG_KEYS = ("schema_version", "statements", "prime_min", "prime_max",
-                "x_values", "oracle_mode", "parallelism", "output_path",
-                "inject_error")
-
-
 def parse_config(text: str) -> SuiteConfig:
     """Parse the flat key-value suite format (one `key = value` per line,
     '#' lines are comments; lists are comma-separated)."""
@@ -211,33 +221,17 @@ def parse_config(text: str) -> SuiteConfig:
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        key, value = key.strip(), value.strip()
+        if key not in SETTINGS and key != "schema_version":
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         try:
-            if key == "schema_version":
-                if value != "1":
-                    raise ParseError(f"unsupported schema_version {value!r}")
-            elif key == "statements":
-                cfg.statements = tuple(
-                    s.strip() for s in value.split(",") if s.strip())
-            elif key in ("prime_min", "prime_max", "parallelism"):
-                setattr(cfg, key, int(value))
-            elif key == "x_values":
-                cfg.x_values = tuple(
-                    parse_x(s) for s in value.split(",") if s.strip())
-            elif key == "oracle_mode":
-                cfg.oracle_mode = value
-            elif key == "output_path":
-                cfg.output_path = value
-            elif key == "inject_error":
-                if value not in ("true", "false"):
-                    raise ParseError("inject_error must be true or false")
-                cfg.inject_error = value == "true"
+            if key != "schema_version":
+                setattr(cfg, key, SETTINGS[key][1](value))
+            elif value != "1":
+                raise ParseError(f"unsupported schema_version {value!r}")
         except (ValueError, ParseError) as e:
             raise ParseError(f"line {lineno}: {e}") from None
     cfg.validate()
@@ -271,26 +265,25 @@ class RunSummary:
 
 def run_check(sid: str, p: int, x: Optional[Fraction] = None,
               oracle: str = "off", inject_error: bool = False) -> CongruenceReport:
-    """One task: dispatch, convert hypothesis failures to skips, and apply
-    the optional off-by-p fault injection to the expected residue.
+    """One task: reflect, dispatch, convert hypothesis failures to skips,
+    and apply the optional off-by-p fault injection to the expected residue.
+    A reflecting statement whose x has least residue m > (p-1)/2 is checked
+    at -1-x, and every record of the task carries that x.
 
     Any other exception is a fault of the program, not a result about the
     maths: it becomes a failing record whose reason starts with
     INTERNAL_ERROR, and its traceback goes to stderr, so a run goes on and
     its log stays complete.  micros is the wall time of the whole task,
-    measured here for every kind of record.
-    """
+    measured here for every kind of record."""
     t0 = perf_counter_ns()
+    reason = None
     try:
         spec = STATEMENTS[sid]
         if p < spec.min_p:
             raise HypothesisViolatedError(f"{sid} requires p >= {spec.min_p}")
-        arg = x
-        if spec.reflects:
-            arg = cg.padic_split(x, p)
-            if arg.m > (p - 1) // 2:
-                arg = arg.reflect()
-        result = spec.check(p, arg, oracle)
+        if spec.reflects and cg.padic_split(x, p).m > (p - 1) // 2:
+            x = -1 - Fraction(x)
+        result = spec.check(p, x, oracle)
     except (HypothesisViolatedError, NonPIntegralError, RegimeError) as e:
         result, reason = None, str(e)
     except OracleMismatchError as e:
@@ -299,10 +292,6 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
         import traceback  # only a fault needs it; verify starts without it
         traceback.print_exc(file=sys.stderr)
         result, reason = False, f"{INTERNAL_ERROR} {type(e).__name__}: {e}"
-    else:
-        reason = None
-        if spec.reflects:
-            x = arg.x  # a structural verdict shows the x it was checked at
     if not isinstance(result, CongruenceReport):  # a verdict, a skip, a fault
         result = CongruenceReport(sid, p, x, None, None, result, reason, 0)
     elif inject_error and result.rhs is not None:
@@ -314,7 +303,7 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
     return result
 
 
-Task = tuple[str, int, Optional[Fraction], str, bool]  # run_check's arguments
+Task = tuple[str, int, Optional[Fraction]]  # (statement, p, x)
 
 
 def _task_args(cfg: SuiteConfig) -> Iterator[Task]:
@@ -325,7 +314,7 @@ def _task_args(cfg: SuiteConfig) -> Iterator[Task]:
         pmax = cfg.prime_max if cfg.prime_max is not None else spec.default_pmax
         for p in odd_primes(max(cfg.prime_min, spec.min_p), pmax):
             if not spec.needs_x:
-                yield sid, p, None, cfg.oracle_mode, cfg.inject_error
+                yield sid, p, None
                 continue
             if cfg.x_values is not None:
                 xs: tuple[Fraction, ...] = cfg.x_values
@@ -337,7 +326,7 @@ def _task_args(cfg: SuiteConfig) -> Iterator[Task]:
                     # probe the t-independence of the 2x = -1 (mod p) branch
                     xs = xs + (Fraction(-1, 2) + p,)
             for x in xs:
-                yield sid, p, x, cfg.oracle_mode, cfg.inject_error
+                yield sid, p, x
 
 
 def _prime_groups(cfg: SuiteConfig) -> list[tuple[list[int], list[Task]]]:
@@ -351,8 +340,9 @@ def _prime_groups(cfg: SuiteConfig) -> list[tuple[list[int], list[Task]]]:
     return [groups[p] for p in sorted(groups)]
 
 
-def _run_group(tasks: list[Task]) -> list[CongruenceReport]:
-    return [run_check(*task) for task in tasks]
+def _run_group(oracle: str, inject_error: bool,
+               tasks: list[Task]) -> list[CongruenceReport]:
+    return [run_check(*task, oracle, inject_error) for task in tasks]
 
 
 def report_record(report: CongruenceReport) -> dict:
@@ -419,9 +409,16 @@ class ReportWriter:
                       and r.rhs is not None else (r.skipped_reason or
                                                   "structural check false"))
             lines.append(f"FAIL {_describe(r)}: {detail}")
-        if summary.failed == 0 and summary.total:
+        if summary.passed and not summary.failed:
             lines.append("all checks passed")
         self.emit("\n".join(lines))
+
+
+def _append(sink: TextIO, line: str) -> None:
+    try:
+        print(line, file=sink, flush=True)
+    except OSError as e:
+        raise OutputError(e) from e
 
 
 def run_suite(cfg: SuiteConfig,
@@ -431,36 +428,39 @@ def run_suite(cfg: SuiteConfig,
     groups on a process pool when cfg.parallelism > 1, and record the
     reports in scan order, so logs from equal configs are identical apart
     from the timing field.  on_plan gets the number of tasks first; at a
-    report's turn its line goes to cfg.output_path and it to on_record.  A
-    run of several statements holds the later ones' reports to its end."""
+    report's turn its line goes to cfg.output_path (else OutputError) and
+    it to on_record.  A run of several statements holds the later ones'
+    reports to its end."""
     cfg.validate()
     groups = _prime_groups(cfg)
     summary = RunSummary()
     with ExitStack() as stack:
-        log = None
+        hooks = [] if on_record is None else [on_record]
         if cfg.output_path is not None:
             out = resolve_output_path(cfg.output_path)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            sink = stack.enter_context(open(out, "a", encoding="utf-8"))
-            log = ReportWriter("jsonl", partial(print, file=sink, flush=True))
+            try:
+                out.parent.mkdir(parents=True, exist_ok=True)
+                sink = stack.enter_context(open(out, "a", encoding="utf-8"))
+            except OSError as e:
+                raise OutputError(e) from e
+            hooks.insert(0, ReportWriter("jsonl", partial(_append, sink)).record)
         if on_plan is not None:
             on_plan(sum(len(slots) for slots, _ in groups))
         work = [tasks for _, tasks in groups]
+        run = partial(_run_group, cfg.oracle_mode, cfg.inject_error)
         if cfg.parallelism > 1 and len(work) > 1:
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(cfg.parallelism, len(work))))
-            results = pool.map(_run_group, work)
+            results = pool.map(run, work)
         else:
-            results = map(_run_group, work)
+            results = map(run, work)
         waiting: dict[int, CongruenceReport] = {}  # scan position -> report
         for (slots, _), reports in zip(groups, results):
             waiting.update(zip(slots, reports))
             while summary.total in waiting:
                 report = waiting.pop(summary.total)
                 summary.add(report)
-                if log is not None:
-                    log.record(report)
-                if on_record is not None:
-                    on_record(report)
+                for hook in hooks:  # the --out file first
+                    hook(report)
     return summary

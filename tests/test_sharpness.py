@@ -1,0 +1,148 @@
+"""Sharpness and mutation tests on the default grid, for every prime p <= 47.
+
+A passing run only means something if the grid tells the paper's closed
+forms from plausible wrong ones, and if each congruence is no stronger than
+it claims.  So mutants of theorem1's right side must be refuted at every
+prime, and each residue statement must fail one power deeper at some x of
+each prime (the fixed-x statements: at some prime).  One does not: sun_s
+holds mod p^3 at every grid x, a finding pinned below; it fails mod p^4.
+Left sides come from the public residue tables; the closed forms are
+written out here, tied to the library's right sides mod p^2.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from supercong.congruences import (
+    CONJECTURE_CASES,
+    padic_split,
+    theorem1_rhs,
+    theorem2_rhs,
+)
+from supercong.core import legendre, mod_reduce, odd_primes
+from supercong.sequences import s_seq, s_table_mod, t_table_mod
+from supercong.suite import SuiteConfig, _task_args
+
+PMAX = 47
+
+
+def _grid(sid: str) -> dict[int, list[Fraction]]:
+    """The x a default run checks for sid at each prime up to PMAX."""
+    cfg = SuiteConfig(statements=(sid,), prime_max=PMAX)
+    cfg.validate()
+    grid: dict[int, list[Fraction]] = {}
+    for _, p, x in _task_args(cfg):
+        grid.setdefault(p, []).append(x)
+    return grid
+
+
+def _square_sum(values, modulus: int, a: int = 0, b: int = 1) -> int:
+    """sum_n (a n + b) values[n]^2 mod modulus."""
+    return sum((a * n + b) * v * v for n, v in enumerate(values)) % modulus
+
+
+def theorem1_closed(p: int, x: Fraction, sign: int = 1, p_coeff: int = 1,
+                    shift: bool = True, boundary_sign: int = 1) -> Fraction:
+    """(-1/p) when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1); the
+    keywords make the mutants."""
+    m = padic_split(x, p).m
+    if 2 * m + 1 == p:
+        return Fraction(boundary_sign * legendre(-1, p))
+    return sign * (-1) ** m * (p_coeff * p + 2 * (x - m if shift else x)) / (
+        2 * x + 1)
+
+
+def theorem2_closed(p: int, x: Fraction) -> Fraction:
+    m = padic_split(x, p).m
+    if 2 * m + 1 == p:
+        return Fraction(p, 4) + Fraction(3, 8) * legendre(-1, p)
+    return Fraction(p, 4) - (2 * x * x + 2 * x - 1) / 4 * theorem1_closed(p, x)
+
+
+def sun_s_closed(p: int, x: Fraction) -> Fraction:
+    return theorem1_closed(p, x)  # the same right side, off the boundary
+
+
+MUTANTS = {
+    "drop the p": dict(p_coeff=0),
+    "flip (-1)^m": dict(sign=-1),
+    "p -> 2p": dict(p_coeff=2),
+    "x-m -> x": dict(shift=False),
+    # only the -1/2 (and -1/2 + p) probes reach the boundary branch
+    "flip the Legendre branch": dict(boundary_sign=-1),
+}
+
+
+def test_closed_forms_are_the_library_right_sides_and_hold():
+    for sid, a, closed, rhs in (
+            ("theorem1", 0, theorem1_closed, theorem1_rhs),
+            ("theorem2", 1, theorem2_closed, theorem2_rhs)):
+        for p, xs in _grid(sid).items():
+            for x in xs:
+                expected = mod_reduce(closed(p, x), p, 2)
+                assert expected == rhs(p, x), (sid, p, x)
+                lhs = _square_sum(t_table_mod(p, 2, x).values, p * p, a, 1)
+                assert lhs == expected.value, (sid, p, x)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_every_theorem1_mutant_is_refuted_at_every_prime(mutant):
+    grid = _grid("theorem1")
+    assert list(grid) == list(odd_primes(3, PMAX))
+    for p, xs in grid.items():
+        mod = p * p
+        refuted = [x for x in xs
+                   if _square_sum(t_table_mod(p, 2, x).values, mod)
+                   != mod_reduce(theorem1_closed(p, x, **MUTANTS[mutant]),
+                                 p, 2).value]
+        assert refuted, (mutant, p)
+
+
+@pytest.mark.parametrize("sid, a, closed", [
+    ("theorem1", 0, theorem1_closed), ("theorem2", 1, theorem2_closed)])
+def test_headline_closed_forms_fail_mod_p3_at_every_prime(sid, a, closed):
+    for p, xs in _grid(sid).items():
+        mod = p**3
+        deeper = [_square_sum(t_table_mod(p, 3, x).values, mod, a, 1)
+                  == mod_reduce(closed(p, x), p, 3).value for x in xs]
+        assert not all(deeper), (sid, p)
+
+
+# the primes <= 47 at which a fixed-x statement holds one power deeper
+HOLDS_DEEPER = {"weighted_8n5": {7, 41, 43}, "weighted_32n21": set(),
+                "weighted_18n7": {7}, "weighted_72n49": set(), "kw": {7}}
+
+
+@pytest.mark.parametrize("sid", HOLDS_DEEPER)
+def test_fixed_x_statements_fail_one_power_deeper(sid):
+    if sid == "kw":  # sum s_n(-1/2)^2 = (-1/p) mod p^3, so try p^4
+        def deeper(p):
+            values = s_table_mod(p, 4, Fraction(-1, 2)).values
+            return _square_sum(values, p**4) == legendre(-1, p) % p**4
+        min_p = 3
+    else:  # sum (a n + b) t_n(x)^2 = c p mod p^2, so try p^3
+        a, b, x, c, min_p = CONJECTURE_CASES[sid]
+
+        def deeper(p):
+            values = t_table_mod(p, 3, x).values
+            return _square_sum(values, p**3, a, b) == c * p % p**3
+    primes = set(odd_primes(min_p, PMAX))
+    assert {p for p in primes if deeper(p)} == HOLDS_DEEPER[sid]
+    assert HOLDS_DEEPER[sid] < primes
+
+
+def test_sun_s_holds_mod_p3_on_the_grid_and_fails_mod_p4():
+    # a finding, not a claim of the paper: the statement says mod p^2
+    for p, xs in _grid("sun_s").items():
+        xs = [x for x in xs if 2 * padic_split(x, p).m + 1 != p]  # excluded
+        fails_p4 = []
+        for x in xs:
+            s3 = _square_sum(s_table_mod(p, 3, x).values, p**3)
+            s4 = _square_sum(s_table_mod(p, 4, x).values, p**4)
+            assert s3 == mod_reduce(sun_s_closed(p, x), p, 3).value, (p, x)
+            fails_p4.append(s4 != mod_reduce(sun_s_closed(p, x), p, 4).value)
+            if p <= 13:  # the exact rationals agree with the tables
+                exact = sum(s_seq(n, x) ** 2 for n in range(p))
+                assert mod_reduce(exact, p, 4).value == s4
+        assert any(fails_p4), p

@@ -14,12 +14,13 @@ import pytest
 
 import supercong
 from supercong import congruences as cg, sequences
-from supercong.cli import main
+from supercong.cli import _build_parser, main
 from supercong.identities import identity_suite
 from supercong.sequences import T_MULT
 from supercong.suite import (
     ParseError,
     ReportWriter,
+    SETTINGS,
     STATEMENTS,
     SuiteConfig,
     expand_statements,
@@ -163,6 +164,9 @@ class TestReadmeSuiteConfig:
         block = re.search(r"### Suite config files\n.*?```ini\n(.*?)```",
                           readme.read_text(encoding="utf-8"), re.S).group(1)
         cfg = parse_config(block)
+        named = {line.partition("=")[0].strip()
+                 for line in block.splitlines() if "=" in line}
+        assert named == {"schema_version", *SETTINGS}
         assert cfg.statements == expand_statements(("theorem1", "conjecture"))
         assert (cfg.prime_min, cfg.prime_max) == (3, 200)
         assert cfg.x_values == tuple(map(Fraction, ("-1/2", "-1/3", "0", "4")))
@@ -196,6 +200,45 @@ class TestParseConfig:
                                 Fraction(0), Fraction(4))
         assert cfg.oracle_mode == "spot" and cfg.parallelism == 2
         assert cfg.output_path == "out.jsonl"
+
+    # one suite-file value per setting, and what it parses to
+    SAMPLE = {"statements": ("kw, theorem1", ("kw", "theorem1")),
+              "prime_min": ("5", 5),
+              "prime_max": ("13", 13),
+              "x_values": ("-1/2, 3", (Fraction(-1, 2), Fraction(3))),
+              "oracle_mode": ("full", "full"),
+              "parallelism": ("2", 2),
+              "output_path": ("a b.jsonl", "a b.jsonl"),
+              "inject_error": ("true", True)}
+
+    def test_every_setting_parses_from_a_suite_file(self):
+        assert set(self.SAMPLE) == set(SETTINGS)
+        for key, (text, value) in self.SAMPLE.items():
+            cfg = parse_config(f"{key} = {text}\n")
+            assert getattr(cfg, key) == value != SETTINGS[key][0], key
+
+    def test_every_setting_is_a_verify_flag(self):
+        # each flag's dest is its setting, None when the flag is absent, so
+        # the CLI overrides exactly the settings it was given
+        absent = vars(_build_parser().parse_args(["verify"]))
+        given = vars(_build_parser().parse_args([
+            "verify", "--statement", "kw", "--pmin", "5", "--pmax", "7",
+            "--x", "1", "--oracle", "spot", "--jobs", "2", "--out", "o.jsonl",
+            "--inject-error"]))
+        for key in SETTINGS:
+            assert absent[key] is None and given[key] is not None, key
+
+    def test_suite_file_injection_stands_without_the_flag(self, tmp_path,
+                                                          capsys):
+        cfg_file = tmp_path / "suite.cfg"
+        cfg_file.write_text("statements = kw\nprime_max = 5\n"
+                            "inject_error = true\n")
+        assert main(["verify", "--suite", str(cfg_file)]) == 1
+        assert "failed: 2" in capsys.readouterr().out
+
+    def test_unknown_setting_refused(self):
+        with pytest.raises(TypeError, match="unknown settings: pmax"):
+            SuiteConfig(pmax=7)
 
     def test_rejections(self):
         bad_docs = [
@@ -280,9 +323,35 @@ class TestRunCheck:
         assert r.passed is None and "integral" in r.skipped_reason
 
     def test_reflection_applied_and_recorded(self):
-        r = run_check("lemma21", 11, Fraction(-1, 3))
-        assert r.passed is True
-        assert r.x == Fraction(-2, 3)
+        for x in (Fraction(-1, 3), "-1/3"):  # any rational the checks take
+            r = run_check("lemma21", 11, x)
+            assert r.passed is True
+            assert r.x == Fraction(-2, 3)
+
+    def test_failing_reflected_task_records_the_evaluated_x(self,
+                                                            monkeypatch,
+                                                            capsys):
+        # -1/3 has m = 7 > 5 at p = 11, so each check runs at -1-x = -2/3
+        real = cg._lemma21_sides
+
+        def skewed(px):
+            lhs, rhs = real(px)
+            return lhs, (rhs[0] + 1,) + rhs[1:]
+
+        monkeypatch.setattr(cg, "_lemma21_sides", skewed)
+        r = run_check("lemma21", 11, Fraction(-1, 3), "spot")
+        assert r.passed is False and r.x == Fraction(-2, 3)
+        assert r.skipped_reason.startswith("oracle mismatch: lemma21 k=0 "
+                                           "(p=11, x=-2/3)")
+
+        def broken(*args):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setattr(cg, "_block_sums_mod", broken)
+        r = run_check("blocks", 11, Fraction(-1, 3))
+        assert r.passed is False and r.x == Fraction(-2, 3)
+        assert r.skipped_reason.startswith("internal error:")
+        assert "planted fault" in capsys.readouterr().err
 
     def test_strict_regime_skip(self):
         r = run_check("lemma23", 7, Fraction(-1, 2))
@@ -761,6 +830,33 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith("BrokenProcessPool: a worker died\n")
+
+    def test_pool_that_cannot_start_exits_3(self, monkeypatch, capsys):
+        # not 2: no output file is involved, the program could not run
+        _inline_pool(monkeypatch, BlockingIOError(
+            11, "Resource temporarily unavailable"))
+        assert main(["verify", "--statement", "theorem1", "--pmax", "7",
+                     "--x", "1", "--jobs", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "cannot write output" not in err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith(
+            "BlockingIOError: [Errno 11] Resource temporarily unavailable\n")
+
+    def test_unwritable_out_file_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["verify", "--statement", "kw", "--pmax", "5",
+                     "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("supercong: cannot write output: ")
+        assert str(tmp_path) in err
+
+    def test_all_skip_run_does_not_claim_a_pass(self, capsys):
+        assert main(["verify", "--statement", "sun_s", "--pmin", "5",
+                     "--pmax", "13", "--x", "-1/2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("checks: 4  passed: 0  failed: 0  skipped: 4")
+        assert "all checks passed" not in out
 
     def test_verify_failure_exit(self, capsys):
         code = main(["verify", "--statement", "theorem1", "--pmax", "5",
