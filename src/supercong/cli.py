@@ -84,17 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _verify_config(args: argparse.Namespace) -> SuiteConfig:
-    cfg = SuiteConfig()
+    text = ""  # no suite file: every setting at its default
     if args.suite is not None:
         with open(args.suite, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+            text = fh.read()
     if args.x_values is not None:
         args.x_values = tuple(map(parse_x, args.x_values))
-    for key in SETTINGS:  # each flag's dest is its setting
-        if getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
-    cfg.validate()
-    return cfg
+    # each flag's dest is its setting; the file is validated with them
+    return parse_config(text, **{key: getattr(args, key) for key in SETTINGS
+                                 if getattr(args, key) is not None})
 
 
 def _to_reader(write: Callable[..., object], *args: str) -> None:

@@ -35,7 +35,14 @@ Each closed form is written once.  The near and cross blocks of Lemmas
 closed form (BLOCK_LEMMAS).  Those two closed forms live here, beside
 BLOCK_LEMMAS, and `identities` imports them to check its double sums, so
 a verify run never loads the identity battery.  theorem1, theorem2 and
-sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio).
+sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio), which
+like their whole right sides is evaluated in Z/p^2 from x mod p^2 and m,
+with modular inverses: reduction mod p^2 is a ring homomorphism on the
+p-integral rationals, so it gives the residues of the rational closed
+forms without Fraction arithmetic.  Their left sides are the table's own
+square sums (SequenceTable.square_sum), each (table, a, b) summed once
+however many statements read it; a weighted_* statement sums its own
+(a, b) directly and checks it against a (1,1) + (b-a) (0,1) of the table.
 """
 
 from __future__ import annotations
@@ -63,7 +70,6 @@ from .core import (
 )
 from .sequences import (
     S_MULT,
-    SequenceTable,
     T_MULT,
     _factorials,
     _oracle_rows,
@@ -71,6 +77,7 @@ from .sequences import (
     _pair_weights_mod,
     _per_prime,
     _table,
+    _weighted_square_sum,
     _x_mod,
     s_table_mod,
     t_table_mod,
@@ -429,56 +436,61 @@ def block_lemma_check(name: str, p: int, x: RationalLike) -> CongruenceReport:
 # ---------------------------------------------------------------------------
 # headline quadratic congruences
 
-def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
-    """sum_{n<p} (a n + b) table[n]^2 mod p^e, summed directly."""
-    v = table.values
-    squares = map(mul, v, v)
-    total = (sum(map(mul, range(b, b + a * len(v), a), squares)) if a
-             else b * sum(squares))
-    return Residue(total, table.modulus)
+def _mod_p2(p: int, x: RationalLike) -> tuple[Fraction, int, int]:
+    """x as a Fraction, x mod p^2 and its least residue m mod p; refuses a
+    p that is not an odd prime and an x that is not p-integral."""
+    require_odd_prime(p)
+    x = to_fraction(x)
+    xr = _x_mod(p, 2, x)
+    return x, xr, xr % p
 
 
-def _sign_ratio(px: PadicRational) -> Fraction:
-    """(-1)^m (p + 2(x-m)) / (2x+1), shared by theorem1, theorem2 and sun_s."""
-    return (-1) ** px.m * (px.p + 2 * (px.x - px.m)) / (2 * px.x + 1)
+def _sign_ratio(p: int, xr: int, m: int) -> int:
+    """(-1)^m (p + 2(x-m)) / (2x+1) mod p^2 from xr = x mod p^2 and m, for
+    2m + 1 != p (then 2x+1 is a unit); shared by theorem1, theorem2 and
+    sun_s."""
+    mod = p * p
+    ratio = (p + 2 * (xr - m)) * pow(2 * xr + 1, -1, mod)
+    return (-ratio if m % 2 else ratio) % mod
 
 
 def theorem1_rhs(p: int, x: RationalLike) -> Residue:
     """Closed form for sum t_n(x)^2 mod p^2: the Legendre symbol (-1/p)
     when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1)."""
-    px = padic_split(x, p)
-    if 2 * px.m + 1 == p:
+    _, xr, m = _mod_p2(p, x)
+    if 2 * m + 1 == p:
         return Residue(legendre(-1, p), p * p)
-    return mod_reduce(_sign_ratio(px), p, 2)
+    return Residue(_sign_ratio(p, xr, m), p * p)
 
 
 def theorem1_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} t_n(x)^2 mod p^2 against theorem1_rhs."""
     table = t_table_mod(p, 2, x, oracle=oracle)
-    lhs = _weighted_square_sum(table, 0, 1)
-    return _report("theorem1", p, table.x, lhs, theorem1_rhs(p, table.x))
+    return _report("theorem1", p, table.x, table.square_sum(0, 1),
+                   theorem1_rhs(p, table.x))
 
 
 def theorem2_rhs(p: int, x: RationalLike) -> Residue:
     """Closed form for sum (n+1) t_n(x)^2 mod p^2:
     p/4 + (3/8)(-1/p) when 2x = -1 (mod p), else
     p/4 - (-1)^m (2x^2 + 2x - 1)(p + 2(x-m)) / (8x+4)."""
-    px = padic_split(x, p)
-    if 2 * px.m + 1 == p:
-        val = Fraction(p, 4) + Fraction(3, 8) * legendre(-1, p)
+    _, xr, m = _mod_p2(p, x)
+    mod = p * p
+    if 2 * m + 1 == p:
+        val = (2 * p + 3 * legendre(-1, p)) * pow(8, -1, mod)
     else:
-        val = Fraction(p, 4) - (
-            (2 * px.x * px.x + 2 * px.x - 1) / 4 * _sign_ratio(px))
-    return mod_reduce(val, p, 2)
+        val = (p - (2 * xr * xr + 2 * xr - 1) * _sign_ratio(p, xr, m)) \
+            * pow(4, -1, mod)
+    return Residue(val, mod)
 
 
 def theorem2_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} (n+1) t_n(x)^2 mod p^2 against theorem2_rhs."""
     table = t_table_mod(p, 2, x, oracle=oracle)
-    lhs = _weighted_square_sum(table, 1, 1)
-    return _report("theorem2", p, table.x, lhs, theorem2_rhs(p, table.x))
+    return _report("theorem2", p, table.x, table.square_sum(1, 1),
+                   theorem2_rhs(p, table.x))
 
 
 def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
@@ -487,8 +499,9 @@ def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
     """sum_{n<p} (a n + b) t_n(x)^2 mod p^2 against an expected residue.
 
     The direct sum is also cross-derived as a * [sum (n+1) t^2] +
-    (b - a) * [sum t^2]; disagreement there is an internal error, not a
-    verification failure, so it raises.
+    (b - a) * [sum t^2], the two sums the table keeps for theorem1 and
+    theorem2; disagreement there is an internal error, not a verification
+    failure, so it raises.
     """
     mod = p * p
     if isinstance(expected, int):
@@ -498,9 +511,7 @@ def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
                          f"want {mod}")
     table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, a, b)
-    plain = _weighted_square_sum(table, 0, 1)
-    shifted = _weighted_square_sum(table, 1, 1)
-    if lhs != a * shifted + (b - a) * plain:
+    if lhs != a * table.square_sum(1, 1) + (b - a) * table.square_sum(0, 1):
         raise SupercongError(
             f"linear-weight recombination failed at p={p}, x={table.x}")
     return _report(f"weighted_{a}n{b}", p, table.x, lhs, expected)
@@ -527,9 +538,8 @@ def kw_check(p: int, oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} s_n(-1/2)^2 = (-1/p) mod p^3 (note: one power deeper)."""
     x = Fraction(-1, 2)
     table = s_table_mod(p, 3, x, oracle=oracle)
-    lhs = _weighted_square_sum(table, 0, 1)
     rhs = Residue(legendre(-1, p), p**3)
-    return _report("kw", p, x, lhs, rhs)
+    return _report("kw", p, x, table.square_sum(0, 1), rhs)
 
 
 def sun_s_check(p: int, x: RationalLike,
@@ -538,13 +548,12 @@ def sun_s_check(p: int, x: RationalLike,
     hypotheses p > 3 and 2x != -1 (mod p)."""
     if p <= 3:
         raise HypothesisViolatedError("stated for p > 3 only")
-    px = padic_split(x, p)
-    if 2 * px.m + 1 == p:
+    x, xr, m = _mod_p2(p, x)
+    if 2 * m + 1 == p:
         raise HypothesisViolatedError("2x = -1 (mod p) is excluded")
-    table = _table(p, 2, px.x, S_MULT, oracle)
-    lhs = _weighted_square_sum(table, 0, 1)
-    rhs = mod_reduce(_sign_ratio(px), p, 2)
-    return _report("sun_s", p, px.x, lhs, rhs)
+    table = _table(p, 2, x, S_MULT, oracle)
+    rhs = Residue(_sign_ratio(p, xr, m), p * p)
+    return _report("sun_s", p, x, table.square_sum(0, 1), rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
   N^2 f_N = ((3-c) N(N-1) + 1 + c x(x+1)) f_{N-1} + (2c-3) (N-1)^2 f_{N-2}
             - (c-1) (N-1)(N-2) f_{N-3},   f_0 = 1
 
-(of order 2 when c = 1; at N = 1, 2 the terms before f_0 have coefficient
-0, so they need no start value).  A table needs rows N < p only, so the one
-division, by N^2, is by a unit mod p^e, read from the basis: the whole
-table is one loop of small-integer steps mod p^e (_table_values), and
-_table keeps it with its audit, so each table is audited once per oracle
-mode.  Both keep the entries of the latest prime only (_per_prime),
-as do the memos of `congruences`: a run computes prime by prime.  The pair
-weight w_k = C(x,k) C(x+k,k) c^k is the running product of c (x-k+1)(x+k) times
-(1/k!)^2 from the basis; `congruences` turns masked weights into its
-block sums by binomial transforms, and reads the same basis for Lemma 2.1.
+(of order 2 when c = 1, and the s loop steps without f_{N-3}; at N = 1, 2
+the terms before f_0 have coefficient 0, so they need no start value).  A
+table needs rows N < p only, so the one division, by N^2, is by a unit mod
+p^e, read from the basis: the whole table is one loop of small-integer
+steps mod p^e (_table_values), and _table keeps it with its audit and the
+square sums its readers ask for, so each table is audited once per oracle
+mode and each sum is taken once.  Both keep the entries of the latest
+prime only (_per_prime), as do the memos of `congruences`: a run computes
+prime by prime.  The pair weight w_k = C(x,k) C(x+k,k) c^k is the running
+product of c (x-k+1)(x+k) times (1/k!)^2 from the basis; `congruences`
+turns masked weights into its block sums by binomial transforms, and reads
+the same basis for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
 one row by a term-ratio recurrence as an integer numerator over
 b^{2n} (n!)^3 (t_seq and s_seq turn it into one reduced Fraction), and
@@ -36,6 +38,7 @@ import random
 from fractions import Fraction
 from functools import update_wrapper
 from math import comb, factorial
+from operator import mul
 from typing import Callable
 
 from .core import (
@@ -158,9 +161,15 @@ def pfaff_check(n: int, z: RationalLike) -> bool:
 
 
 class SequenceTable:
-    """Residues of one sequence family mod p^e for every row n in [0, p-1]."""
+    """Residues of one sequence family mod p^e for every row n in [0, p-1].
 
-    __slots__ = ("p", "e", "x", "mult", "values")
+    square_sum(a, b) is sum_{n<p} (a n + b) f_n^2 mod p^e, summed on the
+    first read of each (a, b) and kept with the table, so the statements
+    that share a table (through _table) share its sums; a weight no
+    statement reads is never summed.
+    """
+
+    __slots__ = ("p", "e", "x", "mult", "values", "sums")
 
     def __init__(self, p: int, e: int, x: Fraction, mult: int,
                  values: tuple[int, ...]) -> None:
@@ -169,6 +178,7 @@ class SequenceTable:
         self.x = x
         self.mult = mult
         self.values = values
+        self.sums: dict[tuple[int, int], Residue] = {}
 
     @property
     def modulus(self) -> int:
@@ -182,6 +192,21 @@ class SequenceTable:
 
     def residue(self, n: int) -> Residue:
         return Residue(self.values[n], self.modulus)
+
+    def square_sum(self, a: int, b: int) -> Residue:
+        total = self.sums.get((a, b))
+        if total is None:
+            total = self.sums[a, b] = _weighted_square_sum(self, a, b)
+        return total
+
+
+def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
+    """sum_{n<p} (a n + b) table[n]^2 mod p^e, summed directly."""
+    v = table.values
+    squares = map(mul, v, v)
+    total = (sum(map(mul, range(b, b + a * len(v), a), squares)) if a
+             else b * sum(squares))
+    return Residue(total, table.modulus)
 
 
 class _per_prime:
@@ -246,7 +271,8 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
 
 def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e, by the recurrence in n of the module
-    docstring: f_N from f_{N-1}, f_{N-2}, f_{N-3} and the unit 1/N^2."""
+    docstring: f_N from f_{N-1}, f_{N-2}, f_{N-3} and the unit 1/N^2, or
+    from f_{N-1} and f_{N-2} alone when c - 1 = 0 (the s family)."""
     mod = p**e
     xr = _x_mod(p, e, x)
     inv_sq = _factorials(p, e)[2]
@@ -254,11 +280,18 @@ def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
     b, c = 2 * mult - 3, mult - 1
     f = [1] * p
     f1, f2, f3 = 1, 0, 0  # f_{n-1}, f_{n-2}, f_{n-3}
-    for n in range(1, p):
-        m = n - 1
-        f1, f2, f3 = ((a * n * m + q) * f1 + b * m * m * f2
-                      - c * m * (m - 1) * f3) * inv_sq[n] % mod, f1, f2
-        f[n] = f1
+    if c:
+        for n in range(1, p):
+            m = n - 1
+            f1, f2, f3 = ((a * n * m + q) * f1 + b * m * m * f2
+                          - c * m * (m - 1) * f3) * inv_sq[n] % mod, f1, f2
+            f[n] = f1
+    else:
+        for n in range(1, p):
+            m = n - 1
+            f1, f2 = ((a * n * m + q) * f1 + b * m * m * f2) \
+                * inv_sq[n] % mod, f1
+            f[n] = f1
     return tuple(f)
 
 

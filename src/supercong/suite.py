@@ -209,9 +209,11 @@ class SuiteConfig:
                 f"default prime caps ({caps}); give --pmax or prime_max")
 
 
-def parse_config(text: str) -> SuiteConfig:
+def parse_config(text: str, **overrides: object) -> SuiteConfig:
     """Parse the flat key-value suite format (one `key = value` per line,
-    '#' lines are comments; lists are comma-separated)."""
+    '#' lines are comments; lists are comma-separated).  Settings given as
+    overrides (the command line's) replace the file's before the one
+    validation, so a file may be valid only with them."""
     cfg = SuiteConfig()
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -234,6 +236,8 @@ def parse_config(text: str) -> SuiteConfig:
                 raise ParseError(f"unsupported schema_version {value!r}")
         except (ValueError, ParseError) as e:
             raise ParseError(f"line {lineno}: {e}") from None
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
     cfg.validate()
     return cfg
 

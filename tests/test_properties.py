@@ -4,9 +4,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from supercong.congruences import (
-    _binomial_transform, _weighted_square_sum, padic_split)
+    _binomial_transform, _weighted_square_sum, padic_split, sun_s_check,
+    theorem1_rhs, theorem2_rhs)
 from supercong.core import (
-    Residue, binom_gen, binom_int, is_prime, mod_reduce)
+    HypothesisViolatedError, NonPIntegralError, Residue, binom_gen, binom_int,
+    is_prime, legendre, mod_reduce)
 from supercong.sequences import (
     S_MULT, S_poly, SequenceTable, T_MULT, _pair_weights_exact,
     _pair_weights_mod, _table_values, pfaff_check, s_seq, s_table_mod, t_seq,
@@ -15,6 +17,7 @@ from supercong.suite import parse_x
 
 small_primes = st.sampled_from((3, 5, 7, 11))
 primes_to_200 = st.sampled_from([p for p in range(3, 200) if is_prime(p)])
+primes_to_500 = st.sampled_from([p for p in range(3, 500) if is_prime(p)])
 exponents = st.sampled_from((1, 2, 3))
 
 
@@ -172,3 +175,54 @@ def test_weighted_square_sum_is_the_literal_loop(sign, p, e, size, b, data):
     for n in range(p):
         acc += (a * n + b) * values[n] ** 2
     assert _weighted_square_sum(table, a, b) == Residue(acc % mod, mod)
+    kept = table.square_sum(a, b)  # summed once, then read back
+    assert kept == Residue(acc % mod, mod) and table.square_sum(a, b) is kept
+
+
+def _closed_forms_reference(p, x):
+    """theorem1's, theorem2's and sun_s's right sides as rationals, reduced
+    by mod_reduce; sun_s's is None where 2x = -1 (mod p) excludes it."""
+    m = padic_split(x, p).m
+    if 2 * m + 1 == p:
+        leg = legendre(-1, p)
+        return (mod_reduce(leg, p, 2),
+                mod_reduce(Fraction(p, 4) + Fraction(3, 8) * leg, p, 2), None)
+    ratio = (-1) ** m * (p + 2 * (x - m)) / (2 * x + 1)
+    return (mod_reduce(ratio, p, 2),
+            mod_reduce(Fraction(p, 4) - (2 * x * x + 2 * x - 1) / 4 * ratio,
+                       p, 2),
+            mod_reduce(ratio, p, 2))
+
+
+@given(primes_to_500, st.data())
+@settings(deadline=None)
+def test_closed_forms_mod_p2_are_the_rational_ones(p, data):
+    # the right sides are evaluated in Z/p^2; reducing the rational closed
+    # forms is a ring homomorphism, so both give the same residues,
+    # 2x = -1 (m = (p-1)/2) included
+    m = data.draw(st.sampled_from((0, (p - 1) // 2, p - 1))
+                  | st.integers(0, p - 1))
+    x = m + p * data.draw(p_integral(p))
+    t1, t2, sun = _closed_forms_reference(p, x)
+    assert theorem1_rhs(p, x) == t1
+    assert theorem2_rhs(p, x) == t2
+    if p > 3 and sun is not None:
+        assert sun_s_check(p, x).rhs == sun
+    elif p > 3:
+        with pytest.raises(HypothesisViolatedError, match="is excluded"):
+            sun_s_check(p, x)
+
+
+@given(primes_to_500, st.integers(-1000, 1000), st.integers(1, 20))
+@settings(deadline=None)
+def test_closed_forms_refuse_a_non_p_integral_x(p, a, d):
+    assume(a % p)
+    x = Fraction(a, p * d)
+    with pytest.raises(NonPIntegralError) as split:
+        padic_split(x, p)  # the split the rational closed forms start from
+    for rhs in (theorem1_rhs, theorem2_rhs, sun_s_check):
+        if rhs is sun_s_check and p == 3:
+            continue  # refused for p > 3 first
+        with pytest.raises(NonPIntegralError) as refused:
+            rhs(p, x)
+        assert str(refused.value) == str(split.value)

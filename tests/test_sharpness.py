@@ -2,8 +2,8 @@
 
 A passing run only means something if the grid tells the paper's closed
 forms from plausible wrong ones, and if each congruence is no stronger than
-it claims.  So mutants of theorem1's right side must be refuted at every
-prime, and each residue statement must fail one power deeper at some x of
+it claims.  So mutants of theorem1's right side and of each weighted_*
+coefficient must be refuted at every prime, and each residue statement must fail one power deeper at some x of
 each prime (the fixed-x statements: at some prime).  One does not: sun_s
 holds mod p^3 at every grid x, a finding pinned below; it fails mod p^4.
 Left sides come from the public residue tables; the closed forms are
@@ -97,6 +97,19 @@ def test_every_theorem1_mutant_is_refuted_at_every_prime(mutant):
                    != mod_reduce(theorem1_closed(p, x, **MUTANTS[mutant]),
                                  p, 2).value]
         assert refuted, (mutant, p)
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+@pytest.mark.parametrize("sid", CONJECTURE_CASES)
+def test_every_weighted_coefficient_mutant_is_refuted_at_every_prime(sid,
+                                                                     delta):
+    # sum (a n + b) t_n(x)^2 = c p (mod p^2); (c + delta) p is refuted
+    a, b, x, c, min_p = CONJECTURE_CASES[sid]
+    for p in odd_primes(min_p, PMAX):
+        mod = p * p
+        lhs = _square_sum(t_table_mod(p, 2, x).values, mod, a, b)
+        assert lhs == c * p % mod, (sid, p)
+        assert lhs != (c + delta) * p % mod, (sid, delta, p)
 
 
 @pytest.mark.parametrize("sid, a, closed", [

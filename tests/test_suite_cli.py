@@ -16,7 +16,7 @@ import supercong
 from supercong import congruences as cg, sequences
 from supercong.cli import _build_parser, main
 from supercong.identities import identity_suite
-from supercong.sequences import T_MULT
+from supercong.sequences import S_MULT, T_MULT
 from supercong.suite import (
     ParseError,
     ReportWriter,
@@ -682,6 +682,31 @@ class TestRunSuite:
         assert len(set(builds)) == len(builds) == len(keys)
         assert {(p, p**e) for p, e in builds} == keys
 
+    def test_each_square_sum_is_taken_once(self, monkeypatch):
+        # theorem1, sun_s and kw read the (0,1) sum of their tables and
+        # theorem2 the (1,1) sum of theorem1's; weighted_8n5 sums its own
+        # (8,5) and checks it against the two sums its table already holds
+        sequences._table.cache_clear()
+        kept = _record_calls(monkeypatch, sequences, "_weighted_square_sum")
+        direct = _record_calls(monkeypatch, cg, "_weighted_square_sum")
+        reports = []
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "theorem2", "weighted_8n5", "sun_s",
+                        "kw"), prime_min=53, prime_max=71), reports.append)
+        assert summary.failed == 0
+        reads = {"theorem1": [(2, T_MULT, 0, 1)],
+                 "theorem2": [(2, T_MULT, 1, 1)],
+                 "weighted_8n5": [(2, T_MULT, a, b)
+                                  for a, b in ((8, 5), (0, 1), (1, 1))],
+                 "sun_s": [(2, S_MULT, 0, 1)], "kw": [(3, S_MULT, 0, 1)]}
+        expected = {(r.p, e, r.x, mult, a, b) for r in reports
+                    if r.passed is not None
+                    for e, mult, a, b in reads[r.statement]}
+        sums = [(t.p, t.e, t.x, t.mult, a, b) for t, a, b in kept + direct]
+        assert len(set(sums)) == len(sums)
+        assert set(sums) == expected
+        assert {(a, b) for _, a, b in direct} == {(8, 5)}
+
     def test_one_prime_builds_each_block_entry_once(self, monkeypatch):
         # 40 x at one prime, more than a group of the default grid reads:
         # each block entry computes its pair weights once
@@ -1080,6 +1105,24 @@ class TestCli:
         assert main(["verify", "--suite", str(cfg_file),
                      "--pmax", "5"]) == 0
         assert "checks: 2" in capsys.readouterr().out
+
+    def test_suite_file_is_validated_after_the_flags(self, tmp_path, capsys):
+        # the file alone selects no check; with --pmax it runs what the
+        # same settings given as flags run
+        cfg_file = tmp_path / "suite.cfg"
+        cfg_file.write_text("statements = kw\nprime_min = 1000\n")
+        for args in (["--suite", str(cfg_file), "--pmax", "1010"],
+                     ["--statement", "kw", "--pmin", "1000", "--pmax",
+                      "1010"]):
+            assert main(["verify", *args]) == 0
+            assert "checks: 1 " in capsys.readouterr().out
+        # still invalid after the flags: refused as before
+        assert main(["verify", "--suite", str(cfg_file), "--jobs", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "supercong: prime_min = 1000 selects no check under the default "
+            "prime caps (kw 100); give --pmax or prime_max\n")
 
     def test_negative_rational_after_x_flag(self, tmp_path, capsys):
         out = tmp_path / "results.jsonl"
