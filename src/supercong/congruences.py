@@ -35,14 +35,16 @@ Each closed form is written once.  The near and cross blocks of Lemmas
 closed form (BLOCK_LEMMAS).  Those two closed forms live here, beside
 BLOCK_LEMMAS, and `identities` imports them to check its double sums, so
 a verify run never loads the identity battery.  theorem1, theorem2 and
-sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio), which
-like their whole right sides is evaluated in Z/p^2 from x mod p^2 and m,
-with modular inverses: reduction mod p^2 is a ring homomorphism on the
-p-integral rationals, so it gives the residues of the rational closed
-forms without Fraction arithmetic.  Their left sides are the table's own
-square sums (SequenceTable.square_sum), each (table, a, b) summed once
-however many statements read it; a weighted_* statement sums its own
-(a, b) directly and checks it against a (1,1) + (b-a) (0,1) of the table.
+sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio).
+Every check splits x once (_split) as (x, x mod p^2, m), and every right
+side, lemma21's and the block lemmas' included, is evaluated in Z/p^2 from
+m and pt = x mod p^2 - m, with modular inverses: reduction mod p^2 is a
+ring homomorphism on the p-integral rationals, so it gives the residues of
+the rational closed forms; only lemma21's exact oracle keeps t = (x-m)/p.
+Lemma 2.1's ranges of k are written once (_block_ranges).  Table
+statements read the table's square sums (SequenceTable.square_sum), each
+(table, a, b) summed once; a weighted_* statement sums its own (a, b) and
+checks it against a (1,1) + (b-a) (0,1) of the table.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .core import (
     SupercongError,
     harmonic,
     legendre,
-    mod_reduce,
     reduce_ratio,
     require_odd_prime,
     to_fraction,
@@ -92,15 +93,20 @@ class PadicRational(NamedTuple):
     m: int
     t: Fraction
 
-    def t_mod(self, e: int = 1) -> Residue:
-        return mod_reduce(self.t, self.p, e)
+
+def _split(p: int, x: RationalLike) -> tuple[Fraction, int, int]:
+    """(x, xr = x mod p^2, m = xr mod p), so pt = xr - m (mod p^2); refuses
+    a p that is not an odd prime and an x that is not p-integral."""
+    require_odd_prime(p)
+    x = to_fraction(x)
+    xr = _x_mod(p, 2, x)
+    return x, xr, xr % p
 
 
 def padic_split(x: RationalLike, p: int) -> PadicRational:
-    """Split a p-integral rational as x = m + p*t, m the least residue."""
-    require_odd_prime(p)
-    x = to_fraction(x)
-    m = _x_mod(p, 1, x)
+    """Split a p-integral rational as x = m + p*t, m the least residue: the
+    split every check reads (_split), with t an exact rational."""
+    x, _, m = _split(p, x)
     return PadicRational(x, p, m, (x - m) / p)
 
 
@@ -151,30 +157,35 @@ def _report(statement: str, p: int, x: Fraction | None, lhs: Residue,
 # ---------------------------------------------------------------------------
 # pair-weight regimes (three ranges of k, mod p^2)
 
-def _require_half_regime(px: PadicRational) -> None:
-    if px.m > (px.p - 1) // 2:
-        raise RegimeError(f"m = {px.m} > (p-1)/2; check the reflection -1-x")
+def _require_half_regime(p: int, m: int) -> None:
+    if m > (p - 1) // 2:
+        raise RegimeError(f"m = {m} > (p-1)/2; check the reflection -1-x")
 
 
-def _lemma21_exact(px: PadicRational,
+def _block_ranges(p: int, m: int) -> tuple[range, range, range]:
+    """Lemma 2.1's three ranges of k: [0, m], (m, p-m) and [p-m, p-1]."""
+    return range(0, m + 1), range(m + 1, p - m), range(p - m, p)
+
+
+def _lemma21_exact(p: int, x: Fraction, m: int,
                    ks: Sequence[int]) -> list[tuple[int, int]]:
     """Both sides of lemma21_check mod p^2 at each k in ks, from exact
     rationals; the pair weights are built once, up to max(ks)."""
-    p, m, t = px.p, px.m, px.t
-    num, den = _pair_weights_exact(px.x, max(ks), S_MULT)
+    t = (x - m) / p
+    num, den = _pair_weights_exact(x, max(ks), S_MULT)
+    low, mid, _ = _block_ranges(p, m)
     sides = []
     for k in ks:
-        if k <= m:
-            rhs_exact = comb(m, k) * comb(m + k, k) * (
+        rhs = Fraction(0)  # the top range
+        if k in low:
+            rhs = comb(m, k) * comb(m + k, k) * (
                 1 + p * t * (harmonic(m + k) - harmonic(m - k)))
-        elif k >= p - m:
-            rhs_exact = Fraction(0)
-        else:
+        elif k in mid:
             sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
-            rhs_exact = Fraction(sign * comb(m + k, k),
-                                 (k - m) * comb(k, m)) * p * t
+            rhs = Fraction(sign * comb(m + k, k),
+                           (k - m) * comb(k, m)) * p * t
         sides.append((reduce_ratio(num[k], den, p, 2),
-                      mod_reduce(rhs_exact, p, 2).value))
+                      reduce_ratio(rhs.numerator, rhs.denominator, p, 2)))
     return sides
 
 
@@ -190,15 +201,16 @@ def lemma21_check(p: int, x: RationalLike, k: int) -> bool:
     (the exact pair weights, the regime formula in Fractions) and reduced
     mod p^2 only at the end, so it is the oracle for lemma21_all.
     """
-    px = padic_split(x, p)
-    _require_half_regime(px)
-    if not 0 <= k <= p - 1:
-        raise ValueError(f"k = {k} outside [0, {p - 1}]")
-    [(lhs, rhs)] = _lemma21_exact(px, [k])
+    x, _, m = _split(p, x)
+    _require_half_regime(p, m)
+    if type(k) is not int or not 0 <= k <= p - 1:
+        raise ValueError(f"k = {k!r} is not an integer in [0, {p - 1}]")
+    [(lhs, rhs)] = _lemma21_exact(p, x, m, [k])
     return lhs == rhs
 
 
-def _lemma21_sides(px: PadicRational) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _lemma21_sides(p: int, x: Fraction, xr: int,
+                   m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both sides of lemma21_check for every k < p, mod p^2, in one pass.
 
     The left side is the pair weight with multiplier 1.  On the right,
@@ -206,23 +218,22 @@ def _lemma21_sides(px: PadicRational) -> tuple[tuple[int, ...], tuple[int, ...]]
     (m+k)! / (k!^2 (m-k)!) and C(m+k,k) / ((k-m) C(k,m)) = (m+k)! (k-m-1)!
     / k!^2.  A term p*y needs y only mod p, hence t mod p and H_j mod p.
     """
-    p, m = px.p, px.m
     mod = p * p
     fact, inv_fact, _ = _factorials(p, 2)
-    t = px.t_mod(1).value
+    t = (xr - m) // p  # t mod p, as pt = xr - m (mod p^2)
     harm = [0] * p  # H_j mod p, with 1/j = (j-1)! / j!
     for j in range(1, p):
         harm[j] = (harm[j - 1] + fact[j - 1] * inv_fact[j]) % p
-    rhs = [0] * p  # k >= p - m stays 0
-    for k in range(p - m):
-        if k <= m:
-            c = fact[m + k] * inv_fact[k] ** 2 * inv_fact[m - k] % mod
-            rhs[k] = (c + p * (c * t * (harm[m + k] - harm[m - k]) % p)) % mod
-        else:
-            sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
-            c = fact[m + k] * fact[k - m - 1] * inv_fact[k] ** 2
-            rhs[k] = p * (sign * c * t % p)
-    return _pair_weights_mod(p, 2, px.x, S_MULT), tuple(rhs)
+    low, mid, _ = _block_ranges(p, m)
+    rhs = [0] * p  # the top range stays 0
+    for k in low:
+        c = fact[m + k] * inv_fact[k] ** 2 * inv_fact[m - k] % mod
+        rhs[k] = (c + p * (c * t * (harm[m + k] - harm[m - k]) % p)) % mod
+    for k in mid:
+        sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
+        c = fact[m + k] * fact[k - m - 1] * inv_fact[k] ** 2
+        rhs[k] = p * (sign * c * t % p)
+    return _pair_weights_mod(p, 2, x, S_MULT), tuple(rhs)
 
 
 def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
@@ -233,15 +244,15 @@ def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
     lemma21_check; 'full' at every k.  A disagreement raises
     OracleMismatchError.
     """
-    px = padic_split(x, p)
-    _require_half_regime(px)
-    lhs, rhs = _lemma21_sides(px)
+    x, xr, m = _split(p, x)
+    _require_half_regime(p, m)
+    lhs, rhs = _lemma21_sides(p, x, xr, m)
     if oracle != "off":
-        ks = _oracle_rows(p, 2, px.x, S_MULT, oracle)
-        for k, exact in zip(ks, _lemma21_exact(px, ks)):
+        ks = _oracle_rows(p, 2, x, S_MULT, oracle)
+        for k, exact in zip(ks, _lemma21_exact(p, x, m, ks)):
             if (lhs[k], rhs[k]) != exact:
                 raise OracleMismatchError(
-                    f"lemma21 k={k} (p={p}, x={px.x}): fast sides "
+                    f"lemma21 k={k} (p={p}, x={x}): fast sides "
                     f"{lhs[k]}, {rhs[k]} != exact {exact[0]}, {exact[1]} "
                     f"(mod {p * p})")
     return lhs == rhs
@@ -249,10 +260,6 @@ def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
 
 # ---------------------------------------------------------------------------
 # nine-block machinery
-
-def _block_ranges(p: int, m: int) -> tuple[range, range, range]:
-    return range(0, m + 1), range(m + 1, p - m), range(p - m, p)
-
 
 def _pack(values: Iterable[int], width: int) -> int:
     """One integer holding values in consecutive width-byte slots, low first."""
@@ -366,31 +373,31 @@ def _cross_blocks_exact(p: int, x: Fraction) -> tuple[
 _VANISHING_BLOCKS = (2, 4, 5, 6, 7, 8)  # row-major indices of blocks 3,5,6,7,8,9
 
 
-def _regime_block_sums(p: int, x: RationalLike,
-                       weighted: bool) -> tuple[PadicRational, tuple[int, ...]]:
-    """The split of x and the nine block sums of one split mod p^2.
+def _regime_block_sums(p: int, x: RationalLike, weighted: bool) -> tuple[
+        Fraction, int, int, tuple[int, ...]]:
+    """_split(p, x) and the nine block sums of one decomposition mod p^2.
 
     The block statements need m < (p-1)/2.  Reflection x -> -1-x maps m
     to p-1-m, so m = (p-1)/2 stays put and is a skip, not a fault."""
-    px = padic_split(x, p)
-    if px.m == (p - 1) // 2:
+    x, xr, m = _split(p, x)
+    if m == (p - 1) // 2:
         raise RegimeError(
             "m = (p-1)/2 for both x and -1-x; outside the stated regime")
-    _require_half_regime(px)
-    sums = _block_sums_mod(p, px.x)
-    return px, sums[9:] if weighted else sums[:9]
+    _require_half_regime(p, m)
+    sums = _block_sums_mod(p, x)
+    return x, xr, m, sums[9:] if weighted else sums[:9]
 
 
 def block_vanishing_check(p: int, x: RationalLike,
                           weighted: bool = False) -> bool:
     """Six far blocks vanish mod p^2 and, for p <= 50, the two cross blocks
     agree exactly."""
-    px, sums = _regime_block_sums(p, x, weighted)
+    x, _, _, sums = _regime_block_sums(p, x, weighted)
     if any(sums[i] for i in _VANISHING_BLOCKS):
         return False
     if p > _EXACT_CROSS_PMAX:
         return True
-    lo_mid, mid_lo = _cross_blocks_exact(p, px.x)[weighted]
+    lo_mid, mid_lo = _cross_blocks_exact(p, x)[weighted]
     return lo_mid == mid_lo
 
 
@@ -398,7 +405,7 @@ def block_sums(p: int, x: RationalLike,
                weighted: bool = False) -> tuple[Residue, ...]:
     """All nine block sums mod p^2 in row-major order (diagnostic view)."""
     mod = p * p
-    return tuple(Residue(v, mod) for v in _regime_block_sums(p, x, weighted)[1])
+    return tuple(Residue(v, mod) for v in _regime_block_sums(p, x, weighted)[3])
 
 
 def lemma22_closed(n: int) -> Fraction:
@@ -425,25 +432,18 @@ BLOCK_LEMMAS: dict[str, tuple[bool, int, Callable[[int], Fraction]]] = {
 
 def block_lemma_check(name: str, p: int, x: RationalLike) -> CongruenceReport:
     """The near or cross block of the plain or (n+1)-weighted decomposition
-    mod p^2 against its closed form, by statement id (see BLOCK_LEMMAS)."""
+    mod p^2 against its closed form, by statement id (see BLOCK_LEMMAS);
+    c(m) is p-integral (2m+1 < p), so p t c(m) is (xr - m) c(m) mod p^2."""
     weighted, block, closed = BLOCK_LEMMAS[name]
-    px, sums = _regime_block_sums(p, x, weighted)
-    lhs = Residue(sums[block], p * p)
-    rhs = p * closed(px.m) * (px.t if block else 1)
-    return _report(name, p, px.x, lhs, mod_reduce(rhs, p, 2))
+    x, xr, m, sums = _regime_block_sums(p, x, weighted)
+    c = closed(m)
+    rhs = reduce_ratio(c.numerator, c.denominator, p, 2) * (
+        xr - m if block else p)
+    return _report(name, p, x, Residue(sums[block], p * p), Residue(rhs, p * p))
 
 
 # ---------------------------------------------------------------------------
 # headline quadratic congruences
-
-def _mod_p2(p: int, x: RationalLike) -> tuple[Fraction, int, int]:
-    """x as a Fraction, x mod p^2 and its least residue m mod p; refuses a
-    p that is not an odd prime and an x that is not p-integral."""
-    require_odd_prime(p)
-    x = to_fraction(x)
-    xr = _x_mod(p, 2, x)
-    return x, xr, xr % p
-
 
 def _sign_ratio(p: int, xr: int, m: int) -> int:
     """(-1)^m (p + 2(x-m)) / (2x+1) mod p^2 from xr = x mod p^2 and m, for
@@ -457,7 +457,7 @@ def _sign_ratio(p: int, xr: int, m: int) -> int:
 def theorem1_rhs(p: int, x: RationalLike) -> Residue:
     """Closed form for sum t_n(x)^2 mod p^2: the Legendre symbol (-1/p)
     when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1)."""
-    _, xr, m = _mod_p2(p, x)
+    _, xr, m = _split(p, x)
     if 2 * m + 1 == p:
         return Residue(legendre(-1, p), p * p)
     return Residue(_sign_ratio(p, xr, m), p * p)
@@ -475,7 +475,7 @@ def theorem2_rhs(p: int, x: RationalLike) -> Residue:
     """Closed form for sum (n+1) t_n(x)^2 mod p^2:
     p/4 + (3/8)(-1/p) when 2x = -1 (mod p), else
     p/4 - (-1)^m (2x^2 + 2x - 1)(p + 2(x-m)) / (8x+4)."""
-    _, xr, m = _mod_p2(p, x)
+    _, xr, m = _split(p, x)
     mod = p * p
     if 2 * m + 1 == p:
         val = (2 * p + 3 * legendre(-1, p)) * pow(8, -1, mod)
@@ -548,7 +548,7 @@ def sun_s_check(p: int, x: RationalLike,
     hypotheses p > 3 and 2x != -1 (mod p)."""
     if p <= 3:
         raise HypothesisViolatedError("stated for p > 3 only")
-    x, xr, m = _mod_p2(p, x)
+    x, xr, m = _split(p, x)
     if 2 * m + 1 == p:
         raise HypothesisViolatedError("2x = -1 (mod p) is excluded")
     table = _table(p, 2, x, S_MULT, oracle)

@@ -84,10 +84,13 @@ class TestPadicSplit:
                 assert px.t.denominator % p != 0
 
     def test_t_mod(self):
+        # the checks read t mod p from the split as (x mod p^2 - m) / p
         px = padic_split(Fraction(-1, 2), 5)
         assert px.t == Fraction(-1, 2)
-        assert px.t_mod(1) == Residue(2, 5)
-        assert px.t_mod(2) == Residue(12, 25)
+        assert mod_reduce(px.t, 5, 1) == Residue(2, 5)
+        assert mod_reduce(px.t, 5, 2) == Residue(12, 25)
+        x, xr, m = cg._split(5, Fraction(-1, 2))
+        assert (x, m, (xr - m) // 5) == (px.x, px.m, 2)
 
     def test_reflect(self):
         # x -> -1-x maps m to p-1-m and keeps x p-integral
@@ -106,7 +109,7 @@ class TestPadicSplit:
                 px = padic_split(x, p)
                 assert mod_reduce(x, p, 1).value == px.m
                 assert mod_reduce(x, p, 2).value == (
-                    px.m + p * px.t_mod(1).value) % (p * p)
+                    px.m + p * mod_reduce(px.t, p, 1).value) % (p * p)
 
     def test_errors(self):
         with pytest.raises(NonPIntegralError):
@@ -184,10 +187,11 @@ class TestPairWeightRegimes:
         assert lemma21_check(p, x, 6)
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            lemma21_check(7, 0, 7)
-        with pytest.raises(ValueError):
-            lemma21_check(7, 0, -1)
+        # k must be a non-bool int in [0, p-1]; True is not k = 1
+        for k in (7, -1, 1.5, Fraction(3), True):
+            with pytest.raises(ValueError, match=r"is not an integer in "
+                                                 r"\[0, 6\]$"):
+                lemma21_check(7, 0, k)
 
     @pytest.mark.parametrize("p, x", ((11, Fraction(-3, 4)),
                                       (61, Fraction(2, 7))))
@@ -227,9 +231,9 @@ class TestPairWeightRegimes:
 @settings(deadline=None, max_examples=30)
 def test_lemma21_fast_sides_match_the_exact_route(p, data):
     x = half_regime(p, data.draw(p_integral_x(p)))
-    px = padic_split(x, p)
-    lhs, rhs = cg._lemma21_sides(px)
-    assert list(zip(lhs, rhs)) == cg._lemma21_exact(px, range(p))
+    x, xr, m = cg._split(p, x)
+    lhs, rhs = cg._lemma21_sides(p, x, xr, m)
+    assert list(zip(lhs, rhs)) == cg._lemma21_exact(p, x, m, range(p))
     assert lemma21_all(p, x, oracle="full")
     assert all(lemma21_check(p, x, k) for k in range(p))
 
@@ -624,4 +628,5 @@ class TestCongruenceReport:
 
     def test_padic_rational_fields(self):
         px = PadicRational(Fraction(8), 7, 1, Fraction(1))
-        assert px.t_mod(1) == Residue(1, 7)
+        assert (px.x, px.p, px.m, px.t) == (8, 7, 1, 1)
+        assert px == padic_split(8, 7)

@@ -1,11 +1,14 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from supercong.congruences import (
-    _binomial_transform, _weighted_square_sum, padic_split, sun_s_check,
-    theorem1_rhs, theorem2_rhs)
+    BLOCK_LEMMAS, _binomial_transform, _weighted_square_sum, block_lemma_check,
+    padic_split, sun_s_check, theorem1_rhs, theorem2_rhs)
 from supercong.core import (
     HypothesisViolatedError, NonPIntegralError, Residue, binom_gen, binom_int,
     is_prime, legendre, mod_reduce)
@@ -202,7 +205,12 @@ def test_closed_forms_mod_p2_are_the_rational_ones(p, data):
     # 2x = -1 (m = (p-1)/2) included
     m = data.draw(st.sampled_from((0, (p - 1) // 2, p - 1))
                   | st.integers(0, p - 1))
-    x = m + p * data.draw(p_integral(p))
+    t = data.draw(p_integral(p))
+    x = m + p * t
+    if p < 200 and 2 * m + 1 < p:  # the block lemmas' regime; sums cost p^2
+        for sid, (_, block, closed) in BLOCK_LEMMAS.items():
+            assert block_lemma_check(sid, p, x).rhs == mod_reduce(
+                p * closed(m) * (t if block else 1), p, 2), sid
     t1, t2, sun = _closed_forms_reference(p, x)
     assert theorem1_rhs(p, x) == t1
     assert theorem2_rhs(p, x) == t2
@@ -226,3 +234,28 @@ def test_closed_forms_refuse_a_non_p_integral_x(p, a, d):
         with pytest.raises(NonPIntegralError) as refused:
             rhs(p, x)
         assert str(refused.value) == str(split.value)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@given(st.integers())
+@settings(database=None)
+def test_fails(n):
+    assert n < 5
+"""
+
+
+def test_a_failing_property_is_reported_as_one_failure(tmp_path):
+    # hypothesis's failure report imports libcst, and so mypy_extensions,
+    # whose DeprecationWarning the "error" filter would turn into an
+    # INTERNALERROR (exit 3) that stops the whole run
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-q",
+         "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout and "INTERNALERROR" not in run.stdout

@@ -2,27 +2,34 @@
 
 A passing run only means something if the grid tells the paper's closed
 forms from plausible wrong ones, and if each congruence is no stronger than
-it claims.  So mutants of theorem1's right side and of each weighted_*
-coefficient must be refuted at every prime, and each residue statement must fail one power deeper at some x of
-each prime (the fixed-x statements: at some prime).  One does not: sun_s
-holds mod p^3 at every grid x, a finding pinned below; it fails mod p^4.
-Left sides come from the public residue tables; the closed forms are
-written out here, tied to the library's right sides mod p^2.
+it claims.  So mutants of theorem1's right side, of each weighted_*
+coefficient, of Lemma 2.1's range boundaries and of each block lemma's
+closed form must be refuted at every prime, and each residue statement must
+fail one power deeper at some x of each prime (the fixed-x statements: at
+some prime).  Two do not, findings pinned below: sun_s holds mod p^3 at
+every grid x (it fails mod p^4), and Lemma 2.1 still holds with its top
+range starting at p-m+1.  Left sides come from the public residue tables;
+the closed forms are written out here, tied to the library's right sides
+mod p^2.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from supercong import congruences as cg
 from supercong.congruences import (
+    BLOCK_LEMMAS,
     CONJECTURE_CASES,
+    lemma22_closed,
+    lemma32_closed,
     padic_split,
     theorem1_rhs,
     theorem2_rhs,
 )
 from supercong.core import legendre, mod_reduce, odd_primes
 from supercong.sequences import s_seq, s_table_mod, t_table_mod
-from supercong.suite import SuiteConfig, _task_args
+from supercong.suite import SuiteConfig, _task_args, run_check
 
 PMAX = 47
 
@@ -159,3 +166,64 @@ def test_sun_s_holds_mod_p3_on_the_grid_and_fails_mod_p4():
                 exact = sum(s_seq(n, x) ** 2 for n in range(p))
                 assert mod_reduce(exact, p, 4).value == s4
         assert any(fails_p4), p
+
+
+def _refuted(sid: str, p: int, xs: list[Fraction]) -> bool:
+    """Some default-grid task of sid at p, oracle off, fails as a congruence
+    (a program fault does not count)."""
+    return any(r.passed is False and r.skipped_reason is None
+               for r in (run_check(sid, p, x) for x in xs))
+
+
+def _moved_ranges(low: int, top: int):
+    """Lemma 2.1's ranges with the boundaries m+1 and p-m moved by low, top."""
+    def ranges(p: int, m: int) -> tuple[range, range, range]:
+        b1, b2 = m + 1 + low, p - m + top
+        return range(0, b1), range(b1, b2), range(b2, p)
+    return ranges
+
+
+@pytest.mark.parametrize("low, top", ((1, 0), (-1, 0), (0, -1)))
+def test_every_lemma21_boundary_mutant_is_refuted_at_every_prime(
+        low, top, monkeypatch):
+    monkeypatch.setattr(cg, "_block_ranges", _moved_ranges(low, top))
+    grid = _grid("lemma21")
+    assert list(grid) == list(odd_primes(3, PMAX))
+    for p, xs in grid.items():
+        assert _refuted("lemma21", p, xs), (low, top, p)
+
+
+def test_lemma21_top_boundary_raised_by_one_still_holds(monkeypatch):
+    # a finding: at k = p-m the middle formula is (-1)^{m+k+1} pt C(p,k) /
+    # ((p-2m) C(k,m)), and p | C(p,k), so it is 0 mod p^2 like the top
+    # range.  The mod p^2 route cannot evaluate it (it needs p!, no unit),
+    # so the exact route shows it, at every grid x of every prime
+    monkeypatch.setattr(cg, "_block_ranges", _moved_ranges(0, 1))
+    for p, xs in _grid("lemma21").items():
+        for x in xs:
+            x, _, m = cg._split(p, x)
+            if m > (p - 1) // 2:
+                x, _, m = cg._split(p, -1 - x)
+            sides = cg._lemma21_exact(p, x, m, range(p))
+            assert all(lhs == rhs for lhs, rhs in sides), (p, x)
+
+
+# each block lemma with the other lemma's closed form c(m)
+SWAPPED_CLOSED = {
+    "lemma23": lemma32_closed,
+    "lemma24": lemma32_closed,
+    "lemma33": lemma22_closed,
+    "lemma34": lambda m: lemma22_closed(m) - Fraction(1, 4),
+}
+
+
+@pytest.mark.parametrize("sid", SWAPPED_CLOSED)
+def test_every_block_lemma_closed_form_swap_is_refuted_at_every_prime(
+        sid, monkeypatch):
+    weighted, block, _ = BLOCK_LEMMAS[sid]
+    monkeypatch.setitem(BLOCK_LEMMAS, sid,
+                        (weighted, block, SWAPPED_CLOSED[sid]))
+    grid = _grid(sid)
+    assert list(grid) == list(odd_primes(3, PMAX))
+    for p, xs in grid.items():
+        assert _refuted(sid, p, xs), (sid, p)

@@ -334,8 +334,8 @@ class TestRunCheck:
         # -1/3 has m = 7 > 5 at p = 11, so each check runs at -1-x = -2/3
         real = cg._lemma21_sides
 
-        def skewed(px):
-            lhs, rhs = real(px)
+        def skewed(*args):
+            lhs, rhs = real(*args)
             return lhs, (rhs[0] + 1,) + rhs[1:]
 
         monkeypatch.setattr(cg, "_lemma21_sides", skewed)
