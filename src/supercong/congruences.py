@@ -297,14 +297,15 @@ def _binomial_transform(p: int, e: int,
 
 # one entry per (p, x), read by all six block statements
 @_per_prime
-def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
+def _block_sums_mod(p: int, x: Fraction, oracle: str) -> tuple[int, ...]:
     """The nine block sums mod p^2 of the plain split, then the nine of the
     weighted split, each row-major: block K x L is sum_{n<p} c_n A_K(n)
     A_L(n), c_n = 1 or n+1, with A_K(n) = sum_{k in K} C(n,k) w_k mod p^2.
 
     The three ranges partition [0, p-1], so the transforms add up to the t
     table, which the recurrence of `sequences` builds by another route;
-    anything else is a program fault, not a failed congruence.
+    anything else is a program fault, not a failed congruence.  The table
+    is the one of the run's oracle mode, so it is shared with theorem1.
     """
     w = _pair_weights_mod(p, 2, x, T_MULT)
     parts = _binomial_transform(
@@ -312,7 +313,7 @@ def _block_sums_mod(p: int, x: Fraction) -> tuple[int, ...]:
                for K in _block_ranges(p, _x_mod(p, 1, x))])
     mod = p * p
     if any((a + b + c) % mod != t for a, b, c, t in
-           zip(*parts, _table(p, 2, x, T_MULT, "off").values)):
+           zip(*parts, _table(p, 2, x, T_MULT, oracle).values)):
         raise SupercongError(
             f"block transforms do not add up to the t table at p={p}, x={x}")
     sums = {}  # (K, L) -> both sums of A_K A_L, the mirrored cell its twin
@@ -373,7 +374,8 @@ def _cross_blocks_exact(p: int, x: Fraction) -> tuple[
 _VANISHING_BLOCKS = (2, 4, 5, 6, 7, 8)  # row-major indices of blocks 3,5,6,7,8,9
 
 
-def _regime_block_sums(p: int, x: RationalLike, weighted: bool) -> tuple[
+def _regime_block_sums(p: int, x: RationalLike, weighted: bool,
+                       oracle: str) -> tuple[
         Fraction, int, int, tuple[int, ...]]:
     """_split(p, x) and the nine block sums of one decomposition mod p^2.
 
@@ -384,15 +386,15 @@ def _regime_block_sums(p: int, x: RationalLike, weighted: bool) -> tuple[
         raise RegimeError(
             "m = (p-1)/2 for both x and -1-x; outside the stated regime")
     _require_half_regime(p, m)
-    sums = _block_sums_mod(p, x)
+    sums = _block_sums_mod(p, x, oracle)
     return x, xr, m, sums[9:] if weighted else sums[:9]
 
 
-def block_vanishing_check(p: int, x: RationalLike,
-                          weighted: bool = False) -> bool:
+def block_vanishing_check(p: int, x: RationalLike, weighted: bool = False,
+                          oracle: str = "off") -> bool:
     """Six far blocks vanish mod p^2 and, for p <= 50, the two cross blocks
-    agree exactly."""
-    x, _, _, sums = _regime_block_sums(p, x, weighted)
+    agree exactly; oracle is the audit mode of the t table read."""
+    x, _, _, sums = _regime_block_sums(p, x, weighted, oracle)
     if any(sums[i] for i in _VANISHING_BLOCKS):
         return False
     if p > _EXACT_CROSS_PMAX:
@@ -405,7 +407,8 @@ def block_sums(p: int, x: RationalLike,
                weighted: bool = False) -> tuple[Residue, ...]:
     """All nine block sums mod p^2 in row-major order (diagnostic view)."""
     mod = p * p
-    return tuple(Residue(v, mod) for v in _regime_block_sums(p, x, weighted)[3])
+    return tuple(Residue(v, mod)
+                 for v in _regime_block_sums(p, x, weighted, "off")[3])
 
 
 def lemma22_closed(n: int) -> Fraction:
@@ -430,12 +433,13 @@ BLOCK_LEMMAS: dict[str, tuple[bool, int, Callable[[int], Fraction]]] = {
 }
 
 
-def block_lemma_check(name: str, p: int, x: RationalLike) -> CongruenceReport:
+def block_lemma_check(name: str, p: int, x: RationalLike,
+                      oracle: str = "off") -> CongruenceReport:
     """The near or cross block of the plain or (n+1)-weighted decomposition
     mod p^2 against its closed form, by statement id (see BLOCK_LEMMAS);
     c(m) is p-integral (2m+1 < p), so p t c(m) is (xr - m) c(m) mod p^2."""
     weighted, block, closed = BLOCK_LEMMAS[name]
-    x, xr, m, sums = _regime_block_sums(p, x, weighted)
+    x, xr, m, sums = _regime_block_sums(p, x, weighted, oracle)
     c = closed(m)
     rhs = reduce_ratio(c.numerator, c.denominator, p, 2) * (
         xr - m if block else p)

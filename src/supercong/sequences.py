@@ -23,10 +23,12 @@ product of c (x-k+1)(x+k) times (1/k!)^2 from the basis; `congruences`
 turns masked weights into its block sums by binomial transforms, and reads
 the same basis for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
-one row by a term-ratio recurrence as an integer numerator over
-b^{2n} (n!)^3 (t_seq and s_seq turn it into one reduced Fraction), and
-_pair_weights_exact gives the weights themselves as integer numerators over
-the one denominator b^{2K} (K!)^2, for the exact checks in `congruences`.
+one row by a term-ratio recurrence as an integer numerator over M b^{2n},
+where M is the part of (2n)! made of the primes of b, the only denominator
+the terms C(n,k) C(x,k) C(x+k,k) c^k need (t_seq and s_seq turn it into
+one reduced Fraction), and _pair_weights_exact gives the weights themselves
+as integer numerators over the one denominator M b^{2K}, M for (2K)!, for
+the exact checks in `congruences`.
 The audit reduces the exact integer pair of a row mod p^e and compares; the
 slow route exists to audit the fast route and is never consulted to produce
 a table.
@@ -37,7 +39,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import update_wrapper
-from math import comb, factorial
+from math import comb
 from operator import mul
 from typing import Callable
 
@@ -56,41 +58,72 @@ T_MULT = 2
 S_MULT = 1
 
 
+def _factorial_part(n: int, b: int) -> int:
+    """The part of n! made of the primes that divide b: the product of
+    q^{v_q(n!)} over the primes q | b, with Legendre's formula v_q(n!) =
+    sum_i floor(n / q^i), b factored by trial division up to min(n, sqrt b).
+    """
+    primes, q = [], 2
+    while q <= n and q * q <= b:
+        if b % q == 0:
+            primes.append(q)
+            while b % q == 0:
+                b //= q
+        q += 1
+    if 1 < b <= n:  # b is 1, a prime, or has only prime factors above n
+        primes.append(b)
+    part = 1
+    for q in primes:
+        qi = q
+        while qi <= n:
+            part *= q ** (n // qi)
+            qi *= q
+    return part
+
+
 def _pair_weights_exact(x: Fraction, kmax: int,
                         mult: int) -> tuple[list[int], int]:
     """w_k = C(x,k) C(x+k,k) mult^k for k in [0, kmax], exact, as integer
-    numerators over the one denominator D = b^{2 kmax} (kmax!)^2, x = a/b.
+    numerators over the one denominator D = M b^{2 kmax}, x = a/b, with M
+    the part of (2 kmax)! whose primes divide b (_factorial_part).
 
-    Forward, num_k = num_{k-1} mult (a-(k-1)b)(a+kb) is w_k times
-    b^{2k} (k!)^2; backward, each is scaled by the missing
-    b^{2(kmax-k)} (kmax!/k!)^2, which ends as D itself at k = 0.
+    v_k = M b^{2k} w_k is an integer (see _row_exact), so the step v_k =
+    v_{k-1} mult (a-(k-1)b)(a+kb) / k^2 divides exactly; each v_k is then
+    scaled by the missing b^{2(kmax-k)}, and v_0 ends as D itself.
     """
     a, b = x.numerator, x.denominator
-    num = [1] * (kmax + 1)
+    num = [_factorial_part(2 * kmax, b)] * (kmax + 1)
     for k in range(1, kmax + 1):
-        num[k] = num[k - 1] * mult * (a - (k - 1) * b) * (a + k * b)
-    scale = 1
-    for k in range(kmax, 0, -1):
+        num[k] = num[k - 1] * (mult * (a - (k - 1) * b) * (a + k * b)) \
+            // (k * k)
+    scale, bb = 1, b * b
+    for k in range(kmax, -1, -1):
         num[k] *= scale
-        scale *= k * k * b * b
-    num[0] = scale
-    return num, scale
+        scale *= bb
+    return num, num[0]
 
 
 def _row_exact(n: int, x: Fraction, mult: int) -> tuple[int, int]:
     """sum_k C(n,k) C(x,k) C(x+k,k) mult^k, exact, as an integer numerator
-    over the denominator b^{2n} (n!)^3, not reduced.
+    over the denominator M b^{2n}, not reduced, for x = a/b and M the part
+    of (2n)! whose primes divide b (_factorial_part).
 
-    For x = a/b, term k is num_k / (b^{2k} (k!)^3) with num_k = num_{k-1}
-    (n-k+1) mult (a-(k-1)b)(a+kb).  Horner's rule puts all terms over the
-    one denominator: one big-by-small product per step and no gcd.
+    C(x,k) C(x+k,k) = C(2k,k) C(x+k,2k), and b^{2k} (2k)! C(x+k,2k) is a
+    product of 2k consecutive terms of a + jb, which every prime q not
+    dividing b divides at least v_q((2k)!) times.  So every U_k = M b^{2k}
+    C(n,k) C(x,k) C(x+k,k) mult^k with k <= n is an integer, and the step
+    U_k = U_{k-1} (n-k+1) mult (a-(k-1)b)(a+kb) / k^3 divides exactly.
+    Horner's rule puts all terms over the one denominator: one big-by-small
+    product, one exact division and one b^2 step per k, and no gcd.
     """
     a, b = x.numerator, x.denominator
-    acc = num = 1
+    bb, part = b * b, _factorial_part(2 * n, b)
+    acc = u = part
     for k in range(1, n + 1):
-        num *= (n - k + 1) * mult * (a - (k - 1) * b) * (a + k * b)
-        acc = acc * (k * k * k * b * b) + num
-    return acc, b ** (2 * n) * factorial(n) ** 3
+        u = u * ((n - k + 1) * mult * (a - (k - 1) * b) * (a + k * b)) \
+            // (k * k * k)
+        acc = acc * bb + u
+    return acc, part * bb**n
 
 
 def t_seq(n: int, x: RationalLike) -> Fraction:

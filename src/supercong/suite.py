@@ -94,14 +94,14 @@ STATEMENTS: dict[str, StatementSpec] = {
         StatementSpec("lemma21", True, 3, 50,
                       lambda p, x, o: cg.lemma21_all(p, x, o), reflects=True),
         *(StatementSpec(sid, True, 3, 50,
-                        lambda p, x, o, sid=sid: cg.block_lemma_check(sid, p, x),
+                        lambda p, x, o, sid=sid: cg.block_lemma_check(sid, p, x, o),
                         reflects=True)
           for sid in cg.BLOCK_LEMMAS),
         StatementSpec("blocks", True, 3, 50,
-                      lambda p, x, o: cg.block_vanishing_check(p, x, weighted=False),
+                      lambda p, x, o: cg.block_vanishing_check(p, x, False, o),
                       reflects=True),
         StatementSpec("blocks_weighted", True, 3, 50,
-                      lambda p, x, o: cg.block_vanishing_check(p, x, weighted=True),
+                      lambda p, x, o: cg.block_vanishing_check(p, x, True, o),
                       reflects=True),
         StatementSpec("residue_table", False, 5, 500,
                       lambda p, x, o: cg.residue_table_check(p)),

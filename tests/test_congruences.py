@@ -341,7 +341,8 @@ class TestBlockDecomposition:
         cg._block_sums_mod.cache_clear()
         block_lemma_check("lemma23", 13, Fraction(2, 5))
         block_lemma_check("lemma33", 13, Fraction(2, 5))
-        assert list(cg._block_sums_mod.entries) == [(13, Fraction(2, 5))]
+        assert list(cg._block_sums_mod.entries) == [
+            (13, Fraction(2, 5), "off")]
         assert cg._block_sums_mod.hits == 1
 
     def test_both_splits_share_one_cross_entry(self):

@@ -14,8 +14,8 @@ from supercong.core import (
     is_prime, legendre, mod_reduce)
 from supercong.sequences import (
     S_MULT, S_poly, SequenceTable, T_MULT, _pair_weights_exact,
-    _pair_weights_mod, _table_values, pfaff_check, s_seq, s_table_mod, t_seq,
-    t_symmetry_check, t_table_mod)
+    _pair_weights_mod, _row_exact, _table_values, pfaff_check, s_seq,
+    s_table_mod, t_seq, t_symmetry_check, t_table_mod)
 from supercong.suite import parse_x
 
 small_primes = st.sampled_from((3, 5, 7, 11))
@@ -62,11 +62,19 @@ def test_binom_gen_matches_integer_binomials(x, k):
     assert binom_gen(Fraction(x), k) == binom_int(x, k)
 
 
-# integers, -1/2, and fractions whose numerator takes either sign
+# integers, -1/2, and fractions whose numerator takes either sign, with
+# denominators that share primes with k! (so the exact steps of the
+# oracles rest on their M) as well as ones that do not
 pair_weight_args = st.one_of(
     st.integers(-40, 40).map(Fraction),
     st.just(Fraction(-1, 2)),
-    st.builds(Fraction, st.integers(-300, 300), st.integers(2, 40)))
+    st.builds(Fraction, st.integers(-300, 300),
+              st.integers(2, 40) | st.sampled_from((49, 11 * 13))))
+
+
+def literal_weights(x, mult, kmax):
+    return [binom_gen(x, k) * binom_gen(x + k, k) * mult**k
+            for k in range(kmax + 1)]
 
 
 @given(st.sampled_from((3, 5, 7, 13, 29)), exponents,
@@ -74,13 +82,20 @@ pair_weight_args = st.one_of(
 @settings(deadline=None)
 def test_pair_weights_match_the_literal_product(p, e, mult, x, data):
     assume(x.denominator % p)
-    literal = [binom_gen(x, k) * binom_gen(x + k, k) * mult**k
-               for k in range(p)]
-    kmax = data.draw(st.integers(0, p - 1))
-    num, den = _pair_weights_exact(x, kmax, mult)
-    assert [Fraction(v, den) for v in num] == literal[:kmax + 1]
     assert _pair_weights_mod(p, e, x, mult) == tuple(
-        mod_reduce(w, p, e).value for w in literal)
+        mod_reduce(w, p, e).value for w in literal_weights(x, mult, p - 1))
+    kmax = data.draw(st.integers(0, 60))
+    c = data.draw(st.integers(-3, 5))
+    num, den = _pair_weights_exact(x, kmax, c)
+    assert [Fraction(v, den) for v in num] == literal_weights(x, c, kmax)
+
+
+@given(st.integers(0, 60), pair_weight_args, st.integers(-3, 5))
+@settings(deadline=None)
+def test_exact_rows_match_the_literal_sums(n, x, mult):
+    assert Fraction(*_row_exact(n, x, mult)) == sum(
+        binom_int(n, k) * w
+        for k, w in enumerate(literal_weights(x, mult, n)))
 
 
 @given(st.integers(0, 12),

@@ -12,6 +12,7 @@ from supercong.sequences import (
     _audit_table,
     _factorials,
     _oracle_rows,
+    _pair_weights_exact,
     _row_exact,
     _table,
     _table_values,
@@ -63,6 +64,20 @@ class TestExactSequences:
         for fn in (t_seq, s_seq):
             with pytest.raises(ValueError):
                 fn(-1, Fraction(1, 2))
+
+
+class TestExactOracleSize:
+    """The exact oracles carry only the denominator they need, M b^{2n}
+    with M the part of (2n)! whose primes divide b; integers much longer
+    than that make the audit slower."""
+
+    def test_row_stays_small(self):
+        num, den = _row_exact(400, Fraction(29, 11), 2)
+        assert max(num.bit_length(), den.bit_length()) < 4000
+
+    def test_pair_weights_stay_small(self):
+        num, den = _pair_weights_exact(Fraction(29, 11), 300, 1)
+        assert max(v.bit_length() for v in num + [den]) < 3000
 
 
 class TestRecurrence:

@@ -642,6 +642,19 @@ class TestRunSuite:
         assert len(rows) == 5 * len(tables)
         assert sorted(rows) == sorted(expected)
 
+    @pytest.mark.parametrize("oracle", ["off", "spot"])
+    def test_block_route_reads_the_runs_t_tables(self, monkeypatch, oracle):
+        # the block statements read theorem1's t table of the same oracle
+        # mode, so spot builds no unaudited second copy of it
+        sequences._table.cache_clear()
+        cg._block_sums_mod.cache_clear()
+        builds = _record_calls(monkeypatch, sequences, "_table_values")
+        assert main(["verify", "--statement", "theorem1", "--statement",
+                     "blocks", "--pmin", "13", "--pmax", "31", "--oracle",
+                     oracle, "--format", "jsonl"]) == 0
+        t_builds = [args for args in builds if args[3] == T_MULT]
+        assert len(t_builds) == len(set(t_builds)) == 257
+
     @pytest.mark.parametrize("statements, cache", [
         (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
           "blocks_weighted"), cg._block_sums_mod),
