@@ -297,7 +297,8 @@ def _binomial_transform(p: int, e: int,
 
 # one entry per (p, x), read by all six block statements
 @_per_prime
-def _block_sums_mod(p: int, x: Fraction, oracle: str) -> tuple[int, ...]:
+def _block_sums_mod(p: int, x: Fraction, m: int,
+                    oracle: str) -> tuple[int, ...]:
     """The nine block sums mod p^2 of the plain split, then the nine of the
     weighted split, each row-major: block K x L is sum_{n<p} c_n A_K(n)
     A_L(n), c_n = 1 or n+1, with A_K(n) = sum_{k in K} C(n,k) w_k mod p^2.
@@ -310,7 +311,7 @@ def _block_sums_mod(p: int, x: Fraction, oracle: str) -> tuple[int, ...]:
     w = _pair_weights_mod(p, 2, x, T_MULT)
     parts = _binomial_transform(
         p, 2, [[wk if k in K else 0 for k, wk in enumerate(w)]
-               for K in _block_ranges(p, _x_mod(p, 1, x))])
+               for K in _block_ranges(p, m)])
     mod = p * p
     if any((a + b + c) % mod != t for a, b, c, t in
            zip(*parts, _table(p, 2, x, T_MULT, oracle).values)):
@@ -336,7 +337,7 @@ _EXACT_CROSS_PMAX = 50
 
 # one entry per (p, x), read by blocks and then by blocks_weighted
 @_per_prime
-def _cross_blocks_exact(p: int, x: Fraction) -> tuple[
+def _cross_blocks_exact(p: int, x: Fraction, m: int) -> tuple[
         tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Blocks 2 and 4 (lo x mid and mid x lo) of the plain split, then of
     the weighted split, as exact rationals, each summed over the integers
@@ -355,7 +356,7 @@ def _cross_blocks_exact(p: int, x: Fraction) -> tuple[
     plain = [comb(p, n + 1) for n in range(p)]
     weighted = [(n + 1) * comb(p + 1, n + 2) for n in range(p)]
     num, den = _pair_weights_exact(x, p - 1, T_MULT)
-    lo, mid, _ = _block_ranges(p, _x_mod(p, 1, x))
+    lo, mid, _ = _block_ranges(p, m)
     blocks = []  # (plain, weighted) of lo x mid, then of mid x lo
     for rows, cols in ((lo, mid), (mid, lo)):
         # g[i] = g_l(l+i): C(n,l) = 0 for n < l, so only n >= l is kept
@@ -386,7 +387,7 @@ def _regime_block_sums(p: int, x: RationalLike, weighted: bool,
         raise RegimeError(
             "m = (p-1)/2 for both x and -1-x; outside the stated regime")
     _require_half_regime(p, m)
-    sums = _block_sums_mod(p, x, oracle)
+    sums = _block_sums_mod(p, x, m, oracle)
     return x, xr, m, sums[9:] if weighted else sums[:9]
 
 
@@ -394,12 +395,12 @@ def block_vanishing_check(p: int, x: RationalLike, weighted: bool = False,
                           oracle: str = "off") -> bool:
     """Six far blocks vanish mod p^2 and, for p <= 50, the two cross blocks
     agree exactly; oracle is the audit mode of the t table read."""
-    x, _, _, sums = _regime_block_sums(p, x, weighted, oracle)
+    x, _, m, sums = _regime_block_sums(p, x, weighted, oracle)
     if any(sums[i] for i in _VANISHING_BLOCKS):
         return False
     if p > _EXACT_CROSS_PMAX:
         return True
-    lo_mid, mid_lo = _cross_blocks_exact(p, x)[weighted]
+    lo_mid, mid_lo = _cross_blocks_exact(p, x, m)[weighted]
     return lo_mid == mid_lo
 
 

@@ -4,7 +4,10 @@ Each function evaluates one side (or both sides) of a finite binomial-sum
 identity over exact rationals.  Nothing here touches modular arithmetic.
 The congruence layer reads only the closed forms of Lemmas 2.2 and 3.2,
 so those two (lemma22_closed, lemma32_closed) live in `congruences`; this
-module imports them and checks the double sums against them.
+module imports them and checks the double sums against them.  Sister
+identities share one summation: the double sums' kernels are the inner
+sums' closed forms, the inner sums and the convolutions each differ in
+one argument, and both Pfaff identities are sequences._pfaff_sum.
 identity_suite, the battery behind `supercong identities`, checks every
 family on fixed grids of points.
 """
@@ -26,23 +29,20 @@ from .core import (
     pochhammer,
     to_fraction,
 )
-from .sequences import pfaff_check
+from .sequences import _pair_coeffs, _pfaff_sum, pfaff_check
 
 
-def _pair_coeffs(n: int) -> list[int]:
-    """C(n,k) C(n+k,k) for k in [0, n]."""
-    return [comb(n, k) * comb(n + k, k) for k in range(n + 1)]
-
-
-def _double_sum(n: int, kernel_den: Callable[[int, int], int]) -> Fraction:
-    """sum_{k,l<=n} C(n,k)C(n+k,k)C(n,l)C(n+l,l) (-2)^{k+l} / kernel_den(k,l)."""
+def _double_sum(n: int, inner: Callable[[int, int], Fraction]) -> Fraction:
+    """sum_{k,l<=n} C(n,k)C(n+k,k)C(n,l)C(n+l,l) 2^{k+l} inner(k,l): with
+    inner liu22_closed or lemma31_closed, 2^{k+l} inner(k,l) is the Lemma
+    2.2 or 3.2 kernel (-2)^{k+l} / ((k+l+1) C(k+l,k)) or / C(k+l+2,k+1)."""
     if n < 0:
         raise ValueError("requires n >= 0")
     c = _pair_coeffs(n)
     total = Fraction(0)
     for k in range(n + 1):
         for l in range(n + 1):
-            total += c[k] * c[l] * Fraction((-2) ** (k + l), kernel_den(k, l))
+            total += c[k] * c[l] * 2 ** (k + l) * inner(k, l)
     return total
 
 
@@ -51,7 +51,7 @@ def lemma22_double_sum(n: int) -> Fraction:
 
     Equals (-1)^n / (2n+1).
     """
-    return _double_sum(n, lambda k, l: (k + l + 1) * comb(k + l, k))
+    return _double_sum(n, liu22_closed)
 
 
 def lemma32_double_sum(n: int) -> Fraction:
@@ -59,7 +59,7 @@ def lemma32_double_sum(n: int) -> Fraction:
 
     Equals 1/4 - (-1)^n (2n^2+2n-1) / (8n+4).
     """
-    return _double_sum(n, lambda k, l: comb(k + l + 2, k + 1))
+    return _double_sum(n, lemma31_closed)
 
 
 def pfd_sides(n: int, x: RationalLike) -> tuple[Fraction, Fraction]:
@@ -76,8 +76,8 @@ def pfd_sides(n: int, x: RationalLike) -> tuple[Fraction, Fraction]:
     if x.denominator == 1 and -n <= x.numerator <= 0:
         raise PoleError(f"x = {x} is a pole for n = {n}")
     lhs = Fraction(0)
-    for l in range(n + 1):
-        lhs += Fraction((-1) ** l * comb(n + l, l) * comb(n, l)) / (x + l)
+    for l, c in enumerate(_pair_coeffs(n)):
+        lhs += (-1) ** l * c / (x + l)
     rhs = pochhammer(1 - x, n) / pochhammer(x, n + 1)
     return lhs, rhs
 
@@ -97,19 +97,7 @@ def pfaff_derivative_check(n: int, z: RationalLike) -> bool:
     if n < 1:
         raise ValueError("requires n >= 1")
     z = to_fraction(z)
-    c = _pair_coeffs(n)
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    lpow = Fraction(1)
-    rpow = Fraction(1)
-    for k in range(1, n + 1):
-        lhs += c[k] * k * lpow
-        rhs += c[k] * k * rpow
-        lpow *= -z
-        rpow *= z - 1
-    if n % 2 == 0:
-        rhs = -rhs
-    return lhs == rhs
+    return _pfaff_sum(n, z, 1) == (-1) ** (n - 1) * _pfaff_sum(n, 1 - z, 1)
 
 
 def _inner_sum(k: int, l: int, shift: int,
@@ -195,13 +183,17 @@ def weighted_binom_conv_sum(N: int, k: int, l: int) -> tuple[Fraction, Fraction]
 # ---------------------------------------------------------------------------
 # the identity battery: every family above on fixed grids of points
 
-def _seeded_rationals(seed: int, count: int, den_max: int = 9,
-                      num_bound: int = 30) -> list[Fraction]:
+_NUM_BOUND = 30  # the seeded points a/b: |a| <= _NUM_BOUND, b <= _DEN_MAX
+_DEN_MAX = 9
+_INNER_BOUND = 15  # the inner sums are checked at every k, l <= this
+
+
+def _seeded_rationals(seed: int, count: int) -> list[Fraction]:
     rng = Random(seed)
     out: dict[Fraction, None] = {}  # distinct, in order of first draw
     while len(out) < count:
-        out[Fraction(rng.randint(-num_bound, num_bound),
-                     rng.randint(1, den_max))] = None
+        out[Fraction(rng.randint(-_NUM_BOUND, _NUM_BOUND),
+                     rng.randint(1, _DEN_MAX))] = None
     return list(out)
 
 
@@ -242,11 +234,11 @@ def _check_pfaff_derivative(nmax: int) -> bool:
                + [Fraction(3, 7), Fraction(-2)])
 
 
-def _check_inner_sums(bound: int = 15) -> bool:
+def _check_inner_sums() -> bool:
     return all(
         liu22_sum(k, l) == liu22_closed(k, l)
         and lemma31_sum(k, l) == lemma31_closed(k, l)
-        for k in range(bound + 1) for l in range(bound + 1))
+        for k in range(_INNER_BOUND + 1) for l in range(_INNER_BOUND + 1))
 
 
 def _check_convolutions() -> bool:
@@ -266,7 +258,7 @@ def identity_suite(nmax: int = 40) -> list[tuple[str, bool]]:
         ("pfaff_reflection n<=30, >deg points", lambda: _check_pfaff(nmax)),
         ("pfaff_derivative n<=25, >deg points",
          lambda: _check_pfaff_derivative(nmax)),
-        ("inner_sums k,l<=15", _check_inner_sums),
+        (f"inner_sums k,l<={_INNER_BOUND}", _check_inner_sums),
         ("binomial_convolutions N<=12 and prime N<=31", _check_convolutions),
     ]
     return [(name, fn()) for name, fn in checks]

@@ -170,6 +170,22 @@ def t_symmetry_check(n: int, x: RationalLike) -> bool:
     return t_seq(n, x) == t_seq(n, -1 - x)
 
 
+def _pair_coeffs(n: int) -> list[int]:
+    """C(n,k) C(n+k,k) for k in [0, n]."""
+    return [comb(n, k) * comb(n + k, k) for k in range(n + 1)]
+
+
+def _pfaff_sum(n: int, z: Fraction, d: int) -> Fraction:
+    """F_d(z) = sum_{k>=d} C(n,k) C(n+k,k) k^d (-z)^{k-d}, d = 0 or 1: both
+    sides of the Pfaff reflection (d = 0) and of its k-weighted variant
+    (d = 1) are F_d at z and at 1-z, since (z-1)^j = (-(1-z))^j."""
+    total, power = Fraction(0), Fraction(1)
+    for k, c in enumerate(_pair_coeffs(n)[d:], d):
+        total += c * k**d * power
+        power *= -z
+    return total
+
+
 def pfaff_check(n: int, z: RationalLike) -> bool:
     """Pfaff reflection for the pair weights, checked exactly at one point:
 
@@ -178,19 +194,7 @@ def pfaff_check(n: int, z: RationalLike) -> bool:
     if n < 0:
         raise ValueError("pfaff_check requires n >= 0")
     z = to_fraction(z)
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    lpow = Fraction(1)
-    rpow = Fraction(1)
-    for k in range(n + 1):
-        c = comb(n, k) * comb(n + k, k)
-        lhs += c * lpow
-        rhs += c * rpow
-        lpow *= -z
-        rpow *= z - 1
-    if n % 2:
-        rhs = -rhs
-    return lhs == rhs
+    return _pfaff_sum(n, z, 0) == (-1) ** n * _pfaff_sum(n, 1 - z, 0)
 
 
 class SequenceTable:

@@ -342,14 +342,15 @@ class TestBlockDecomposition:
         block_lemma_check("lemma23", 13, Fraction(2, 5))
         block_lemma_check("lemma33", 13, Fraction(2, 5))
         assert list(cg._block_sums_mod.entries) == [
-            (13, Fraction(2, 5), "off")]
+            (13, Fraction(2, 5), 3, "off")]
         assert cg._block_sums_mod.hits == 1
 
     def test_both_splits_share_one_cross_entry(self):
         cg._cross_blocks_exact.cache_clear()
         assert block_vanishing_check(13, Fraction(2, 5), weighted=False)
         assert block_vanishing_check(13, Fraction(2, 5), weighted=True)
-        assert list(cg._cross_blocks_exact.entries) == [(13, Fraction(2, 5))]
+        assert list(cg._cross_blocks_exact.entries) == [
+            (13, Fraction(2, 5), 3)]
         assert cg._cross_blocks_exact.hits == 1
 
     def test_regime_error(self):
@@ -375,10 +376,11 @@ class TestBlockDecomposition:
                 if x.denominator % p == 0:
                     continue
                 x = half_regime(p, x)
-                if padic_split(x, p).m == (p - 1) // 2:
+                m = padic_split(x, p).m
+                if m == (p - 1) // 2:
                     continue
                 # one call gives both cross blocks of both splits
-                exact = cg._cross_blocks_exact(p, x)
+                exact = cg._cross_blocks_exact(p, x, m)
                 assert exact == _cell_walk(p, x)
                 if p <= 23:
                     plain, weighted = (_brute_cells(p, x, w)

@@ -22,11 +22,23 @@ from supercong.identities import (
 
 
 class TestClosedFormDoubleSums:
+    @staticmethod
+    def _literal(n, kernel_den):
+        # the lemma's left side as stated: (-2)^{k+l} / kernel_den(k, l)
+        c = [comb(n, k) * comb(n + k, k) for k in range(n + 1)]
+        return sum(c[k] * c[l] * Fraction((-2) ** (k + l), kernel_den(k, l))
+                   for k in range(n + 1) for l in range(n + 1))
+
     def test_first_values(self):
         assert lemma22_double_sum(0) == 1
         assert lemma22_double_sum(1) == Fraction(-1, 3)
         assert lemma32_double_sum(0) == Fraction(1, 2)
         assert lemma32_double_sum(1) == Fraction(1, 2)
+        for n in range(9):
+            assert lemma22_double_sum(n) == self._literal(
+                n, lambda k, l: (k + l + 1) * comb(k + l, k))
+            assert lemma32_double_sum(n) == self._literal(
+                n, lambda k, l: comb(k + l + 2, k + 1))
 
     def test_closed_forms_moderate_range(self):
         for n in range(21):

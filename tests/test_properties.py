@@ -12,6 +12,7 @@ from supercong.congruences import (
 from supercong.core import (
     HypothesisViolatedError, NonPIntegralError, Residue, binom_gen, binom_int,
     is_prime, legendre, mod_reduce)
+from supercong.identities import pfaff_derivative_check
 from supercong.sequences import (
     S_MULT, S_poly, SequenceTable, T_MULT, _pair_weights_exact,
     _pair_weights_mod, _row_exact, _table_values, pfaff_check, s_seq,
@@ -103,6 +104,7 @@ def test_exact_rows_match_the_literal_sums(n, x, mult):
 @settings(deadline=None)
 def test_pfaff_reflection_everywhere(n, z):
     assert pfaff_check(n, z)
+    assert n == 0 or pfaff_derivative_check(n, z)
 
 
 @given(st.integers(0, 14),

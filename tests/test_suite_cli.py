@@ -1178,6 +1178,19 @@ class TestCli:
         assert _run_with_stdout_closed("identities", "--nmax", "6") == 0
 
 
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml claims requires-python = ">=3.X"; every module must
+    # parse with that grammar, though the tests run on a newer Python
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'requires-python = ">=3\.(\d+)"',
+                      (root / "pyproject.toml").read_text())
+    sources = sorted((root / "src" / "supercong").glob("*.py"))
+    assert floor and sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path),
+                  feature_version=(3, int(floor[1])))
+
+
 def _run_with_stdout_closed(*args: str) -> int:
     """Exit status of `python -m supercong ARGS` whose reader left at once.
 
