@@ -42,7 +42,9 @@ def main() -> None:
     print(f"  p = {p}, x = {x} (row-major, near corner first):")
     for i in range(0, 9, 3):
         print("   ", [r.value for r in sums[i:i + 3]])
-    print("  six far blocks vanish; the two cross blocks agree")
+    print("  six far blocks vanish mod p^2; the two cross blocks are one "
+          "product read twice\n  (over Q they agree by the symmetry of "
+          "P(k,l), which `supercong identities` checks)")
 
     print("\n== quadratic congruences for the weighted family ==")
     for p, x in ((97, Fraction(-1, 6)), (101, Fraction(3, 5))):

@@ -10,25 +10,24 @@ The nine-block decomposition sums f(k,l) = w_k w_l P(k,l) over rectangles
 K x L of the (k,l) grid, where w_k = C(x,k) C(x+k,k) 2^k and P(k,l) is
 sum_{n<p} c_n C(n,k) C(n,l), with c_n = 1 (plain) or n+1 (weighted).  So a
 rectangle is sum_{n<p} c_n A_K(n) A_L(n) with A_K(n) = sum_{k in K} C(n,k)
-w_k: three masked binomial transforms mod p^2 per argument, each one
-big-integer product against 1/j! packed once (Kronecker substitution), then
-O(p) work per distinct product A_K A_L (six; a mirrored block reads its
+w_k: three masked binomial transforms mod p^2 per argument.  They come from
+the t table and two prefix sums P_K(n) = sum_{k<=K} C(n,k) w_k, which
+the table's own loop steps with one boundary term (sequences._table_values),
+then O(p) work per distinct product A_K A_L (six; a mirrored block reads its
 twin).  Both splits read the same transforms, so one entry per (p, x)
 holds the nine sums of each and the transforms are not kept
-(_block_sums_mod).  The three transforms must add up to the t table, which
-`sequences` builds by its recurrence in n, another route (_table, which
-the table statements share); a break is a program fault and raises.
-The two cross blocks are additionally compared as exact rationals for
-p <= 50, each as its own ordered sum of P(k,l) = sum_n C(n,l) C(l,n-k) d_n
-over its cells, one column l at a time, with the sum over its rows
-carried from l-1 to l by Pascal's rule; their equality is claimed exactly,
-not just mod p^2.  One pass per (p, x) sums the cross blocks of both splits
-(_cross_blocks_exact).  Both entries are memos of one prime at a time
-(sequences._per_prime), so a prime group builds each once.
+(_block_sums_mod, a memo of one prime at a time, sequences._per_prime).
+The direct masked sum at five rows checks both prefixes on every run, and a
+break is a program fault that raises; under an oracle the three transforms
+are audited exactly, row by row, as masked integer sums over the exact
+pair weights.  Mod p^2 the two cross blocks are one product read twice;
+their equality over Q is the symmetry of P(k,l), which the identity
+battery proves for every prime below 50 (identities.binom_conv_sum).
 
-Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2; the literal
-exact-rational route (lemma21_check) is its oracle, with the exact pair
-weights built once per argument.
+Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2, with H_j
+mod p built once per prime (_harmonics_mod); the literal exact-rational
+route (lemma21_check) is its oracle, with the exact pair weights built once
+per argument.
 
 Each closed form is written once.  The near and cross blocks of Lemmas
 2.3/2.4 and 3.3/3.4 are p c(m) and p t c(m), with c the Lemma 2.2 or 3.2
@@ -52,9 +51,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, repeat
 from math import comb
-from operator import add, mul
+from operator import mul
 from random import Random
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     HypothesisViolatedError,
@@ -78,6 +77,7 @@ from .sequences import (
     _pair_weights_mod,
     _per_prime,
     _table,
+    _table_values,
     _weighted_square_sum,
     _x_mod,
     s_table_mod,
@@ -209,6 +209,17 @@ def lemma21_check(p: int, x: RationalLike, k: int) -> bool:
     return lhs == rhs
 
 
+# one entry per prime, read by every lemma21 argument
+@_per_prime
+def _harmonics_mod(p: int) -> tuple[int, ...]:
+    """H_j mod p for j < p, with 1/j = (j-1)! / j! from the (p, 2) basis."""
+    fact, inv_fact, _ = _factorials(p, 2)
+    harm = [0] * p
+    for j in range(1, p):
+        harm[j] = (harm[j - 1] + fact[j - 1] * inv_fact[j]) % p
+    return tuple(harm)
+
+
 def _lemma21_sides(p: int, x: Fraction, xr: int,
                    m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both sides of lemma21_check for every k < p, mod p^2, in one pass.
@@ -221,9 +232,7 @@ def _lemma21_sides(p: int, x: Fraction, xr: int,
     mod = p * p
     fact, inv_fact, _ = _factorials(p, 2)
     t = (xr - m) // p  # t mod p, as pt = xr - m (mod p^2)
-    harm = [0] * p  # H_j mod p, with 1/j = (j-1)! / j!
-    for j in range(1, p):
-        harm[j] = (harm[j - 1] + fact[j - 1] * inv_fact[j]) % p
+    harm = _harmonics_mod(p)
     low, mid, _ = _block_ranges(p, m)
     rhs = [0] * p  # the top range stays 0
     for k in low:
@@ -261,38 +270,42 @@ def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
 # ---------------------------------------------------------------------------
 # nine-block machinery
 
-def _pack(values: Iterable[int], width: int) -> int:
-    """One integer holding values in consecutive width-byte slots, low first."""
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))),
-        "little")
+def _check_prefixes(p: int, x: Fraction, w: Sequence[int],
+                    cuts: Sequence[int],
+                    prefixes: Sequence[Sequence[int]]) -> None:
+    """Each prefix P_K, K in cuts, against the direct masked sum
+    sum_{k<=K} C(n,k) w_k mod p^2 at five rows (fewer when they meet): 1,
+    (p-1)/2, p-1 and each K+1 < p, where a boundary term starts to act.  A
+    break is a program fault, not a failed congruence."""
+    mod = p * p
+    fact, inv_fact, _ = _factorials(p, 2)
+    rows = {1, (p - 1) // 2, p - 1, *(K + 1 for K in cuts)}
+    for n in sorted(n for n in rows if n < p):
+        terms = [wk * ik * inv_fact[n - k]
+                 for k, (wk, ik) in enumerate(zip(w[:n + 1], inv_fact))]
+        for K, prefix in zip(cuts, prefixes):
+            direct = fact[n] * sum(terms[:K + 1]) % mod
+            if prefix[n] != direct:
+                raise SupercongError(
+                    f"block prefix P_{K}(n={n}) at p={p}, x={x}: recurrence "
+                    f"{prefix[n]} != direct sum {direct} (mod {mod})")
 
 
-def _binomial_transform(p: int, e: int,
-                        ws: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """sum_k C(n,k) w_k mod p^e for every n in [0, p-1], for each w in ws.
-
-    sum_k C(n,k) w_k = n! * sum_{k+j=n} (w_k / k!) (1 / j!).  This relies on
-    n < p: then n! has no factor p, so every factorial is a unit mod p^e.
-    The 1/j! are packed once into slots wide enough for a product
-    coefficient of at most p (p^e - 1)^2, so that no carry crosses a slot;
-    each w_k / k! is packed the same way, and one product per w gives all
-    its rows (Kronecker substitution).
-    """
-    mod = p**e
-    fact, inv_fact, _ = _factorials(p, e)
-    width = ((p * (mod - 1) ** 2).bit_length() + 7) // 8
-    packed_inv_fact = _pack(inv_fact, width)
-    from_bytes = int.from_bytes
-    out = []
-    for w in ws:
-        product = _pack([wk * ik % mod for wk, ik in zip(w, inv_fact)],
-                        width) * packed_inv_fact
-        # the product has 2p - 1 slots; only the first p (rows n < p) are read
-        raw = product.to_bytes(width * (2 * p - 1), "little")
-        out.append(tuple([from_bytes(raw[i:i + width], "little") * f % mod
-                          for i, f in zip(range(0, width * p, width), fact)]))
-    return out
+def _audit_transforms(p: int, x: Fraction, m: int,
+                      parts: Sequence[Sequence[int]], oracle: str) -> None:
+    """Rows of A_lo, A_mid and A_hi against their masked integer sums
+    sum_{k in K} C(n,k) W_k over the exact weights' one denominator: the
+    _oracle_rows rows in spot mode, every row in full mode."""
+    num, den = _pair_weights_exact(x, p - 1, T_MULT)
+    for n in _oracle_rows(p, 2, x, T_MULT, oracle):
+        row = list(map(mul, map(comb, repeat(n), range(n + 1)), num))
+        for name, K, part in zip(("lo", "mid", "hi"), _block_ranges(p, m),
+                                 parts):
+            exact = reduce_ratio(sum(row[K.start:K.stop]), den, p, 2)
+            if part[n] != exact:
+                raise OracleMismatchError(
+                    f"block transform A_{name} row n={n} (p={p}, x={x}): "
+                    f"fast path {part[n]} != exact {exact} (mod {p * p})")
 
 
 # one entry per (p, x), read by all six block statements
@@ -303,20 +316,23 @@ def _block_sums_mod(p: int, x: Fraction, m: int,
     weighted split, each row-major: block K x L is sum_{n<p} c_n A_K(n)
     A_L(n), c_n = 1 or n+1, with A_K(n) = sum_{k in K} C(n,k) w_k mod p^2.
 
-    The three ranges partition [0, p-1], so the transforms add up to the t
-    table, which the recurrence of `sequences` builds by another route;
-    anything else is a program fault, not a failed congruence.  The table
-    is the one of the run's oracle mode, so it is shared with theorem1.
+    A_lo = P_m, A_mid = P_{p-m-1} - P_m and A_hi = t - P_{p-m-1}, from the
+    prefix sums P_K of `sequences` and the t table of the run's oracle
+    mode, shared with theorem1.  _check_prefixes checks the prefixes at
+    five rows; under an oracle, _audit_transforms audits A_lo, A_mid and
+    A_hi exactly.
     """
-    w = _pair_weights_mod(p, 2, x, T_MULT)
-    parts = _binomial_transform(
-        p, 2, [[wk if k in K else 0 for k, wk in enumerate(w)]
-               for K in _block_ranges(p, m)])
     mod = p * p
-    if any((a + b + c) % mod != t for a, b, c, t in
-           zip(*parts, _table(p, 2, x, T_MULT, oracle).values)):
-        raise SupercongError(
-            f"block transforms do not add up to the t table at p={p}, x={x}")
+    w = _pair_weights_mod(p, 2, x, T_MULT)
+    cuts = (m, p - m - 1)  # the last k of lo and of mid
+    prefixes = [_table_values(p, 2, x, T_MULT, (K, w)) for K in cuts]
+    _check_prefixes(p, x, w, cuts, prefixes)
+    lo, top = prefixes
+    t = _table(p, 2, x, T_MULT, oracle).values
+    parts = (lo, [(b - a) % mod for a, b in zip(lo, top)],
+             [(c - b) % mod for b, c in zip(top, t)])
+    if oracle != "off":
+        _audit_transforms(p, x, m, parts, oracle)
     sums = {}  # (K, L) -> both sums of A_K A_L, the mirrored cell its twin
     for i, j in combinations_with_replacement(range(3), 2):
         ab = list(map(mul, parts[i], parts[j]))
@@ -324,52 +340,6 @@ def _block_sums_mod(p: int, x: Fraction, m: int,
             sum(ab) % mod, sum(map(mul, range(1, p + 1), ab)) % mod)
     plain, weighted = zip(*(sums[i, j] for i in range(3) for j in range(3)))
     return plain + weighted
-
-
-# The exact cross-block equality is checked up to this prime.  Mod p^2 the
-# two cross blocks are one product read twice, and over Q their equality is
-# the symmetry of P(k,l) = sum_n c_n C(n,k) C(n,l), which holds at every p;
-# the ordered sums of _cross_blocks_exact only witness that identity, in
-# O(p) passes over lists of p big integers per argument, so above this size
-# they are skipped.
-_EXACT_CROSS_PMAX = 50
-
-
-# one entry per (p, x), read by blocks and then by blocks_weighted
-@_per_prime
-def _cross_blocks_exact(p: int, x: Fraction, m: int) -> tuple[
-        tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Blocks 2 and 4 (lo x mid and mid x lo) of the plain split, then of
-    the weighted split, as exact rationals, each summed over the integers
-    with the weights on their one common denominator.
-
-    A block K x L is sum_{l in L} W_l sum_{n<p} d_n C(n,l) g_l(n), with
-    g_l(n) = sum_{k in K} W_k C(l,n-k), which is P(k,l) = sum_n C(n,l)
-    C(l,n-k) d_n summed over the cells.  d_n = C(p,n+1) gives the plain
-    split and (n+1) C(p+1,n+2) the weighted one (identities.binom_conv_sum
-    and weighted_binom_conv_sum at N = p).  g_0 is W masked to K, and
-    Pascal's rule C(l,j) = C(l-1,j) + C(l-1,j-1) steps it from l-1 to l.
-    K enters only through C(l,n-k) and L only through d_n C(n,l), so the two
-    orders of a cross block are different sums, and their equality is a
-    real check of the symmetry of P(k,l).
-    """
-    plain = [comb(p, n + 1) for n in range(p)]
-    weighted = [(n + 1) * comb(p + 1, n + 2) for n in range(p)]
-    num, den = _pair_weights_exact(x, p - 1, T_MULT)
-    lo, mid, _ = _block_ranges(p, m)
-    blocks = []  # (plain, weighted) of lo x mid, then of mid x lo
-    for rows, cols in ((lo, mid), (mid, lo)):
-        # g[i] = g_l(l+i): C(n,l) = 0 for n < l, so only n >= l is kept
-        g = [w if n in rows else 0 for n, w in enumerate(num)]
-        a = b = 0
-        for l in range(cols.stop):
-            if l in cols:
-                h = list(map(mul, g, map(comb, range(l, p), repeat(l))))
-                a += num[l] * sum(map(mul, plain[l:], h))
-                b += num[l] * sum(map(mul, weighted[l:], h))
-            g = list(map(add, g[1:], g))  # g_l to g_{l+1}
-        blocks.append((Fraction(a, den * den), Fraction(b, den * den)))
-    return tuple(zip(*blocks))
 
 
 _VANISHING_BLOCKS = (2, 4, 5, 6, 7, 8)  # row-major indices of blocks 3,5,6,7,8,9
@@ -393,15 +363,10 @@ def _regime_block_sums(p: int, x: RationalLike, weighted: bool,
 
 def block_vanishing_check(p: int, x: RationalLike, weighted: bool = False,
                           oracle: str = "off") -> bool:
-    """Six far blocks vanish mod p^2 and, for p <= 50, the two cross blocks
-    agree exactly; oracle is the audit mode of the t table read."""
-    x, _, m, sums = _regime_block_sums(p, x, weighted, oracle)
-    if any(sums[i] for i in _VANISHING_BLOCKS):
-        return False
-    if p > _EXACT_CROSS_PMAX:
-        return True
-    lo_mid, mid_lo = _cross_blocks_exact(p, x, m)[weighted]
-    return lo_mid == mid_lo
+    """The six far blocks vanish mod p^2; oracle is the audit mode of the
+    block route (its t table and its three transforms)."""
+    sums = _regime_block_sums(p, x, weighted, oracle)[3]
+    return not any(sums[i] for i in _VANISHING_BLOCKS)
 
 
 def block_sums(p: int, x: RationalLike,

@@ -19,9 +19,10 @@ square sums its readers ask for, so each table is audited once per oracle
 mode and each sum is taken once.  Both keep the entries of the latest
 prime only (_per_prime), as do the memos of `congruences`: a run computes
 prime by prime.  The pair weight w_k = C(x,k) C(x+k,k) c^k is the running
-product of c (x-k+1)(x+k) times (1/k!)^2 from the basis; `congruences`
-turns masked weights into its block sums by binomial transforms, and reads
-the same basis for Lemma 2.1.
+product of c (x-k+1)(x+k) times (1/k!)^2 from the basis.  With one boundary
+term the same loop gives the prefix sums sum_{k<=K} C(n,k) w_k, from which
+`congruences` builds its block transforms; it reads the same basis for
+Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
 one row by a term-ratio recurrence as an integer numerator over M b^{2n},
 where M is the part of (2n)! made of the primes of b, the only denominator
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import update_wrapper
 from math import comb
 from operator import mul
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import (
     NonPIntegralError,
@@ -306,22 +307,38 @@ def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]
     return tuple(w)
 
 
-def _table_values(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
+def _table_values(p: int, e: int, x: Fraction, mult: int,
+                  cut: tuple[int, Sequence[int]] | None = None
+                  ) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e, by the recurrence in n of the module
     docstring: f_N from f_{N-1}, f_{N-2}, f_{N-3} and the unit 1/N^2, or
-    from f_{N-1} and f_{N-2} alone when c - 1 = 0 (the s family)."""
+    from f_{N-1} and f_{N-2} alone when c - 1 = 0 (the s family) and no cut
+    is given.
+
+    cut = (K, w), w the pair weights mod p^e, gives instead the prefix sums
+    P_K(n) = sum_{k<=K} C(n,k) w_k.  They satisfy the same recurrence with
+    the boundary term -(K+1)^2 C(N-1,K) w_{K+1} on the right (creative
+    telescoping: it is the certificate at k = K+1), which is 0 for N <= K,
+    where P_K is f, and for every N < p once K >= p-1.
+    """
     mod = p**e
     xr = _x_mod(p, e, x)
-    inv_sq = _factorials(p, e)[2]
+    fact, inv_fact, inv_sq = _factorials(p, e)
     a, q = 3 - mult, (1 + mult * xr * (xr + 1)) % mod
     b, c = 2 * mult - 3, mult - 1
+    g = [0] * p  # the boundary term: N^2 f_N gains -g[N]
+    if cut is not None and cut[0] < p - 1:
+        K, w = cut
+        top = (K + 1) ** 2 * w[K + 1] * inv_fact[K] % mod
+        for n in range(K + 1, p):  # C(n-1, K) = (n-1)! / (K! (n-1-K)!)
+            g[n] = top * fact[n - 1] * inv_fact[n - 1 - K] % mod
     f = [1] * p
     f1, f2, f3 = 1, 0, 0  # f_{n-1}, f_{n-2}, f_{n-3}
-    if c:
+    if c or cut is not None:
         for n in range(1, p):
             m = n - 1
-            f1, f2, f3 = ((a * n * m + q) * f1 + b * m * m * f2
-                          - c * m * (m - 1) * f3) * inv_sq[n] % mod, f1, f2
+            f1, f2, f3 = ((a * n * m + q) * f1 + m * (b * m * f2
+                          - c * (m - 1) * f3) - g[n]) * inv_sq[n] % mod, f1, f2
             f[n] = f1
     else:
         for n in range(1, p):

@@ -285,28 +285,6 @@ def _inner_exact(plain: list[int], weighted: list[int], k: int,
     return a, b
 
 
-def _cell_walk(p: int, x: Fraction) -> tuple[
-        tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """The reference for cg._cross_blocks_exact, in its layout: each cross
-    block an ordered sum of _inner_exact over every (k, l) cell it covers."""
-    plain, weighted = _inner_weights(p)
-    num, den = cg._pair_weights_exact(x, p - 1, T_MULT)
-    lo, mid, _ = cg._block_ranges(p, padic_split(x, p).m)
-    blocks = []  # (plain, weighted) of lo x mid, then of mid x lo
-    for rows, cols in ((lo, mid), (mid, lo)):
-        a = b = 0
-        for k in rows:
-            row_a = row_b = 0
-            for l in cols:
-                pa, pb = _inner_exact(plain, weighted, k, l)
-                row_a += num[l] * pa
-                row_b += num[l] * pb
-            a += num[k] * row_a
-            b += num[k] * row_b
-        blocks.append((Fraction(a, den * den), Fraction(b, den * den)))
-    return tuple(zip(*blocks))
-
-
 class TestBlockDecomposition:
     def test_matches_literal_sums(self):
         for p, x in ((5, Fraction(1)), (7, Fraction(-1, 3))):
@@ -345,14 +323,6 @@ class TestBlockDecomposition:
             (13, Fraction(2, 5), 3, "off")]
         assert cg._block_sums_mod.hits == 1
 
-    def test_both_splits_share_one_cross_entry(self):
-        cg._cross_blocks_exact.cache_clear()
-        assert block_vanishing_check(13, Fraction(2, 5), weighted=False)
-        assert block_vanishing_check(13, Fraction(2, 5), weighted=True)
-        assert list(cg._cross_blocks_exact.entries) == [
-            (13, Fraction(2, 5), 3)]
-        assert cg._cross_blocks_exact.hits == 1
-
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             block_vanishing_check(7, Fraction(-2, 3))
@@ -368,27 +338,45 @@ class TestBlockDecomposition:
                         binom_conv_sum(p, k, l)[1],
                         weighted_binom_conv_sum(p, k, l)[1])
 
-    def test_exact_cross_blocks_match_literal_sums(self):
-        cases = 0
-        for p in odd_primes(5, 47):
-            for x in (Fraction(0), Fraction(1), Fraction(-1, 3),
-                      Fraction(2, 5), Fraction(-7, 9), Fraction(13, 4)):
-                if x.denominator % p == 0:
-                    continue
-                x = half_regime(p, x)
-                m = padic_split(x, p).m
-                if m == (p - 1) // 2:
-                    continue
-                # one call gives both cross blocks of both splits
-                exact = cg._cross_blocks_exact(p, x, m)
-                assert exact == _cell_walk(p, x)
-                if p <= 23:
-                    plain, weighted = (_brute_cells(p, x, w)
-                                       for w in (False, True))
-                    assert exact == ((plain[1], plain[3]),
-                                     (weighted[1], weighted[3]))
-                cases += 1
-        assert cases == 75  # 39 up to p = 23, six at each of 29..47
+    def test_oracle_audits_the_transforms_only_when_on(self, monkeypatch):
+        # the exact weights are read by the audit alone: never with the
+        # oracle off, once per entry under spot or full
+        calls = []
+        real = cg._pair_weights_exact
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cg, "_pair_weights_exact", counted)
+        for oracle in ("off", "spot", "full"):
+            cg._block_sums_mod.cache_clear()
+            assert block_vanishing_check(13, Fraction(2, 5), oracle=oracle)
+            assert block_vanishing_check(13, Fraction(2, 5), True, oracle)
+        assert calls == [(Fraction(2, 5), 12, T_MULT)] * 2
+
+    @pytest.mark.parametrize("oracle", ["spot", "full"])
+    def test_oracle_catches_a_row_the_prefix_check_skips(self, monkeypatch,
+                                                         oracle):
+        # row 2 of P_m at p = 13, m = 3 is not among the prefix check's
+        # rows 1, 4, 6, 10 and 12, so only the exact audit sees it
+        p, x = 13, Fraction(2, 5)
+        real = cg._table_values
+
+        def skewed(p_, e, x_, mult, cut=None):
+            rows = real(p_, e, x_, mult, cut)
+            if cut is None or cut[0] != 3:
+                return rows
+            return rows[:2] + ((rows[2] + p) % p**e,) + rows[3:]
+
+        monkeypatch.setattr(cg, "_table_values", skewed)
+        cg._block_sums_mod.cache_clear()
+        assert block_vanishing_check(p, x)  # unaudited, the skew is unseen
+        cg._block_sums_mod.cache_clear()
+        with pytest.raises(OracleMismatchError,
+                           match=r"block transform A_lo row n=2 \(p=13, "):
+            block_vanishing_check(p, x, oracle=oracle)
+        cg._block_sums_mod.cache_clear()
 
 
 @given(primes_to_43, st.booleans(), st.data())

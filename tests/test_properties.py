@@ -1,13 +1,14 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from supercong.congruences import (
-    BLOCK_LEMMAS, _binomial_transform, _weighted_square_sum, block_lemma_check,
+    BLOCK_LEMMAS, _weighted_square_sum, block_lemma_check,
     padic_split, sun_s_check, theorem1_rhs, theorem2_rhs)
 from supercong.core import (
     HypothesisViolatedError, NonPIntegralError, Residue, binom_gen, binom_int,
@@ -174,11 +175,17 @@ def test_tables_match_the_exact_sequences(p, e, family, data):
        st.data())
 @settings(deadline=None, max_examples=60)
 def test_recurrence_table_is_the_binomial_transform(p, e, mult, data):
-    # two modular routes to the same rows: the recurrence in n, and the
-    # binomial transform of the pair weights by Kronecker substitution
+    # the recurrence in n against the literal binomial transform sum_k
+    # C(n,k) w_k of the pair weights mod p^e; with a boundary term the same
+    # loop gives the prefix sums over k <= K
     x = data.draw(table_argument(p))
-    [rows] = _binomial_transform(p, e, [_pair_weights_mod(p, e, x, mult)])
-    assert _table_values(p, e, x, mult) == rows
+    w = _pair_weights_mod(p, e, x, mult)
+    K = data.draw(st.integers(0, p - 1))
+    terms = [[comb(n, k) * w[k] for k in range(n + 1)] for n in range(p)]
+    assert _table_values(p, e, x, mult) == tuple(
+        sum(row) % p**e for row in terms)
+    assert _table_values(p, e, x, mult, (K, w)) == tuple(
+        sum(row[:K + 1]) % p**e for row in terms)
 
 
 @pytest.mark.parametrize("sign", (1, 0, -1))

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from supercong.core import (
-    NonPIntegralError, OracleMismatchError, mod_reduce, reduce_ratio)
+    NonPIntegralError, OracleMismatchError, binom_gen, mod_reduce,
+    reduce_ratio)
 from supercong.sequences import (
     S_poly,
     S_MULT,
@@ -13,6 +15,7 @@ from supercong.sequences import (
     _factorials,
     _oracle_rows,
     _pair_weights_exact,
+    _pair_weights_mod,
     _row_exact,
     _table,
     _table_values,
@@ -98,6 +101,44 @@ class TestRecurrence:
                     * at(n - 1)
                     + (2 * mult - 3) * (n - 1) ** 2 * at(n - 2)
                     - (mult - 1) * (n - 1) * (n - 2) * at(n - 3)), (x, n)
+
+    @staticmethod
+    def _prefix_misses(mult: int, x: Fraction, boundary) -> list:
+        """The (K, N), K <= 11 and N <= 24, at which the prefix sums P_K(N)
+        = sum_{k<=K} C(N,k) w_k of w_k = C(x,k) C(x+k,k) mult^k break the
+        recurrence with -boundary(K) C(N-1,K) w_{K+1} on the right."""
+        w = [binom_gen(x, k) * binom_gen(x + k, k) * mult**k
+             for k in range(13)]
+        misses = []
+        for K in range(12):
+            P = [sum(comb(N, k) * w[k] for k in range(K + 1))
+                 for N in range(25)]
+            at = lambda n: P[n] if n >= 0 else 0
+            for N in range(1, 25):
+                rest = (N * N * P[N]
+                        - ((3 - mult) * N * (N - 1) + 1 + mult * x * (x + 1))
+                        * at(N - 1)
+                        - (2 * mult - 3) * (N - 1) ** 2 * at(N - 2)
+                        + (mult - 1) * (N - 1) * (N - 2) * at(N - 3))
+                if rest != -boundary(K) * comb(N - 1, K) * w[K + 1]:
+                    misses.append((K, N))
+        return misses
+
+    @pytest.mark.parametrize("mult", (1, 2, 3))
+    def test_prefix_sums_take_one_boundary_term(self, mult):
+        # exactly over Q: the boundary term is -(K+1)^2 C(N-1,K) w_{K+1},
+        # and the grid refutes K^2 in its place
+        for x in (Fraction(1, 3), Fraction(-2, 7), Fraction(5),
+                  Fraction(-1, 2)):
+            assert self._prefix_misses(mult, x, lambda K: (K + 1) ** 2) == []
+            assert self._prefix_misses(mult, x, lambda K: K * K)
+            # and the table loop steps it mod p^e
+            for p, e in ((29, 1), (29, 2), (31, 3)):
+                w = _pair_weights_mod(p, e, x, mult)
+                for K in range(12):
+                    assert _table_values(p, e, x, mult, (K, w)) == tuple(
+                        sum(comb(n, k) * w[k] for k in range(K + 1)) % p**e
+                        for n in range(p)), (x, p, e, K)
 
     @pytest.mark.parametrize("mult", range(-3, 6))
     def test_tables_for_any_multiplier(self, mult):

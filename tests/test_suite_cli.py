@@ -2,8 +2,10 @@ import ast
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -280,10 +282,13 @@ class TestParseConfig:
         assert cfg.x_values == (Fraction(1, 3), Fraction(0))
 
 
-def _corrupt_row_zero(real):
-    def transform(p, e, ws):
-        return [((rows[0] + 1) % p**e,) + rows[1:] for rows in real(p, e, ws)]
-    return transform
+def _corrupt_last_prefix_row(real):
+    def prefix(p, e, x, mult, cut=None):
+        rows = real(p, e, x, mult, cut)
+        if cut is None:
+            return rows
+        return rows[:-1] + ((rows[-1] + 1) % p**e,)
+    return prefix
 
 
 def _skew_the_8n5_sum(real):
@@ -367,8 +372,8 @@ class TestRunCheck:
         assert r.passed is True
 
     @pytest.mark.parametrize("sid, name, fault", [
-        # the transform invariant: A_lo + A_mid + A_hi must be the t table
-        ("blocks", "_binomial_transform", _corrupt_row_zero),
+        # the prefix check: row p-1 of each prefix against its direct sum
+        ("blocks", "_table_values", _corrupt_last_prefix_row),
         # weighted_sum_check's recombination of the two square sums
         ("weighted_8n5", "_weighted_square_sum", _skew_the_8n5_sum),
         ("lemma21", "_pair_weights_mod", _raise(ArithmeticError("planted"))),
@@ -384,10 +389,10 @@ class TestRunCheck:
         assert r.statement == sid and r.passed is False
         assert r.lhs is None and r.rhs is None
         assert r.skipped_reason.startswith("internal error: ")
-        if name == "_binomial_transform":  # caught by the check, not a crash
+        if name == "_table_values":  # caught by the check, not a crash
             assert r.skipped_reason.startswith(
-                "internal error: SupercongError: block transforms do not add "
-                "up to the t table")
+                "internal error: SupercongError: block prefix P_3(n=10) at "
+                "p=11, x=-7/5: recurrence ")
         assert "Traceback" in capsys.readouterr().err
 
     def test_micros_times_the_whole_task(self, monkeypatch, capsys):
@@ -607,20 +612,19 @@ class TestRunSuite:
         assert set(memos) == {"sequences._factorials",
                               "sequences._table",
                               "congruences._block_sums_mod",
-                              "congruences._cross_blocks_exact"}
+                              "congruences._harmonics_mod"}
         # and no other cache: nothing in the package sizes one
         for path in Path(supercong.__file__).parent.glob("*.py"):
             assert "lru_cache" not in path.read_text(encoding="utf-8"), path
         for fn in memos.values():
             fn.cache_clear()
         # every table at one (p, e) reads one factorial basis, theorem2
-        # reuses theorem1's t table, and lemma23 and lemma33 the block
-        # entry, blocks_weighted the exact cross blocks, that blocks built
-        # with both splits
+        # reuses theorem1's t table, lemma23 and lemma33 the block entry,
+        # and lemma21's second argument at a prime the harmonic numbers
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "blocks", "blocks_weighted",
-                        "lemma23", "lemma33"),
-            prime_max=13, x_values=(Fraction(1),)))
+                        "lemma23", "lemma33", "lemma21"),
+            prime_max=13, x_values=(Fraction(1), Fraction(2))))
         assert summary.failed == 0
         for name, fn in memos.items():
             assert fn.hits > 0, name
@@ -658,9 +662,8 @@ class TestRunSuite:
     @pytest.mark.parametrize("statements, cache", [
         (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
           "blocks_weighted"), cg._block_sums_mod),
-        (("blocks", "blocks_weighted"), cg._cross_blocks_exact),
         (("theorem1", "theorem2", "weighted_8n5"), sequences._table),
-    ], ids=["blocks", "cross", "tables"])
+    ], ids=["blocks", "tables"])
     def test_cache_spans_one_prime_group(self, monkeypatch, statements,
                                          cache):
         # tasks run by prime, so each entry is built once, in its prime
@@ -758,7 +761,7 @@ class TestRunSuite:
                   for name, fn in memos.items()}
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "kw", "sun_s", "blocks",
-                        "blocks_weighted", "lemma23"),
+                        "blocks_weighted", "lemma23", "lemma21"),
             prime_max=13, x_values=(Fraction(-1, 4), Fraction(1))))
         assert summary.failed == 0
         for name, fn in memos.items():
@@ -948,6 +951,38 @@ class TestCli:
         for r in rows:
             assert r["pass"] is False and r["lhs"] is None
             assert r["skipped_reason"].startswith("oracle mismatch: ")
+
+    def test_spot_oracle_catches_a_shifted_mid_mask(self, tmp_path):
+        # a copy of the package whose mid mask runs one k late, [m+2, p-m]:
+        # its prefix check reads the same cut points, so it passes, and so
+        # do its far blocks; only the exact audit of the transforms sees it
+        pkg = tmp_path / "supercong"
+        shutil.copytree(Path(supercong.__file__).parent, pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = pkg / "congruences.py"
+        text = source.read_text(encoding="utf-8")
+        assert text.count("cuts = (m, p - m - 1)") == 1
+        source.write_text(text.replace("cuts = (m, p - m - 1)",
+                                       "cuts = (m + 1, p - m)"),
+                          encoding="utf-8")
+        runs = {}
+        for oracle in ("off", "spot"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "supercong", "verify", "--statement",
+                 "blocks", "--pmin", "11", "--pmax", "13", "--x", "2/5",
+                 "--oracle", oracle, "--format", "jsonl"],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(tmp_path)})
+            runs[oracle] = (proc.returncode, [
+                (r["p"], r["x"], r["pass"], r["skipped_reason"])
+                for r in map(json.loads, proc.stdout.splitlines())])
+        assert runs["off"] == (0, [(11, "-7/5", True, None),
+                                   (13, "2/5", True, None)])
+        code, rows = runs["spot"]
+        assert code == 1 and [row[:3] for row in rows] == [
+            (11, "-7/5", False), (13, "2/5", False)]
+        assert rows[1][3].startswith(
+            "oracle mismatch: block transform A_lo row n=4 (p=13, x=2/5)")
 
     def test_interrupted_run_leaves_a_prefix(self, tmp_path, monkeypatch,
                                              capsys):
