@@ -32,9 +32,11 @@ per argument.
 Each closed form is written once.  The near and cross blocks of Lemmas
 2.3/2.4 and 3.3/3.4 are p c(m) and p t c(m), with c the Lemma 2.2 or 3.2
 closed form (BLOCK_LEMMAS).  Those two closed forms live here, beside
-BLOCK_LEMMAS, and `identities` imports them to check its double sums, so
-a verify run never loads the identity battery.  theorem1, theorem2 and
-sun_s share the factor (-1)^m (p + 2(x-m)) / (2x+1) (_sign_ratio).
+BLOCK_LEMMAS, and `identities` imports them to check its double sums, so a
+verify run never loads the identity battery.  R(x), the Legendre symbol
+(-1/p) when 2x = -1 (mod p) and (-1)^m (p + 2(x-m)) / (2x+1) otherwise, is
+the right side of theorem1 and sun_s, and theorem2's right side is
+(p - (2x^2+2x-1) R(x))/4 in both branches (_r_mod, _theorem2_mod).
 Every check splits x once (_split) as (x, x mod p^2, m), and every right
 side, lemma21's and the block lemmas' included, is evaluated in Z/p^2 from
 m and pt = x mod p^2 - m, with modular inverses: reduction mod p^2 is a
@@ -415,52 +417,49 @@ def block_lemma_check(name: str, p: int, x: RationalLike,
 # ---------------------------------------------------------------------------
 # headline quadratic congruences
 
-def _sign_ratio(p: int, xr: int, m: int) -> int:
-    """(-1)^m (p + 2(x-m)) / (2x+1) mod p^2 from xr = x mod p^2 and m, for
-    2m + 1 != p (then 2x+1 is a unit); shared by theorem1, theorem2 and
-    sun_s."""
+def _r_mod(p: int, xr: int, m: int) -> Residue:
+    """R(x) mod p^2 from _split's xr = x mod p^2 and m: the Legendre symbol
+    (-1/p) when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1), with
+    2x+1 a unit.  The right side of theorem1 and sun_s."""
     mod = p * p
+    if 2 * m + 1 == p:
+        return Residue(legendre(-1, p), mod)
     ratio = (p + 2 * (xr - m)) * pow(2 * xr + 1, -1, mod)
-    return (-ratio if m % 2 else ratio) % mod
+    return Residue(-ratio if m % 2 else ratio, mod)
+
+
+def _theorem2_mod(p: int, xr: int, m: int) -> Residue:
+    """(p - (2x^2 + 2x - 1) R(x)) / 4 mod p^2, the right side of theorem2.
+    On 2x = -1 (mod p), x(x+1) = -1/4 (mod p^2), so it is p/4 + (3/8)(-1/p)."""
+    mod = p * p
+    r = _r_mod(p, xr, m).value
+    return Residue((p - (2 * xr * xr + 2 * xr - 1) * r) * pow(4, -1, mod), mod)
 
 
 def theorem1_rhs(p: int, x: RationalLike) -> Residue:
-    """Closed form for sum t_n(x)^2 mod p^2: the Legendre symbol (-1/p)
-    when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1)."""
-    _, xr, m = _split(p, x)
-    if 2 * m + 1 == p:
-        return Residue(legendre(-1, p), p * p)
-    return Residue(_sign_ratio(p, xr, m), p * p)
+    """Closed form R(x) for sum t_n(x)^2 mod p^2 (_r_mod)."""
+    return _r_mod(p, *_split(p, x)[1:])
 
 
 def theorem1_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} t_n(x)^2 mod p^2 against theorem1_rhs."""
-    table = t_table_mod(p, 2, x, oracle=oracle)
-    return _report("theorem1", p, table.x, table.square_sum(0, 1),
-                   theorem1_rhs(p, table.x))
+    x, xr, m = _split(p, x)
+    lhs = _table(p, 2, x, T_MULT, oracle).square_sum(0, 1)
+    return _report("theorem1", p, x, lhs, _r_mod(p, xr, m))
 
 
 def theorem2_rhs(p: int, x: RationalLike) -> Residue:
-    """Closed form for sum (n+1) t_n(x)^2 mod p^2:
-    p/4 + (3/8)(-1/p) when 2x = -1 (mod p), else
-    p/4 - (-1)^m (2x^2 + 2x - 1)(p + 2(x-m)) / (8x+4)."""
-    _, xr, m = _split(p, x)
-    mod = p * p
-    if 2 * m + 1 == p:
-        val = (2 * p + 3 * legendre(-1, p)) * pow(8, -1, mod)
-    else:
-        val = (p - (2 * xr * xr + 2 * xr - 1) * _sign_ratio(p, xr, m)) \
-            * pow(4, -1, mod)
-    return Residue(val, mod)
+    """Closed form (p - (2x^2+2x-1) R(x))/4 for sum (n+1) t_n(x)^2 mod p^2."""
+    return _theorem2_mod(p, *_split(p, x)[1:])
 
 
 def theorem2_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} (n+1) t_n(x)^2 mod p^2 against theorem2_rhs."""
-    table = t_table_mod(p, 2, x, oracle=oracle)
-    return _report("theorem2", p, table.x, table.square_sum(1, 1),
-                   theorem2_rhs(p, table.x))
+    x, xr, m = _split(p, x)
+    lhs = _table(p, 2, x, T_MULT, oracle).square_sum(1, 1)
+    return _report("theorem2", p, x, lhs, _theorem2_mod(p, xr, m))
 
 
 def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
@@ -514,16 +513,15 @@ def kw_check(p: int, oracle: str = "off") -> CongruenceReport:
 
 def sun_s_check(p: int, x: RationalLike,
                 oracle: str = "off") -> CongruenceReport:
-    """sum_{n<p} s_n(x)^2 = (-1)^m (p + 2(x-m)) / (2x+1) mod p^2,
-    hypotheses p > 3 and 2x != -1 (mod p)."""
+    """sum_{n<p} s_n(x)^2 = R(x) mod p^2 (_r_mod), hypotheses p > 3 and
+    2x != -1 (mod p)."""
     if p <= 3:
         raise HypothesisViolatedError("stated for p > 3 only")
     x, xr, m = _split(p, x)
     if 2 * m + 1 == p:
         raise HypothesisViolatedError("2x = -1 (mod p) is excluded")
     table = _table(p, 2, x, S_MULT, oracle)
-    rhs = Residue(_sign_ratio(p, xr, m), p * p)
-    return _report("sun_s", p, x, table.square_sum(0, 1), rhs)
+    return _report("sun_s", p, x, table.square_sum(0, 1), _r_mod(p, xr, m))
 
 
 # ---------------------------------------------------------------------------

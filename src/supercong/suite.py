@@ -285,7 +285,7 @@ def run_check(sid: str, p: int, x: Optional[Fraction] = None,
         spec = STATEMENTS[sid]
         if p < spec.min_p:
             raise HypothesisViolatedError(f"{sid} requires p >= {spec.min_p}")
-        if spec.reflects and cg.padic_split(x, p).m > (p - 1) // 2:
+        if spec.reflects and cg._split(p, x)[2] > (p - 1) // 2:
             x = -1 - Fraction(x)
         result = spec.check(p, x, oracle)
     except (HypothesisViolatedError, NonPIntegralError, RegimeError) as e:

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supercong import congruences as cg
+from supercong import congruences as cg, core, sequences
 from supercong.congruences import (
     BLOCK_LEMMAS,
     CONJECTURE_CASES,
@@ -499,6 +499,23 @@ class TestTheorem2:
             assert theorem2_check(p, probe).passed
 
 
+@pytest.mark.parametrize("check", (theorem1_check, theorem2_check))
+def test_a_headline_check_validates_p_once(check, monkeypatch):
+    # one split of x, whose validation the table read and the right side
+    # share; x = 2 is off the class 2x = -1 (mod 13), so no Legendre symbol
+    calls = []
+    real = core.require_odd_prime
+
+    def counted(p):
+        calls.append(p)
+        real(p)
+
+    for module in (core, sequences, cg):
+        monkeypatch.setattr(module, "require_odd_prime", counted)
+    assert check(13, 2).passed
+    assert calls == [13]
+
+
 class TestWeightedConjectures:
     def test_frozen_values(self):
         assert conjecture_check("weighted_8n5", 5).lhs == Residue(10, 25)
@@ -512,6 +529,16 @@ class TestWeightedConjectures:
                 r = conjecture_check(name, p)
                 assert r.passed, (name, p)
                 assert r.rhs == Residue(coeff * p, p * p)
+
+    @pytest.mark.parametrize("name", CONJECTURE_CASES)
+    def test_coefficient_follows_from_the_theorems(self, name):
+        # sum (a n + b) t_n^2 = a sum (n+1) t_n^2 + (b - a) sum t_n^2, so the
+        # stated c p is what theorem2's and theorem1's right sides give;
+        # the statement keeps its own c, independent of both theorems
+        a, b, x, c, min_p = CONJECTURE_CASES[name]
+        for p in odd_primes(min_p, 500):
+            combined = a * theorem2_rhs(p, x) + (b - a) * theorem1_rhs(p, x)
+            assert combined == Residue(c * p, p * p), (name, p)
 
     def test_hypothesis_violations(self):
         with pytest.raises(HypothesisViolatedError):

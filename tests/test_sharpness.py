@@ -6,14 +6,22 @@ it claims.  So mutants of theorem1's right side, of each weighted_*
 coefficient, of Lemma 2.1's range boundaries and of each block lemma's
 closed form must be refuted at every prime, and each residue statement must
 fail one power deeper at some x of each prime (the fixed-x statements: at
-some prime).  Two do not, findings pinned below: sun_s holds mod p^3 at
-every grid x (it fails mod p^4), and Lemma 2.1 still holds with its top
-range starting at p-m+1.  Left sides come from the public residue tables;
-the closed forms are written out here, tied to the library's right sides
-mod p^2.
+some prime).  Two do not, findings pinned below: sun_s holds mod p^3 for
+every x at each prime 5 <= p <= 61 (it fails mod p^4, and at p = 3), and
+Lemma 2.1 still holds with its top range starting at p-m+1.  Left sides
+come from the public residue tables; the closed forms are written out here,
+tied to the library's right sides mod p^2.
+
+A check at x = m + pt for t in {0, ..., e-1} and every m decides a
+statement mod p^e for every x in Z_p, when both sides are polynomials of
+degree < e in t mod p^e (e distinct t make a unit Vandermonde).  The
+reductions are tested by brute force: every integer x < p^e matches the
+polynomial through those e points, for e = 2 (every table and block
+quantity) and e = 3 (sun_s).
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -21,6 +29,7 @@ from supercong import congruences as cg
 from supercong.congruences import (
     BLOCK_LEMMAS,
     CONJECTURE_CASES,
+    block_sums,
     lemma22_closed,
     lemma32_closed,
     padic_split,
@@ -28,7 +37,13 @@ from supercong.congruences import (
     theorem2_rhs,
 )
 from supercong.core import legendre, mod_reduce, odd_primes
-from supercong.sequences import s_seq, s_table_mod, t_table_mod
+from supercong.sequences import (
+    S_MULT,
+    _pair_weights_mod,
+    s_seq,
+    s_table_mod,
+    t_table_mod,
+)
 from supercong.suite import SuiteConfig, _task_args, run_check
 
 PMAX = 47
@@ -68,7 +83,8 @@ def theorem2_closed(p: int, x: Fraction) -> Fraction:
 
 
 def sun_s_closed(p: int, x: Fraction) -> Fraction:
-    return theorem1_closed(p, x)  # the same right side, off the boundary
+    # R(x): theorem1's right side, sun_s's off the boundary and kw's at -1/2
+    return theorem1_closed(p, x)
 
 
 MUTANTS = {
@@ -152,20 +168,94 @@ def test_fixed_x_statements_fail_one_power_deeper(sid):
     assert HOLDS_DEEPER[sid] < primes
 
 
+def _s_square_sum(p: int, e: int, x: Fraction) -> int:
+    return _square_sum(s_table_mod(p, e, x).values, p**e)
+
+
+def _sun_s_sides(p: int, e: int, x: Fraction) -> tuple[int, int]:
+    """sum_{n<p} s_n(x)^2 and R(x), both mod p^e."""
+    return _s_square_sum(p, e, x), mod_reduce(sun_s_closed(p, x), p, e).value
+
+
+def _is_polynomial_in_t(rows, degree: int, mod: int) -> bool:
+    """Each column of rows[t], t = 0, 1, ..., equals mod `mod` the
+    polynomial of the given degree through its first degree + 1 entries
+    (Newton's forward differences)."""
+    for column in zip(*rows):
+        diffs, d = [], list(column[:degree + 1])
+        while d:
+            diffs.append(d[0])
+            d = [b - a for a, b in zip(d, d[1:])]
+        if any((sum(comb(t, j) * c for j, c in enumerate(diffs)) - v) % mod
+               for t, v in enumerate(column)):
+            return False
+    return True
+
+
 def test_sun_s_holds_mod_p3_on_the_grid_and_fails_mod_p4():
-    # a finding, not a claim of the paper: the statement says mod p^2
+    # a finding, not a claim of the paper: the statement says mod p^2, and
+    # kw (its x = -1/2 case) mod p^3.  sum s_n(x)^2 = R(x) mod p^3 at
+    # x = m + pt for t in {0, 1, 2} and every m, so for every x in Z_p
+    # (test_three_points_decide_sun_s_mod_p3), at each prime 5 <= p <= 61
+    for p in odd_primes(5, 61):
+        for m in range(p):
+            for t in range(3):
+                s3, r3 = _sun_s_sides(p, 3, Fraction(m + p * t))
+                assert s3 == r3, (p, m, t)
+    # p = 3, which sun_s's hypothesis p > 3 leaves out, fails mod 27
+    assert [x for x in range(27)
+            if len(set(_sun_s_sides(3, 3, Fraction(x)))) > 1] == [
+        1, 7, 10, 16, 19, 25]
     for p, xs in _grid("sun_s").items():
         xs = [x for x in xs if 2 * padic_split(x, p).m + 1 != p]  # excluded
         fails_p4 = []
         for x in xs:
-            s3 = _square_sum(s_table_mod(p, 3, x).values, p**3)
-            s4 = _square_sum(s_table_mod(p, 4, x).values, p**4)
+            s3 = _s_square_sum(p, 3, x)
+            s4 = _s_square_sum(p, 4, x)
             assert s3 == mod_reduce(sun_s_closed(p, x), p, 3).value, (p, x)
             fails_p4.append(s4 != mod_reduce(sun_s_closed(p, x), p, 4).value)
             if p <= 13:  # the exact rationals agree with the tables
                 exact = sum(s_seq(n, x) ** 2 for n in range(p))
                 assert mod_reduce(exact, p, 4).value == s4
         assert any(fails_p4), p
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_three_points_decide_sun_s_mod_p3(p):
+    # both sides of sun_s at x = m + pt are quadratics in t mod p^3: every
+    # integer x < p^3 matches the quadratic through t = 0, 1, 2, and some
+    # m needs the square term, so two points would not do
+    affine = []
+    for m in range(p):
+        rows = [_sun_s_sides(p, 3, Fraction(m + p * t)) for t in range(p * p)]
+        assert _is_polynomial_in_t(rows, 2, p**3), (p, m)
+        affine.append(_is_polynomial_in_t(rows, 1, p**3))
+    assert not all(affine), p
+
+
+def _mod_p2_quantities(p: int, x: Fraction) -> tuple[int, ...]:
+    """Every table and block quantity a check reads mod p^2 at x: the
+    square sums of theorem1, theorem2 and sun_s, lemma21's pair weights,
+    theorem1's and theorem2's right sides and, off m = (p-1)/2, the nine
+    block sums of both splits (at -1-x when m > (p-1)/2)."""
+    t, s = t_table_mod(p, 2, x), s_table_mod(p, 2, x)
+    out = [t.square_sum(0, 1).value, t.square_sum(1, 1).value,
+           s.square_sum(0, 1).value, *_pair_weights_mod(p, 2, x, S_MULT),
+           theorem1_rhs(p, x).value, theorem2_rhs(p, x).value]
+    m = padic_split(x, p).m
+    if m != (p - 1) // 2:
+        y = -1 - x if m > (p - 1) // 2 else x
+        out += [r.value for w in (False, True) for r in block_sums(p, y, w)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_two_points_decide_mod_p2(p):
+    # each quantity at x = m + pt is affine in t mod p^2: every integer
+    # x < p^2 matches the line through x = m and x = m + p
+    for m in range(p):
+        rows = [_mod_p2_quantities(p, Fraction(m + p * t)) for t in range(p)]
+        assert _is_polynomial_in_t(rows, 1, p * p), (p, m)
 
 
 def _refuted(sid: str, p: int, xs: list[Fraction]) -> bool:

@@ -1226,6 +1226,33 @@ def test_sources_parse_at_the_python_floor():
                   feature_version=(3, int(floor[1])))
 
 
+def test_sources_use_only_the_standard_library_and_no_floats():
+    # the verifier is exact and has no runtime dependency: every import is
+    # the standard library's or the package's own, no float literal or name
+    # `float` appears, and pyproject.toml declares no dependency
+    root = Path(__file__).resolve().parent.parent
+    assert re.search(r"^dependencies = \[\]$",
+                     (root / "pyproject.toml").read_text(), re.M)
+    sources = sorted((root / "src" / "supercong").glob("*.py"))
+    assert sources
+    allowed = sys.stdlib_module_names | {"supercong"}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                modules = []
+            for module in modules:
+                assert module.split(".")[0] in allowed, (where, module)
+            assert not (isinstance(node, ast.Constant)
+                        and isinstance(node.value, (float, complex))), where
+            assert not (isinstance(node, ast.Name)
+                        and node.id == "float"), where
+
+
 def _run_with_stdout_closed(*args: str) -> int:
     """Exit status of `python -m supercong ARGS` whose reader left at once.
 
