@@ -65,7 +65,6 @@ from .core import (
     Residue,
     SupercongError,
     harmonic,
-    legendre,
     reduce_ratio,
     require_odd_prime,
     to_fraction,
@@ -222,7 +221,7 @@ def _harmonics_mod(p: int) -> tuple[int, ...]:
     return tuple(harm)
 
 
-def _lemma21_sides(p: int, x: Fraction, xr: int,
+def _lemma21_sides(p: int, xr: int,
                    m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both sides of lemma21_check for every k < p, mod p^2, in one pass.
 
@@ -244,7 +243,7 @@ def _lemma21_sides(p: int, x: Fraction, xr: int,
         sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
         c = fact[m + k] * fact[k - m - 1] * inv_fact[k] ** 2
         rhs[k] = p * (sign * c * t % p)
-    return _pair_weights_mod(p, 2, x, S_MULT), tuple(rhs)
+    return _pair_weights_mod(p, 2, xr * (xr + 1) % mod, S_MULT), tuple(rhs)
 
 
 def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
@@ -257,7 +256,7 @@ def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
     """
     x, xr, m = _split(p, x)
     _require_half_regime(p, m)
-    lhs, rhs = _lemma21_sides(p, x, xr, m)
+    lhs, rhs = _lemma21_sides(p, xr, m)
     if oracle != "off":
         ks = _oracle_rows(p, 2, x, S_MULT, oracle)
         for k, exact in zip(ks, _lemma21_exact(p, x, m, ks)):
@@ -312,7 +311,7 @@ def _audit_transforms(p: int, x: Fraction, m: int,
 
 # one entry per (p, x), read by all six block statements
 @_per_prime
-def _block_sums_mod(p: int, x: Fraction, m: int,
+def _block_sums_mod(p: int, x: Fraction, xr: int, m: int,
                     oracle: str) -> tuple[int, ...]:
     """The nine block sums mod p^2 of the plain split, then the nine of the
     weighted split, each row-major: block K x L is sum_{n<p} c_n A_K(n)
@@ -320,14 +319,15 @@ def _block_sums_mod(p: int, x: Fraction, m: int,
 
     A_lo = P_m, A_mid = P_{p-m-1} - P_m and A_hi = t - P_{p-m-1}, from the
     prefix sums P_K of `sequences` and the t table of the run's oracle
-    mode, shared with theorem1.  _check_prefixes checks the prefixes at
-    five rows; under an oracle, _audit_transforms audits A_lo, A_mid and
-    A_hi exactly.
+    mode, shared with theorem1; weights and prefixes read u = xr (xr+1).
+    _check_prefixes checks the prefixes at five rows; under an oracle,
+    _audit_transforms audits A_lo, A_mid and A_hi exactly.
     """
     mod = p * p
-    w = _pair_weights_mod(p, 2, x, T_MULT)
+    u = xr * (xr + 1) % mod
+    w = _pair_weights_mod(p, 2, u, T_MULT)
     cuts = (m, p - m - 1)  # the last k of lo and of mid
-    prefixes = [_table_values(p, 2, x, T_MULT, (K, w)) for K in cuts]
+    prefixes = [_table_values(p, 2, u, T_MULT, (K, w)) for K in cuts]
     _check_prefixes(p, x, w, cuts, prefixes)
     lo, top = prefixes
     t = _table(p, 2, x, T_MULT, oracle).values
@@ -359,7 +359,7 @@ def _regime_block_sums(p: int, x: RationalLike, weighted: bool,
         raise RegimeError(
             "m = (p-1)/2 for both x and -1-x; outside the stated regime")
     _require_half_regime(p, m)
-    sums = _block_sums_mod(p, x, m, oracle)
+    sums = _block_sums_mod(p, x, xr, m, oracle)
     return x, xr, m, sums[9:] if weighted else sums[:9]
 
 
@@ -417,13 +417,16 @@ def block_lemma_check(name: str, p: int, x: RationalLike,
 # ---------------------------------------------------------------------------
 # headline quadratic congruences
 
+_MINUS_ONE_SYMBOL = {1: 1, 3: -1}  # (-1/p) by p mod 4, p already validated
+
+
 def _r_mod(p: int, xr: int, m: int) -> Residue:
     """R(x) mod p^2 from _split's xr = x mod p^2 and m: the Legendre symbol
     (-1/p) when 2x = -1 (mod p), else (-1)^m (p + 2(x-m)) / (2x+1), with
     2x+1 a unit.  The right side of theorem1 and sun_s."""
     mod = p * p
     if 2 * m + 1 == p:
-        return Residue(legendre(-1, p), mod)
+        return Residue(_MINUS_ONE_SYMBOL[p % 4], mod)
     ratio = (p + 2 * (xr - m)) * pow(2 * xr + 1, -1, mod)
     return Residue(-ratio if m % 2 else ratio, mod)
 
@@ -506,9 +509,8 @@ def conjecture_check(name: str, p: int, oracle: str = "off") -> CongruenceReport
 def kw_check(p: int, oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} s_n(-1/2)^2 = (-1/p) mod p^3 (note: one power deeper)."""
     x = Fraction(-1, 2)
-    table = s_table_mod(p, 3, x, oracle=oracle)
-    rhs = Residue(legendre(-1, p), p**3)
-    return _report("kw", p, x, table.square_sum(0, 1), rhs)
+    lhs = s_table_mod(p, 3, x, oracle=oracle).square_sum(0, 1)
+    return _report("kw", p, x, lhs, Residue(_MINUS_ONE_SYMBOL[p % 4], p**3))
 
 
 def sun_s_check(p: int, x: RationalLike,

@@ -19,10 +19,10 @@ square sums its readers ask for, so each table is audited once per oracle
 mode and each sum is taken once.  Both keep the entries of the latest
 prime only (_per_prime), as do the memos of `congruences`: a run computes
 prime by prime.  The pair weight w_k = C(x,k) C(x+k,k) c^k is the running
-product of c (x-k+1)(x+k) times (1/k!)^2 from the basis.  With one boundary
-term the same loop gives the prefix sums sum_{k<=K} C(n,k) w_k, from which
-`congruences` builds its block transforms; it reads the same basis for
-Lemma 2.1.
+product of c (u - k(k-1)) = c (x-k+1)(x+k) times (1/k!)^2 from the basis, so
+the fast route, recurrence included, reads x only through u = x(x+1) mod p^e.
+With one boundary term the same loop gives the prefix sums P_K of the block
+transforms in `congruences`, which reads the same basis for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
 one row by a term-ratio recurrence as an integer numerator over M b^{2n},
 where M is the part of (2n)! made of the primes of b, the only denominator
@@ -293,27 +293,25 @@ def _x_mod(p: int, e: int, x: Fraction) -> int:
     return reduce_ratio(x.numerator, x.denominator, p, e)
 
 
-def _pair_weights_mod(p: int, e: int, x: Fraction, mult: int) -> tuple[int, ...]:
-    """w_k = C(x,k) C(x+k,k) mult^k mod p^e for k in [0, p-1]: the running
-    product of mult (x-k+1)(x+k), times (1/k!)^2 from _factorials."""
+def _pair_weights_mod(p: int, e: int, u: int, mult: int) -> tuple[int, ...]:
+    """w_k = C(x,k) C(x+k,k) mult^k mod p^e, k < p, from u = x(x+1) mod p^e:
+    the running product of mult (u - k(k-1)) times 1/k!^2 from _factorials."""
     mod = p**e
-    xr = _x_mod(p, e, x)
     inv_fact = _factorials(p, e)[1]
-    w = [1] * p
-    cur = 1
+    w, cur = [1] * p, 1
     for k in range(1, p):
-        cur = cur * (mult * (xr - k + 1) * (xr + k)) % mod
+        cur = cur * (mult * (u - k * (k - 1))) % mod
         w[k] = cur * inv_fact[k] ** 2 % mod
     return tuple(w)
 
 
-def _table_values(p: int, e: int, x: Fraction, mult: int,
+def _table_values(p: int, e: int, u: int, mult: int,
                   cut: tuple[int, Sequence[int]] | None = None
                   ) -> tuple[int, ...]:
-    """Rows n in [0, p-1] mod p^e, by the recurrence in n of the module
-    docstring: f_N from f_{N-1}, f_{N-2}, f_{N-3} and the unit 1/N^2, or
-    from f_{N-1} and f_{N-2} alone when c - 1 = 0 (the s family) and no cut
-    is given.
+    """Rows n in [0, p-1] mod p^e, from u = x(x+1) mod p^e, by the
+    recurrence in n of the module docstring: f_N from f_{N-1}, f_{N-2},
+    f_{N-3} and the unit 1/N^2, or from f_{N-1} and f_{N-2} alone when
+    c - 1 = 0 (the s family) and no cut is given.
 
     cut = (K, w), w the pair weights mod p^e, gives instead the prefix sums
     P_K(n) = sum_{k<=K} C(n,k) w_k.  They satisfy the same recurrence with
@@ -322,9 +320,8 @@ def _table_values(p: int, e: int, x: Fraction, mult: int,
     where P_K is f, and for every N < p once K >= p-1.
     """
     mod = p**e
-    xr = _x_mod(p, e, x)
     fact, inv_fact, inv_sq = _factorials(p, e)
-    a, q = 3 - mult, (1 + mult * xr * (xr + 1)) % mod
+    a, q = 3 - mult, (1 + mult * u) % mod
     b, c = 2 * mult - 3, mult - 1
     g = [0] * p  # the boundary term: N^2 f_N gains -g[N]
     if cut is not None and cut[0] < p - 1:
@@ -392,7 +389,8 @@ def _table(p: int, e: int, x: Fraction, mult: int,
            oracle: str) -> SequenceTable:
     """_build_table for p and e already validated.  A failed audit raises
     before the memo stores the table, so each reader meets the mismatch."""
-    values = _table_values(p, e, x, mult)
+    xr = _x_mod(p, e, x)
+    values = _table_values(p, e, xr * (xr + 1) % p**e, mult)
     if oracle != "off":
         _audit_table(p, e, x, mult, values, oracle)
     return SequenceTable(p, e, x, mult, values)

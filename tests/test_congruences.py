@@ -232,7 +232,7 @@ class TestPairWeightRegimes:
 def test_lemma21_fast_sides_match_the_exact_route(p, data):
     x = half_regime(p, data.draw(p_integral_x(p)))
     x, xr, m = cg._split(p, x)
-    lhs, rhs = cg._lemma21_sides(p, x, xr, m)
+    lhs, rhs = cg._lemma21_sides(p, xr, m)
     assert list(zip(lhs, rhs)) == cg._lemma21_exact(p, x, m, range(p))
     assert lemma21_all(p, x, oracle="full")
     assert all(lemma21_check(p, x, k) for k in range(p))
@@ -319,8 +319,8 @@ class TestBlockDecomposition:
         cg._block_sums_mod.cache_clear()
         block_lemma_check("lemma23", 13, Fraction(2, 5))
         block_lemma_check("lemma33", 13, Fraction(2, 5))
-        assert list(cg._block_sums_mod.entries) == [
-            (13, Fraction(2, 5), 3, "off")]
+        assert list(cg._block_sums_mod.entries) == [  # 2/5 = 68 mod 13^2
+            (13, Fraction(2, 5), 68, 3, "off")]
         assert cg._block_sums_mod.hits == 1
 
     def test_regime_error(self):
@@ -363,8 +363,8 @@ class TestBlockDecomposition:
         p, x = 13, Fraction(2, 5)
         real = cg._table_values
 
-        def skewed(p_, e, x_, mult, cut=None):
-            rows = real(p_, e, x_, mult, cut)
+        def skewed(p_, e, u, mult, cut=None):
+            rows = real(p_, e, u, mult, cut)
             if cut is None or cut[0] != 3:
                 return rows
             return rows[:2] + ((rows[2] + p) % p**e,) + rows[3:]
@@ -390,7 +390,7 @@ def test_block_transforms_match_the_literal_table(p, weighted, data):
     d = _inner_weights(p)
     inner = [[_inner_exact(*d, k, l)[weighted] for l in range(p)]
              for k in range(p)]
-    w = cg._pair_weights_mod(p, 2, x, T_MULT)
+    w = cg._pair_weights_mod(p, 2, mod_reduce(x * (x + 1), p, 2).value, T_MULT)
     ranges = cg._block_ranges(p, m)
     literal = tuple(
         Residue(sum(w[k] * w[l] * inner[k][l] for k in kr for l in lr), p * p)
@@ -499,10 +499,11 @@ class TestTheorem2:
             assert theorem2_check(p, probe).passed
 
 
-@pytest.mark.parametrize("check", (theorem1_check, theorem2_check))
+@pytest.mark.parametrize("check", (theorem1_check, theorem2_check, kw_check))
 def test_a_headline_check_validates_p_once(check, monkeypatch):
-    # one split of x, whose validation the table read and the right side
-    # share; x = 2 is off the class 2x = -1 (mod 13), so no Legendre symbol
+    # one split of x (for kw, one table build), whose validation the table
+    # read and the right side share, off the class 2x = -1 (mod 13) at x = 2
+    # and on it at x = -1/2, where the right side reads (-1/13)
     calls = []
     real = core.require_odd_prime
 
@@ -512,8 +513,10 @@ def test_a_headline_check_validates_p_once(check, monkeypatch):
 
     for module in (core, sequences, cg):
         monkeypatch.setattr(module, "require_odd_prime", counted)
-    assert check(13, 2).passed
-    assert calls == [13]
+    for args in [()] if check is kw_check else [(2,), (Fraction(-1, 2),)]:
+        calls.clear()
+        assert check(13, *args).passed
+        assert calls == [13], args
 
 
 class TestWeightedConjectures:

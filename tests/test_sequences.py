@@ -28,6 +28,12 @@ from supercong.sequences import (
     t_table_mod,
 )
 
+
+def u_mod(p: int, e: int, x: Fraction) -> int:
+    """u = x(x+1) mod p^e, the one input of the fast route."""
+    return mod_reduce(x * (x + 1), p, e).value
+
+
 X_GRID = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(-1, 3),
           Fraction(-1, 4), Fraction(-1, 6), Fraction(2, 5)]
 
@@ -134,22 +140,27 @@ class TestRecurrence:
             assert self._prefix_misses(mult, x, lambda K: K * K)
             # and the table loop steps it mod p^e
             for p, e in ((29, 1), (29, 2), (31, 3)):
-                w = _pair_weights_mod(p, e, x, mult)
+                u = u_mod(p, e, x)
+                w = _pair_weights_mod(p, e, u, mult)
                 for K in range(12):
-                    assert _table_values(p, e, x, mult, (K, w)) == tuple(
+                    assert _table_values(p, e, u, mult, (K, w)) == tuple(
                         sum(comb(n, k) * w[k] for k in range(K + 1)) % p**e
                         for n in range(p)), (x, p, e, K)
 
     @pytest.mark.parametrize("mult", range(-3, 6))
     def test_tables_for_any_multiplier(self, mult):
+        # the table at u = x(x+1) is the exact rows of x and of its
+        # reflection -1-x, which has the same u
         for p in (3, 5, 7, 13):
             for e in (1, 2, 3):
                 for x in self.XS:
                     if x.denominator % p == 0:
                         continue
-                    assert _table_values(p, e, x, mult) == tuple(
-                        reduce_ratio(*_row_exact(n, x, mult), p, e)
-                        for n in range(p)), (p, e, x)
+                    values = _table_values(p, e, u_mod(p, e, x), mult)
+                    for y in (x, -1 - x):
+                        assert values == tuple(
+                            reduce_ratio(*_row_exact(n, y, mult), p, e)
+                            for n in range(p)), (p, e, y)
 
 
 class TestPfaff:
@@ -224,7 +235,7 @@ class TestTables:
     @pytest.mark.parametrize("mult", (T_MULT, S_MULT))
     def test_spot_oracle_rejects_tampered_rows(self, e, mult):
         p, x = 101, Fraction(-17, 7)
-        values = _table_values(p, e, x, mult)
+        values = _table_values(p, e, u_mod(p, e, x), mult)
         _audit_table(p, e, x, mult, values, "spot")
         for n in _oracle_rows(p, e, x, mult, "spot"):
             bad = values[:n] + ((values[n] + p) % p**e,) + values[n + 1:]

@@ -240,7 +240,9 @@ def _mod_p2_quantities(p: int, x: Fraction) -> tuple[int, ...]:
     block sums of both splits (at -1-x when m > (p-1)/2)."""
     t, s = t_table_mod(p, 2, x), s_table_mod(p, 2, x)
     out = [t.square_sum(0, 1).value, t.square_sum(1, 1).value,
-           s.square_sum(0, 1).value, *_pair_weights_mod(p, 2, x, S_MULT),
+           s.square_sum(0, 1).value,
+           *_pair_weights_mod(p, 2, mod_reduce(x * (x + 1), p, 2).value,
+                              S_MULT),
            theorem1_rhs(p, x).value, theorem2_rhs(p, x).value]
     m = padic_split(x, p).m
     if m != (p - 1) // 2:

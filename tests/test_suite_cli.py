@@ -283,8 +283,8 @@ class TestParseConfig:
 
 
 def _corrupt_last_prefix_row(real):
-    def prefix(p, e, x, mult, cut=None):
-        rows = real(p, e, x, mult, cut)
+    def prefix(p, e, u, mult, cut=None):
+        rows = real(p, e, u, mult, cut)
         if cut is None:
             return rows
         return rows[:-1] + ((rows[-1] + 1) % p**e,)
@@ -649,10 +649,11 @@ class TestRunSuite:
     @pytest.mark.parametrize("oracle", ["off", "spot"])
     def test_block_route_reads_the_runs_t_tables(self, monkeypatch, oracle):
         # the block statements read theorem1's t table of the same oracle
-        # mode, so spot builds no unaudited second copy of it
+        # mode, so spot builds no unaudited second copy of it; a build is
+        # counted by its x, which its rows see only as x(x+1)
         sequences._table.cache_clear()
         cg._block_sums_mod.cache_clear()
-        builds = _record_calls(monkeypatch, sequences, "_table_values")
+        builds = _record_calls(monkeypatch, sequences._table, "__wrapped__")
         assert main(["verify", "--statement", "theorem1", "--statement",
                      "blocks", "--pmin", "13", "--pmax", "31", "--oracle",
                      oracle, "--format", "jsonl"]) == 0
@@ -725,9 +726,13 @@ class TestRunSuite:
 
     def test_one_prime_builds_each_block_entry_once(self, monkeypatch):
         # 40 x at one prime, more than a group of the default grid reads:
-        # each block entry computes its pair weights once
+        # each block entry computes its pair weights once, at u = x(x+1),
+        # and reduces x once, for its t table; lemma21 reads _split's x mod
+        # p^2 and reduces none
         builds = _record_calls(monkeypatch, cg, "_pair_weights_mod")
+        reductions = _record_calls(monkeypatch, sequences, "_x_mod")
         cg._block_sums_mod.cache_clear()
+        sequences._table.cache_clear()
         xs = tuple(map(Fraction, range(40)))
         summary = run_suite(SuiteConfig(
             statements=("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
@@ -735,7 +740,16 @@ class TestRunSuite:
             prime_min=101, prime_max=101, x_values=xs))
         assert (summary.total, summary.passed) == (240, 240)
         assert len(builds) == 40
-        assert set(builds) == {(101, 2, x, T_MULT) for x in xs}
+        assert set(builds) == {(101, 2, i * (i + 1), T_MULT)
+                               for i in range(40)}
+        assert len(reductions) == 40
+        assert set(reductions) == {(101, 2, x) for x in xs}
+        reductions.clear()
+        summary = run_suite(SuiteConfig(
+            statements=("lemma21",), prime_min=101, prime_max=101,
+            x_values=xs))
+        assert (summary.total, summary.passed) == (40, 40)
+        assert reductions == []
 
     def test_one_prime_builds_each_t_table_once(self, monkeypatch):
         # 80 x at one prime: each t table reduces its x once
