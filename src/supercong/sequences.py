@@ -13,16 +13,20 @@ C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
 (of order 2 when c = 1, and the s loop steps without f_{N-3}; at N = 1, 2
 the terms before f_0 have coefficient 0, so they need no start value).  A
 table needs rows N < p only, so the one division, by N^2, is by a unit mod
-p^e, read from the basis: the whole table is one loop of small-integer
-steps mod p^e (_table_values), and _table keeps it with its audit and the
-square sums its readers ask for, so each table is audited once per oracle
-mode and each sum is taken once.  Both keep the entries of the latest
-prime only (_per_prime), as do the memos of `congruences`: a run computes
-prime by prime.  The pair weight w_k = C(x,k) C(x+k,k) c^k is the running
-product of c (u - k(k-1)) = c (x-k+1)(x+k) times (1/k!)^2 from the basis, so
-the fast route, recurrence included, reads x only through u = x(x+1) mod p^e.
-With one boundary term the same loop gives the prefix sums P_K of the block
-transforms in `congruences`, which reads the same basis for Lemma 2.1.
+p^e, read from the basis.  The coefficients of N = 1, ..., p-1 are one
+list each per (p, c), shared by every table of that family at the prime
+(_steps), so the whole table is one zip over them and the basis's 1/N^2 of
+small-integer steps mod p^e (_table_values).  _table keeps a table with its
+audit and its squares, from which it takes the square sums its readers ask
+for, so each table is audited once per oracle mode, squared once, and each
+sum is taken once.  The memos keep the entries of the latest prime only
+(_per_prime), as do those of `congruences`: a run computes prime by prime.
+The pair weight w_k = C(x,k) C(x+k,k) c^k is the running product of
+c (u - k(k-1)) = c (x-k+1)(x+k) times (1/k!)^2 from the basis, so the fast
+route, recurrence included, reads x only through u = x(x+1) mod p^e.  With
+one boundary term a loop of its own gives the prefix sums P_K of the block
+transforms in `congruences`; the plain loops carry none.  `congruences`
+reads the same basis for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
 one row by a term-ratio recurrence as an integer numerator over M b^{2n},
 where M is the part of (2n)! made of the primes of b, the only denominator
@@ -40,6 +44,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import update_wrapper
+from itertools import accumulate, islice
 from math import comb
 from operator import mul
 from typing import Callable, Sequence
@@ -204,10 +209,13 @@ class SequenceTable:
     square_sum(a, b) is sum_{n<p} (a n + b) f_n^2 mod p^e, summed on the
     first read of each (a, b) and kept with the table, so the statements
     that share a table (through _table) share its sums; a weight no
-    statement reads is never summed.
+    statement reads is never summed.  Every sum reads the table's one list
+    of squares: (0, 1) is its sum, (1, 1) the sum of its suffix sums, as
+    sum_n (n+1) f_n^2 = sum_j sum_{n>=j} f_n^2, and any other weight is
+    summed directly (_weighted_square_sum).
     """
 
-    __slots__ = ("p", "e", "x", "mult", "values", "sums")
+    __slots__ = ("p", "e", "x", "mult", "values", "squares", "sums")
 
     def __init__(self, p: int, e: int, x: Fraction, mult: int,
                  values: tuple[int, ...]) -> None:
@@ -216,6 +224,7 @@ class SequenceTable:
         self.x = x
         self.mult = mult
         self.values = values
+        self.squares = list(map(mul, values, values))
         self.sums: dict[tuple[int, int], Residue] = {}
 
     @property
@@ -234,15 +243,21 @@ class SequenceTable:
     def square_sum(self, a: int, b: int) -> Residue:
         total = self.sums.get((a, b))
         if total is None:
-            total = self.sums[a, b] = _weighted_square_sum(self, a, b)
+            if (a, b) == (0, 1):
+                total = Residue(sum(self.squares), self.modulus)
+            elif (a, b) == (1, 1):
+                total = Residue(sum(accumulate(reversed(self.squares))),
+                                self.modulus)
+            else:
+                total = _weighted_square_sum(self, a, b)
+            self.sums[a, b] = total
         return total
 
 
 def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
     """sum_{n<p} (a n + b) table[n]^2 mod p^e, summed directly."""
-    v = table.values
-    squares = map(mul, v, v)
-    total = (sum(map(mul, range(b, b + a * len(v), a), squares)) if a
+    squares = table.squares
+    total = (sum(map(mul, range(b, b + a * len(squares), a), squares)) if a
              else b * sum(squares))
     return Residue(total, table.modulus)
 
@@ -281,9 +296,23 @@ def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
     inv_fact[p - 1] = pow(fact[p - 1], -1, mod)
     for n in range(p - 1, 0, -1):
         inv_fact[n - 1] = inv_fact[n] * n % mod
-    inv_sq = [0] + [(fact[n - 1] * inv_fact[n]) ** 2 % mod
-                    for n in range(1, p)]
+    inv_sq = [0] + [i * i % mod for i in map(mul, fact, inv_fact[1:])]
     return tuple(fact), tuple(inv_fact), tuple(inv_sq)
+
+
+# one entry per (p, mult), read by every table of that family at p
+@_per_prime
+def _steps(p: int, mult: int) -> tuple[tuple[int, ...], ...]:
+    """The recurrence's coefficients at N = 1, ..., p-1 as plain ints, c =
+    mult: (3-c) N(N-1), (2c-3) (N-1)^2 and (c-1) (N-1)(N-2), each k (N-1)
+    (N+s), the product of the progressions k (N-1) and N+s (all zeros when
+    k = 0, which no range can step by).  They do not depend on e, so the
+    tables mod p^2 and mod p^3 of a family share them."""
+    n = p - 1
+    return tuple(
+        tuple(map(mul, range(0, k * n, k), range(1 + s, p + s))) if k
+        else (0,) * n
+        for k, s in ((3 - mult, 0), (2 * mult - 3, -1), (mult - 1, -2)))
 
 
 def _x_mod(p: int, e: int, x: Fraction) -> int:
@@ -311,38 +340,42 @@ def _table_values(p: int, e: int, u: int, mult: int,
     """Rows n in [0, p-1] mod p^e, from u = x(x+1) mod p^e, by the
     recurrence in n of the module docstring: f_N from f_{N-1}, f_{N-2},
     f_{N-3} and the unit 1/N^2, or from f_{N-1} and f_{N-2} alone when
-    c - 1 = 0 (the s family) and no cut is given.
+    c - 1 = 0 (the s family), each step reading its coefficients from the
+    family's step lists at p (_steps).
 
     cut = (K, w), w the pair weights mod p^e, gives instead the prefix sums
     P_K(n) = sum_{k<=K} C(n,k) w_k.  They satisfy the same recurrence with
     the boundary term -(K+1)^2 C(N-1,K) w_{K+1} on the right (creative
     telescoping: it is the certificate at k = K+1), which is 0 for N <= K,
-    where P_K is f, and for every N < p once K >= p-1.
+    where P_K is f, and for every N < p once K >= p-1, where the plain
+    loop gives P_K = f.
     """
     mod = p**e
     fact, inv_fact, inv_sq = _factorials(p, e)
-    a, q = 3 - mult, (1 + mult * u) % mod
-    b, c = 2 * mult - 3, mult - 1
-    g = [0] * p  # the boundary term: N^2 f_N gains -g[N]
+    inv_sq = islice(inv_sq, 1, None)  # 1/N^2 from N = 1, as the steps
+    A, B, C = _steps(p, mult)
+    q = (1 + mult * u) % mod
+    f = [1]
+    put = f.append
+    f1, f2, f3 = 1, 0, 0  # f_{N-1}, f_{N-2}, f_{N-3}
     if cut is not None and cut[0] < p - 1:
         K, w = cut
         top = (K + 1) ** 2 * w[K + 1] * inv_fact[K] % mod
-        for n in range(K + 1, p):  # C(n-1, K) = (n-1)! / (K! (n-1-K)!)
-            g[n] = top * fact[n - 1] * inv_fact[n - 1 - K] % mod
-    f = [1] * p
-    f1, f2, f3 = 1, 0, 0  # f_{n-1}, f_{n-2}, f_{n-3}
-    if c or cut is not None:
-        for n in range(1, p):
-            m = n - 1
-            f1, f2, f3 = ((a * n * m + q) * f1 + m * (b * m * f2
-                          - c * (m - 1) * f3) - g[n]) * inv_sq[n] % mod, f1, f2
-            f[n] = f1
+        g = [0] * K + [  # g_N for N >= 1, C(N-1, K) = (N-1)! / (K! (N-1-K)!)
+            top * fact[n - 1] * inv_fact[n - 1 - K] % mod
+            for n in range(K + 1, p)]
+        for a, b, c, i, gn in zip(A, B, C, inv_sq, g):
+            f1, f2, f3 = ((a + q) * f1 + b * f2 - c * f3 - gn) * i % mod, \
+                f1, f2
+            put(f1)
+    elif mult != 1:
+        for a, b, c, i in zip(A, B, C, inv_sq):
+            f1, f2, f3 = ((a + q) * f1 + b * f2 - c * f3) * i % mod, f1, f2
+            put(f1)
     else:
-        for n in range(1, p):
-            m = n - 1
-            f1, f2 = ((a * n * m + q) * f1 + b * m * m * f2) \
-                * inv_sq[n] % mod, f1
-            f[n] = f1
+        for a, b, i in zip(A, B, inv_sq):
+            f1, f2 = ((a + q) * f1 + b * f2) * i % mod, f1
+            put(f1)
     return tuple(f)
 
 

@@ -313,10 +313,14 @@ Task = tuple[str, int, Optional[Fraction]]  # (statement, p, x)
 def _task_args(cfg: SuiteConfig) -> Iterator[Task]:
     """Every task of the config, in scan order."""
     grids: dict[int, tuple[Fraction, ...]] = {}  # default grid, once per p
+    ranges: dict[tuple[int, int], tuple[int, ...]] = {}  # primes, once each
     for sid in cfg.statements:
         spec = STATEMENTS[sid]
         pmax = cfg.prime_max if cfg.prime_max is not None else spec.default_pmax
-        for p in odd_primes(max(cfg.prime_min, spec.min_p), pmax):
+        lo = max(cfg.prime_min, spec.min_p)
+        if (lo, pmax) not in ranges:
+            ranges[lo, pmax] = tuple(odd_primes(lo, pmax))
+        for p in ranges[lo, pmax]:
             if not spec.needs_x:
                 yield sid, p, None
                 continue

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from supercong.sequences import (
     _pair_weights_exact,
     _pair_weights_mod,
     _row_exact,
+    _steps,
     _table,
     _table_values,
     j2,
@@ -219,6 +221,47 @@ class TestTables:
                     assert [tab[n] for n in range(p)] == [
                         mod_reduce(exact(n, x), p, e).value
                         for n in range(p)], (p, e, x, build.__name__)
+
+    def test_interleaved_step_lists_stay_apart(self):
+        # tables and block prefixes at several (p, e, mult) in turn, each
+        # against the literal binomial transform sum_{k<=K} C(n,k) w_k of
+        # its pair weights: step lists cached under the wrong key would
+        # feed one family's coefficients into another's table, and a step
+        # that read the wrong basis one modulus's 1/N^2 into another's
+        _steps.cache_clear()
+        keys = ((11, 2, 2), (11, 3, 1), (11, 2, -3), (11, 2, 0), (11, 3, 3),
+                (11, 2, 2), (13, 2, 2), (13, 3, 1), (11, 2, 1), (11, 3, 1))
+        for x in (Fraction(-2, 7), Fraction(5, 3)):
+            for p, e, mult in keys:
+                u = u_mod(p, e, x)
+                w = _pair_weights_mod(p, e, u, mult)
+                for K in (None, 0, 4, p - 2, p - 1):
+                    values = _table_values(p, e, u, mult,
+                                           None if K is None else (K, w))
+                    top = p - 1 if K is None else K
+                    assert values == tuple(
+                        sum(comb(n, k) * w[k] for k in range(top + 1))
+                        % p**e for n in range(p)), (x, p, e, mult, K)
+        assert _steps.hits > 0
+
+    @pytest.mark.parametrize("build, e", ((t_table_mod, 2), (s_table_mod, 3)))
+    def test_square_sums_in_any_order(self, build, e):
+        # the kept (0,1) and (1,1) sums and two direct ones, read in every
+        # order on a fresh table, each against the literal sum of
+        # (a n + b) f_n^2: the suffix-sum route and the direct one agree,
+        # and no read leaves the shared squares stale
+        p, x = 31, Fraction(3, 5)
+        values = build(p, e, x).values
+        mod = p**e
+        for order in permutations(((0, 1), (1, 1), (-7, 4), (3, 0))):
+            table = SequenceTable(p, e, x, build(p, e, x).mult, values)
+            for a, b in order:
+                literal = sum((a * n + b) * values[n] ** 2
+                              for n in range(p)) % mod
+                kept = table.square_sum(a, b)
+                assert kept.value == literal, (order, a, b)
+                assert table.square_sum(a, b) is kept
+                assert table.squares == [v * v for v in values]
 
     def test_oracle_modes_accept_correct_tables(self):
         t_table_mod(13, 2, Fraction(-1, 3), oracle="full")

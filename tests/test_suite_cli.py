@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import supercong
-from supercong import congruences as cg, sequences
+from supercong import congruences as cg, sequences, suite
 from supercong.cli import _build_parser, main
+from supercong.core import odd_primes
 from supercong.identities import identity_suite
 from supercong.sequences import S_MULT, T_MULT
 from supercong.suite import (
@@ -593,6 +594,27 @@ class TestRunSuite:
             "7a25e73656cf41702d3c7514adc9a668"
             "544a1497d1306a0f190fb9bcce48d01f")
 
+    def test_each_prime_range_is_enumerated_once(self, monkeypatch):
+        # sweep's shape, eight statements over one range, tests each odd
+        # number there for primality once; statements with other default
+        # caps or minimum primes add their own ranges, each once
+        ranges = _record_calls(monkeypatch, suite, "odd_primes")
+        statements = ("theorem1", "theorem2", "sun_s", "kw", "weighted_8n5",
+                      "weighted_32n21", "weighted_18n7", "weighted_72n49")
+        summary = run_suite(SuiteConfig(statements=statements,
+                                        prime_min=400, prime_max=499))
+        assert summary.failed == 0
+        assert ranges == [(400, 499)]
+        ranges.clear()
+        cfg = SuiteConfig(statements=statements + ("lemma21", "blocks"))
+        scans = {sid: (max(cfg.prime_min, STATEMENTS[sid].min_p),
+                       STATEMENTS[sid].default_pmax) for sid in cfg.statements}
+        tasks = list(suite._task_args(cfg))
+        assert len(ranges) == len(set(ranges)) == len(set(scans.values())) > 1
+        assert set(ranges) == set(scans.values())
+        assert {(sid, p) for sid, p, _ in tasks} == {
+            (sid, p) for sid, scan in scans.items() for p in odd_primes(*scan)}
+
     @staticmethod
     def _memos():
         # the package's per-prime memos, each counted once, in its own module
@@ -610,6 +632,7 @@ class TestRunSuite:
     def test_every_cache_is_hit(self):
         memos = self._memos()
         assert set(memos) == {"sequences._factorials",
+                              "sequences._steps",
                               "sequences._table",
                               "congruences._block_sums_mod",
                               "congruences._harmonics_mod"}
@@ -618,7 +641,8 @@ class TestRunSuite:
             assert "lru_cache" not in path.read_text(encoding="utf-8"), path
         for fn in memos.values():
             fn.cache_clear()
-        # every table at one (p, e) reads one factorial basis, theorem2
+        # every table at one (p, e) reads one factorial basis and every
+        # table of one family at p one list of steps, theorem2
         # reuses theorem1's t table, lemma23 and lemma33 the block entry,
         # and lemma21's second argument at a prime the harmonic numbers
         summary = run_suite(SuiteConfig(
@@ -701,11 +725,21 @@ class TestRunSuite:
 
     def test_each_square_sum_is_taken_once(self, monkeypatch):
         # theorem1, sun_s and kw read the (0,1) sum of their tables and
-        # theorem2 the (1,1) sum of theorem1's; weighted_8n5 sums its own
-        # (8,5) and checks it against the two sums its table already holds
+        # theorem2 the (1,1) sum of theorem1's, both taken from the table's
+        # squares; weighted_8n5 sums its own (8,5) directly and checks it
+        # against the two sums its table already holds
         sequences._table.cache_clear()
-        kept = _record_calls(monkeypatch, sequences, "_weighted_square_sum")
+        kept = []
+        real = sequences.SequenceTable.square_sum
+
+        def square_sum(table, a, b):
+            if (a, b) not in table.sums:  # summed now, not read back
+                kept.append((table, a, b))
+            return real(table, a, b)
+
+        monkeypatch.setattr(sequences.SequenceTable, "square_sum", square_sum)
         direct = _record_calls(monkeypatch, cg, "_weighted_square_sum")
+        inner = _record_calls(monkeypatch, sequences, "_weighted_square_sum")
         reports = []
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "weighted_8n5", "sun_s",
@@ -723,6 +757,7 @@ class TestRunSuite:
         assert len(set(sums)) == len(sums)
         assert set(sums) == expected
         assert {(a, b) for _, a, b in direct} == {(8, 5)}
+        assert inner == []  # no kept sum is a direct one
 
     def test_one_prime_builds_each_block_entry_once(self, monkeypatch):
         # 40 x at one prime, more than a group of the default grid reads:
