@@ -43,7 +43,9 @@ m and pt = x mod p^2 - m, with modular inverses: reduction mod p^2 is a
 ring homomorphism on the p-integral rationals, so it gives the residues of
 the rational closed forms; only lemma21's exact oracle keeps t = (x-m)/p.
 Lemma 2.1's ranges of k are written once (_block_ranges).  Table
-statements read the table's square sums (SequenceTable.square_sum), each
+statements read the table of u = x(x+1) mod p^2 (sequences._table), u from
+the split's xr, so a check reduces x once and x, -1-x and x + p^2 read one
+table; they read its square sums (SequenceTable.square_sum), each
 (table, a, b) summed once; a weighted_* statement sums its own (a, b) and
 checks it against a (1,1) + (b-a) (0,1) of the table.
 """
@@ -79,6 +81,7 @@ from .sequences import (
     _per_prime,
     _table,
     _table_values,
+    _u_mod,
     _weighted_square_sum,
     _x_mod,
     s_table_mod,
@@ -243,7 +246,7 @@ def _lemma21_sides(p: int, xr: int,
         sign = -1 if (m + k) % 2 == 0 else 1  # (-1)^{m+k+1}
         c = fact[m + k] * fact[k - m - 1] * inv_fact[k] ** 2
         rhs[k] = p * (sign * c * t % p)
-    return _pair_weights_mod(p, 2, xr * (xr + 1) % mod, S_MULT), tuple(rhs)
+    return _pair_weights_mod(p, 2, _u_mod(p, 2, xr), S_MULT), tuple(rhs)
 
 
 def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
@@ -319,18 +322,18 @@ def _block_sums_mod(p: int, x: Fraction, xr: int, m: int,
 
     A_lo = P_m, A_mid = P_{p-m-1} - P_m and A_hi = t - P_{p-m-1}, from the
     prefix sums P_K of `sequences` and the t table of the run's oracle
-    mode, shared with theorem1; weights and prefixes read u = xr (xr+1).
+    mode, shared with theorem1; weights, prefixes and table read u = xr (xr+1).
     _check_prefixes checks the prefixes at five rows; under an oracle,
     _audit_transforms audits A_lo, A_mid and A_hi exactly.
     """
     mod = p * p
-    u = xr * (xr + 1) % mod
+    u = _u_mod(p, 2, xr)
     w = _pair_weights_mod(p, 2, u, T_MULT)
     cuts = (m, p - m - 1)  # the last k of lo and of mid
     prefixes = [_table_values(p, 2, u, T_MULT, (K, w)) for K in cuts]
     _check_prefixes(p, x, w, cuts, prefixes)
     lo, top = prefixes
-    t = _table(p, 2, x, T_MULT, oracle).values
+    t = _table(p, 2, u, T_MULT, oracle, x=x).values
     parts = (lo, [(b - a) % mod for a, b in zip(lo, top)],
              [(c - b) % mod for b, c in zip(top, t)])
     if oracle != "off":
@@ -448,7 +451,7 @@ def theorem1_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} t_n(x)^2 mod p^2 against theorem1_rhs."""
     x, xr, m = _split(p, x)
-    lhs = _table(p, 2, x, T_MULT, oracle).square_sum(0, 1)
+    lhs = _table(p, 2, _u_mod(p, 2, xr), T_MULT, oracle, x=x).square_sum(0, 1)
     return _report("theorem1", p, x, lhs, _r_mod(p, xr, m))
 
 
@@ -461,7 +464,7 @@ def theorem2_check(p: int, x: RationalLike,
                    oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} (n+1) t_n(x)^2 mod p^2 against theorem2_rhs."""
     x, xr, m = _split(p, x)
-    lhs = _table(p, 2, x, T_MULT, oracle).square_sum(1, 1)
+    lhs = _table(p, 2, _u_mod(p, 2, xr), T_MULT, oracle, x=x).square_sum(1, 1)
     return _report("theorem2", p, x, lhs, _theorem2_mod(p, xr, m))
 
 
@@ -481,12 +484,13 @@ def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
     if expected.modulus != mod:
         raise ValueError(f"expected residue has modulus {expected.modulus}, "
                          f"want {mod}")
+    x = to_fraction(x)
     table = t_table_mod(p, 2, x, oracle=oracle)
     lhs = _weighted_square_sum(table, a, b)
     if lhs != a * table.square_sum(1, 1) + (b - a) * table.square_sum(0, 1):
         raise SupercongError(
-            f"linear-weight recombination failed at p={p}, x={table.x}")
-    return _report(f"weighted_{a}n{b}", p, table.x, lhs, expected)
+            f"linear-weight recombination failed at p={p}, x={x}")
+    return _report(f"weighted_{a}n{b}", p, x, lhs, expected)
 
 
 # (a, b, x, coefficient c in the expected residue c*p, minimum prime)
@@ -522,7 +526,7 @@ def sun_s_check(p: int, x: RationalLike,
     x, xr, m = _split(p, x)
     if 2 * m + 1 == p:
         raise HypothesisViolatedError("2x = -1 (mod p) is excluded")
-    table = _table(p, 2, x, S_MULT, oracle)
+    table = _table(p, 2, _u_mod(p, 2, xr), S_MULT, oracle, x=x)
     return _report("sun_s", p, x, table.square_sum(0, 1), _r_mod(p, xr, m))
 
 

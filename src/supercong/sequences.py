@@ -16,17 +16,19 @@ table needs rows N < p only, so the one division, by N^2, is by a unit mod
 p^e, read from the basis.  The coefficients of N = 1, ..., p-1 are one
 list each per (p, c), shared by every table of that family at the prime
 (_steps), so the whole table is one zip over them and the basis's 1/N^2 of
-small-integer steps mod p^e (_table_values).  _table keeps a table with its
-audit and its squares, from which it takes the square sums its readers ask
-for, so each table is audited once per oracle mode, squared once, and each
-sum is taken once.  The memos keep the entries of the latest prime only
-(_per_prime), as do those of `congruences`: a run computes prime by prime.
+small-integer steps mod p^e (_table_values).
 The pair weight w_k = C(x,k) C(x+k,k) c^k is the running product of
 c (u - k(k-1)) = c (x-k+1)(x+k) times (1/k!)^2 from the basis, so the fast
-route, recurrence included, reads x only through u = x(x+1) mod p^e.  With
-one boundary term a loop of its own gives the prefix sums P_K of the block
-transforms in `congruences`; the plain loops carry none.  `congruences`
-reads the same basis for Lemma 2.1.
+route, recurrence included, reads x only through u = x(x+1) mod p^e
+(_u_mod, from x mod p^e, which each caller reduces once).  _table keeps one
+table per u with its audit and its squares, from which it takes the square
+sums its readers ask for, so x, -1-x and x + p^e share one table, each
+table is audited once per oracle mode, at the first x that builds it,
+squared once, and each sum is taken once.  The memos keep the entries of
+the latest prime only (_per_prime), as do those of `congruences`: a run
+computes prime by prime.  With one boundary term a loop of its own gives
+the prefix sums P_K of the block transforms in `congruences`; the plain
+loops carry none.  `congruences` reads the same basis for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
 one row by a term-ratio recurrence as an integer numerator over M b^{2n},
 where M is the part of (2n)! made of the primes of b, the only denominator
@@ -215,13 +217,12 @@ class SequenceTable:
     summed directly (_weighted_square_sum).
     """
 
-    __slots__ = ("p", "e", "x", "mult", "values", "squares", "sums")
+    __slots__ = ("p", "e", "mult", "values", "squares", "sums")
 
-    def __init__(self, p: int, e: int, x: Fraction, mult: int,
+    def __init__(self, p: int, e: int, mult: int,
                  values: tuple[int, ...]) -> None:
         self.p = p
         self.e = e
-        self.x = x
         self.mult = mult
         self.values = values
         self.squares = list(map(mul, values, values))
@@ -264,7 +265,8 @@ def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
 
 class _per_prime:
     """Memo of build(p, ...) for the latest p: a call at another p first
-    drops every entry."""
+    drops every entry.  The positional arguments are the key; keyword
+    arguments go to the build on a miss and are not part of it."""
 
     def __init__(self, build: Callable) -> None:
         update_wrapper(self, build)
@@ -273,12 +275,13 @@ class _per_prime:
     def cache_clear(self) -> None:
         self.p, self.entries, self.hits = None, {}, 0
 
-    def __call__(self, *args):  # args[0] is p
+    def __call__(self, *args, **extra):  # args[0] is p
         if args[0] != self.p:
             self.p, self.entries = args[0], {}
         value = self.entries.get(args, self)  # self: no entry yet
         if value is self:
-            return self.entries.setdefault(args, self.__wrapped__(*args))
+            return self.entries.setdefault(args,
+                                           self.__wrapped__(*args, **extra))
         self.hits += 1
         return value
 
@@ -320,6 +323,11 @@ def _x_mod(p: int, e: int, x: Fraction) -> int:
     if x.denominator % p == 0:
         raise NonPIntegralError(f"{x} is not {p}-integral")
     return reduce_ratio(x.numerator, x.denominator, p, e)
+
+
+def _u_mod(p: int, e: int, xr: int) -> int:
+    """u = x(x+1) mod p^e, the fast route's one input, from xr = x mod p^e."""
+    return xr * (xr + 1) % p**e
 
 
 def _pair_weights_mod(p: int, e: int, u: int, mult: int) -> tuple[int, ...]:
@@ -412,21 +420,23 @@ def _build_table(p: int, e: int, x: RationalLike, mult: int,
     require_odd_prime(p)
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"exponent e = {e!r} must be a positive integer")
-    return _table(p, e, to_fraction(x), mult, oracle)
+    x = to_fraction(x)
+    return _table(p, e, _u_mod(p, e, _x_mod(p, e, x)), mult, oracle, x=x)
 
 
-# audited tables, shared by theorem1, theorem2, weighted_* and the block
-# check: a table read by several statements is built and audited once
+# audited tables, shared by theorem1, theorem2, weighted_*, the block
+# check and every x of one u: each is built and audited once
 @_per_prime
-def _table(p: int, e: int, x: Fraction, mult: int,
-           oracle: str) -> SequenceTable:
-    """_build_table for p and e already validated.  A failed audit raises
-    before the memo stores the table, so each reader meets the mismatch."""
-    xr = _x_mod(p, e, x)
-    values = _table_values(p, e, xr * (xr + 1) % p**e, mult)
+def _table(p: int, e: int, u: int, mult: int, oracle: str, *,
+           x: Fraction) -> SequenceTable:
+    """The table at u = x(x+1) mod p^e, p and e already validated; x, not
+    in the key, is where the audit re-derives the rows exactly.  A failed
+    audit raises before the memo stores the table, so each reader meets
+    the mismatch at its own x."""
+    values = _table_values(p, e, u, mult)
     if oracle != "off":
         _audit_table(p, e, x, mult, values, oracle)
-    return SequenceTable(p, e, x, mult, values)
+    return SequenceTable(p, e, mult, values)
 
 
 def t_table_mod(p: int, e: int, x: RationalLike,

@@ -199,7 +199,7 @@ def test_weighted_square_sum_is_the_literal_loop(sign, p, e, size, b, data):
     mod = p**e
     values = tuple(data.draw(st.lists(st.integers(0, mod - 1),
                                       min_size=p, max_size=p)))
-    table = SequenceTable(p, e, Fraction(0), T_MULT, values)
+    table = SequenceTable(p, e, T_MULT, values)
     acc = 0
     for n in range(p):
         acc += (a * n + b) * values[n] ** 2

@@ -151,15 +151,15 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("mult", range(-3, 6))
     def test_tables_for_any_multiplier(self, mult):
-        # the table at u = x(x+1) is the exact rows of x and of its
-        # reflection -1-x, which has the same u
+        # the table at u = x(x+1) is the exact rows of x, of its
+        # reflection -1-x and of x + p^e, which have the same u mod p^e
         for p in (3, 5, 7, 13):
             for e in (1, 2, 3):
                 for x in self.XS:
                     if x.denominator % p == 0:
                         continue
                     values = _table_values(p, e, u_mod(p, e, x), mult)
-                    for y in (x, -1 - x):
+                    for y in (x, -1 - x, x + p**e):
                         assert values == tuple(
                             reduce_ratio(*_row_exact(n, y, mult), p, e)
                             for n in range(p)), (p, e, y)
@@ -254,7 +254,7 @@ class TestTables:
         values = build(p, e, x).values
         mod = p**e
         for order in permutations(((0, 1), (1, 1), (-7, 4), (3, 0))):
-            table = SequenceTable(p, e, x, build(p, e, x).mult, values)
+            table = SequenceTable(p, e, build(p, e, x).mult, values)
             for a, b in order:
                 literal = sum((a * n + b) * values[n] ** 2
                               for n in range(p)) % mod

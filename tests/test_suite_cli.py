@@ -17,7 +17,7 @@ import pytest
 import supercong
 from supercong import congruences as cg, sequences, suite
 from supercong.cli import _build_parser, main
-from supercong.core import odd_primes
+from supercong.core import mod_reduce, odd_primes
 from supercong.identities import identity_suite
 from supercong.sequences import S_MULT, T_MULT
 from supercong.suite import (
@@ -38,15 +38,20 @@ from supercong.suite import (
 PRIMES_TO_50 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def u_mod(p: int, e: int, x: Fraction) -> int:
+    """u = x(x+1) mod p^e, the key of a residue table."""
+    return mod_reduce(x * (x + 1), p, e).value
+
+
 def _record_calls(monkeypatch, module, name: str) -> list[tuple]:
-    """Wrap module.name for one test; the list gains the arguments of each
-    call."""
+    """Wrap module.name for one test; the list gains the positional
+    arguments of each call, and keyword arguments pass through."""
     calls = []
     fn = getattr(module, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recorded)
     return calls
@@ -134,6 +139,42 @@ class TestReadmeStatementsTable:
         assert sorted(seen) == sorted(STATEMENTS)
         for sid, spec in STATEMENTS.items():
             assert rows[sid] == (spec.needs_x, spec.default_pmax), sid
+
+
+def _memos() -> dict:
+    """The package's per-prime memos by module.name, each counted once, in
+    its own module."""
+    memos = {}
+    for info in pkgutil.iter_modules(supercong.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"supercong.{info.name}")
+        for name, fn in vars(mod).items():
+            if (isinstance(fn, sequences._per_prime)
+                    and fn.__module__ == mod.__name__):
+                memos[f"{info.name}.{name}"] = fn
+    return memos
+
+
+class TestReadmeCaches:
+    def test_paragraph_counts_and_names_every_memo(self):
+        # the Design notes' Caches paragraph: each "<number> memos" is the
+        # number of memos, and the memos it names are exactly the package's
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8").split(
+            "\n- Caches: ", 1)[1].split("\n- ", 1)[0]
+        memos = _memos()
+        numbers = ("zero", "one", "two", "three", "four", "five", "six",
+                   "seven", "eight", "nine", "ten")
+        counts = re.findall(r"\b(\w+)\s+memos\b", text)
+        assert counts and all(numbers.index(word) == len(memos)
+                              for word in counts), counts
+        named = set()
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", text):
+            fn = getattr(importlib.import_module(f"supercong.{module}"), name)
+            if isinstance(fn, sequences._per_prime):
+                named.add(f"{module}.{name}")
+        assert named == set(memos)
 
 
 class TestReadmeLibraryBlock:
@@ -615,22 +656,8 @@ class TestRunSuite:
         assert {(sid, p) for sid, p, _ in tasks} == {
             (sid, p) for sid, scan in scans.items() for p in odd_primes(*scan)}
 
-    @staticmethod
-    def _memos():
-        # the package's per-prime memos, each counted once, in its own module
-        memos = {}
-        for info in pkgutil.iter_modules(supercong.__path__):
-            if info.name == "__main__":  # importing it runs the CLI
-                continue
-            mod = importlib.import_module(f"supercong.{info.name}")
-            for name, fn in vars(mod).items():
-                if (isinstance(fn, sequences._per_prime)
-                        and fn.__module__ == mod.__name__):
-                    memos[f"{info.name}.{name}"] = fn
-        return memos
-
     def test_every_cache_is_hit(self):
-        memos = self._memos()
+        memos = _memos()
         assert set(memos) == {"sequences._factorials",
                               "sequences._steps",
                               "sequences._table",
@@ -654,8 +681,10 @@ class TestRunSuite:
             assert fn.hits > 0, name
 
     def test_spot_oracle_audits_each_table_once(self, monkeypatch):
-        # theorem2 and weighted_8n5 read theorem1's t tables; each distinct
-        # table re-derives its spot rows exactly once
+        # theorem2 and weighted_8n5 read theorem1's t tables, and every x
+        # of one u = x(x+1) mod p^2 reads one table; each distinct table
+        # re-derives the spot rows of the first x in scan order that reads
+        # it, exactly once (theorem2's -1/2 + p probe reads -1/2's table)
         sequences._table.cache_clear()
         rows = _record_calls(monkeypatch, sequences, "_row_exact")
         reports = []
@@ -663,18 +692,22 @@ class TestRunSuite:
             statements=("theorem1", "theorem2", "weighted_8n5"),
             prime_min=53, prime_max=71, oracle_mode="spot"), reports.append)
         assert summary.failed == 0
-        tables = {(r.p, r.x) for r in reports}
-        assert len(tables) < summary.total  # tables are shared
-        expected = [(n, x, T_MULT) for p, x in tables
+        first = {}  # (p, u) -> the first x in scan order
+        for r in reports:
+            first.setdefault((r.p, u_mod(r.p, 2, r.x)), r.x)
+        assert len(first) == 169 < len({(r.p, r.x) for r in reports}) == 176
+        expected = [(n, x, T_MULT) for (p, _), x in first.items()
                     for n in sequences._oracle_rows(p, 2, x, T_MULT, "spot")]
-        assert len(rows) == 5 * len(tables)
+        assert len(rows) == 5 * len(first)
         assert sorted(rows) == sorted(expected)
 
     @pytest.mark.parametrize("oracle", ["off", "spot"])
     def test_block_route_reads_the_runs_t_tables(self, monkeypatch, oracle):
         # the block statements read theorem1's t table of the same oracle
-        # mode, so spot builds no unaudited second copy of it; a build is
-        # counted by its x, which its rows see only as x(x+1)
+        # mode, so spot builds no unaudited second copy of it; a table is
+        # keyed on u = x(x+1) mod p^2, so the -1-x at which blocks checks an
+        # x with m > (p-1)/2 reads the table of x: 174 distinct u, where
+        # tables keyed on x were 257
         sequences._table.cache_clear()
         cg._block_sums_mod.cache_clear()
         builds = _record_calls(monkeypatch, sequences._table, "__wrapped__")
@@ -682,29 +715,30 @@ class TestRunSuite:
                      "blocks", "--pmin", "13", "--pmax", "31", "--oracle",
                      oracle, "--format", "jsonl"]) == 0
         t_builds = [args for args in builds if args[3] == T_MULT]
-        assert len(t_builds) == len(set(t_builds)) == 257
+        assert len(t_builds) == len(set(t_builds)) == 174
 
-    @pytest.mark.parametrize("statements, cache", [
+    @pytest.mark.parametrize("statements, cache, read, built", [
         (("lemma23", "lemma24", "lemma33", "lemma34", "blocks",
-          "blocks_weighted"), cg._block_sums_mod),
-        (("theorem1", "theorem2", "weighted_8n5"), sequences._table),
+          "blocks_weighted"), cg._block_sums_mod,
+         lambda p, x: (p, x), lambda p, x, *_: (p, x)),
+        (("theorem1", "theorem2", "weighted_8n5"), sequences._table,
+         lambda p, x: (p, u_mod(p, 2, x)), lambda p, e, u, *_: (p, u)),
     ], ids=["blocks", "tables"])
     def test_cache_spans_one_prime_group(self, monkeypatch, statements,
-                                         cache):
+                                         cache, read, built):
         # tasks run by prime, so each entry is built once, in its prime
         # group, although later groups drop it; the builds cover every
-        # (p, x) that a check read
+        # key that a check read: (p, x) of a block entry, (p, u) of a table
         cache.cache_clear()
         builds = _record_calls(monkeypatch, cache, "__wrapped__")
         reports = []
         summary = run_suite(SuiteConfig(statements=statements, prime_max=17),
                             reports.append)
         assert summary.failed == 0
-        keys = {(r.p, r.x) for r in reports if r.passed is not None}
+        keys = {read(r.p, r.x) for r in reports if r.passed is not None}
         assert len({p for p, _ in keys}) > 1
         assert len(set(builds)) == len(builds)
-        assert {(args[0], next(a for a in args[1:] if isinstance(a, Fraction)))
-                for args in builds} == keys
+        assert {built(*args) for args in builds} == keys
 
     def test_each_factorial_basis_is_built_once(self, monkeypatch):
         # a sweep's shape: tables mod p^2 and, for kw, p^3, at many primes;
@@ -727,8 +761,18 @@ class TestRunSuite:
         # theorem1, sun_s and kw read the (0,1) sum of their tables and
         # theorem2 the (1,1) sum of theorem1's, both taken from the table's
         # squares; weighted_8n5 sums its own (8,5) directly and checks it
-        # against the two sums its table already holds
+        # against the two sums its table already holds; a table is named by
+        # the key (p, e, u, family) it was built under
         sequences._table.cache_clear()
+        names = {}
+        build = sequences._table.__wrapped__
+
+        def named(p, e, u, mult, oracle, **kw):
+            table = build(p, e, u, mult, oracle, **kw)
+            names[table] = (p, e, u, mult)
+            return table
+
+        monkeypatch.setattr(sequences._table, "__wrapped__", named)
         kept = []
         real = sequences.SequenceTable.square_sum
 
@@ -750,10 +794,10 @@ class TestRunSuite:
                  "weighted_8n5": [(2, T_MULT, a, b)
                                   for a, b in ((8, 5), (0, 1), (1, 1))],
                  "sun_s": [(2, S_MULT, 0, 1)], "kw": [(3, S_MULT, 0, 1)]}
-        expected = {(r.p, e, r.x, mult, a, b) for r in reports
-                    if r.passed is not None
+        expected = {(r.p, e, u_mod(r.p, e, r.x), mult, a, b)
+                    for r in reports if r.passed is not None
                     for e, mult, a, b in reads[r.statement]}
-        sums = [(t.p, t.e, t.x, t.mult, a, b) for t, a, b in kept + direct]
+        sums = [(*names[t], a, b) for t, a, b in kept + direct]
         assert len(set(sums)) == len(sums)
         assert set(sums) == expected
         assert {(a, b) for _, a, b in direct} == {(8, 5)}
@@ -762,9 +806,10 @@ class TestRunSuite:
     def test_one_prime_builds_each_block_entry_once(self, monkeypatch):
         # 40 x at one prime, more than a group of the default grid reads:
         # each block entry computes its pair weights once, at u = x(x+1),
-        # and reduces x once, for its t table; lemma21 reads _split's x mod
-        # p^2 and reduces none
+        # and reads its t table at the same u, built once; neither the
+        # table nor lemma21 reduces x, both read _split's x mod p^2
         builds = _record_calls(monkeypatch, cg, "_pair_weights_mod")
+        tables = _record_calls(monkeypatch, sequences._table, "__wrapped__")
         reductions = _record_calls(monkeypatch, sequences, "_x_mod")
         cg._block_sums_mod.cache_clear()
         sequences._table.cache_clear()
@@ -777,9 +822,10 @@ class TestRunSuite:
         assert len(builds) == 40
         assert set(builds) == {(101, 2, i * (i + 1), T_MULT)
                                for i in range(40)}
-        assert len(reductions) == 40
-        assert set(reductions) == {(101, 2, x) for x in xs}
-        reductions.clear()
+        assert len(tables) == 40
+        assert set(tables) == {(101, 2, i * (i + 1), T_MULT, "off")
+                               for i in range(40)}
+        assert reductions == []
         summary = run_suite(SuiteConfig(
             statements=("lemma21",), prime_min=101, prime_max=101,
             x_values=xs))
@@ -787,8 +833,12 @@ class TestRunSuite:
         assert reductions == []
 
     def test_one_prime_builds_each_t_table_once(self, monkeypatch):
-        # 80 x at one prime: each t table reduces its x once
-        builds = _record_calls(monkeypatch, sequences, "_x_mod")
+        # 80 x at one prime: each t table is built once, at its u, and
+        # each check reduces its x once, in its split, not again for the
+        # table
+        builds = _record_calls(monkeypatch, sequences._table, "__wrapped__")
+        splits = _record_calls(monkeypatch, cg, "_x_mod")
+        reductions = _record_calls(monkeypatch, sequences, "_x_mod")
         sequences._table.cache_clear()
         xs = tuple(map(Fraction, range(80)))
         summary = run_suite(SuiteConfig(
@@ -796,14 +846,16 @@ class TestRunSuite:
             prime_max=499, x_values=xs))
         assert (summary.total, summary.passed) == (160, 160)
         assert len(builds) == 80
-        assert set(builds) == {(499, 2, x) for x in xs}
+        assert set(builds) == {(499, 2, u_mod(499, 2, x), T_MULT, "off")
+                               for x in xs}
+        assert len(splits) == 160 and reductions == []
 
     def test_memos_keep_only_the_last_prime(self, monkeypatch):
         # a run over several primes builds each entry once, in its prime
         # group, and leaves each memo with the entries of its last group
         # only, here the bases (13, 2) and, for kw, (13, 3); both x are
         # p-integral at every p, since a build that raises stores nothing
-        memos = self._memos()
+        memos = _memos()
         for fn in memos.values():
             fn.cache_clear()
         builds = {name: _record_calls(monkeypatch, fn, "__wrapped__")
@@ -1000,6 +1052,33 @@ class TestCli:
         for r in rows:
             assert r["pass"] is False and r["lhs"] is None
             assert r["skipped_reason"].startswith("oracle mismatch: ")
+
+    def test_planted_row_fails_every_x_of_one_u(self, monkeypatch):
+        # x = 2 and x = -3 share u = 6 and so one table; with one t row
+        # planted wrong, the audit at 2 stores nothing, so -3 rebuilds the
+        # table, audits it at its own x and records its own mismatch
+        sequences._table.cache_clear()
+        real = sequences._table_values
+
+        def planted(p, e, u, mult, cut=None):
+            values = real(p, e, u, mult, cut)
+            if cut is None and mult == T_MULT:
+                values = values[:3] + ((values[3] + 1) % p**e,) + values[4:]
+            return values
+
+        monkeypatch.setattr(sequences, "_table_values", planted)
+        reports = []
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1",), prime_min=13, prime_max=13,
+            x_values=(Fraction(2), Fraction(-3)), oracle_mode="full"),
+            reports.append)
+        assert (summary.total, summary.failed) == (2, 2)
+        assert [r.x for r in reports] == [2, -3]
+        for r in reports:
+            assert r.passed is False and r.lhs is None
+            assert r.skipped_reason.startswith(
+                f"oracle mismatch: table row n=3 (p=13, e=2, x={r.x},")
+        assert sequences._table.entries == {}
 
     def test_spot_oracle_catches_a_shifted_mid_mask(self, tmp_path):
         # a copy of the package whose mid mask runs one k late, [m+2, p-m]:
