@@ -261,7 +261,7 @@ def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
     _require_half_regime(p, m)
     lhs, rhs = _lemma21_sides(p, xr, m)
     if oracle != "off":
-        ks = _oracle_rows(p, 2, x, S_MULT, oracle)
+        ks = _oracle_rows(p, x, oracle)
         for k, exact in zip(ks, _lemma21_exact(p, x, m, ks)):
             if (lhs[k], rhs[k]) != exact:
                 raise OracleMismatchError(
@@ -301,7 +301,7 @@ def _audit_transforms(p: int, x: Fraction, m: int,
     sum_{k in K} C(n,k) W_k over the exact weights' one denominator: the
     _oracle_rows rows in spot mode, every row in full mode."""
     num, den = _pair_weights_exact(x, p - 1, T_MULT)
-    for n in _oracle_rows(p, 2, x, T_MULT, oracle):
+    for n in _oracle_rows(p, x, oracle):
         row = list(map(mul, map(comb, repeat(n), range(n + 1)), num))
         for name, K, part in zip(("lo", "mid", "hi"), _block_ranges(p, m),
                                  parts):

@@ -30,15 +30,19 @@ computes prime by prime.  With one boundary term a loop of its own gives
 the prefix sums P_K of the block transforms in `congruences`; the plain
 loops carry none.  `congruences` reads the same basis for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
-one row by a term-ratio recurrence as an integer numerator over M b^{2n},
-where M is the part of (2n)! made of the primes of b, the only denominator
-the terms C(n,k) C(x,k) C(x+k,k) c^k need (t_seq and s_seq turn it into
-one reduced Fraction), and _pair_weights_exact gives the weights themselves
-as integer numerators over the one denominator M b^{2K}, M for (2K)!, for
-the exact checks in `congruences`.
-The audit reduces the exact integer pair of a row mod p^e and compares; the
-slow route exists to audit the fast route and is never consulted to produce
-a table.
+row n of both families in one pass, by a term-ratio recurrence, as two
+integer numerators over M b^{2n}, where M is the part of (2n)! made of the
+primes of b, the only denominator the terms C(n,k) C(x,k) C(x+k,k) c^k
+need; a t term is the s term shifted left by k, so one exact division per
+step serves both (t_seq and s_seq each turn their part into one reduced
+Fraction).  _pair_weights_exact gives the weights themselves as integer
+numerators over the one denominator M b^{2K}, M for (2K)!, for the exact
+checks in `congruences`.
+The audit reduces a row's exact numerator of its family over the common
+denominator mod p^e and compares.  Its rows depend on (p, x) only
+(_oracle_rows), and the exact rows are kept per prime (_exact_row), so the
+t and s tables of one (p, x) share every row's one pass.  The slow route
+exists to audit the fast route and is never consulted to produce a table.
 """
 
 from __future__ import annotations
@@ -111,41 +115,46 @@ def _pair_weights_exact(x: Fraction, kmax: int,
     return num, num[0]
 
 
-def _row_exact(n: int, x: Fraction, mult: int) -> tuple[int, int]:
-    """sum_k C(n,k) C(x,k) C(x+k,k) mult^k, exact, as an integer numerator
-    over the denominator M b^{2n}, not reduced, for x = a/b and M the part
-    of (2n)! whose primes divide b (_factorial_part).
+def _row_exact(n: int, x: Fraction) -> tuple[int, int, int]:
+    """s_n(x) and t_n(x), exact, as integer numerators s and t over one
+    denominator D = M b^{2n}, not reduced, for x = a/b and M the part of
+    (2n)! whose primes divide b (_factorial_part).
 
     C(x,k) C(x+k,k) = C(2k,k) C(x+k,2k), and b^{2k} (2k)! C(x+k,2k) is a
     product of 2k consecutive terms of a + jb, which every prime q not
     dividing b divides at least v_q((2k)!) times.  So every U_k = M b^{2k}
-    C(n,k) C(x,k) C(x+k,k) mult^k with k <= n is an integer, and the step
-    U_k = U_{k-1} (n-k+1) mult (a-(k-1)b)(a+kb) / k^3 divides exactly.
-    Horner's rule puts all terms over the one denominator: one big-by-small
-    product, one exact division and one b^2 step per k, and no gcd.
+    C(n,k) C(x,k) C(x+k,k) with k <= n is an integer, and the step U_k =
+    U_{k-1} (n-k+1)(a-(k-1)b)(a+kb) / k^3 divides exactly.  The t term is
+    the s term times 2^k, a shift, so the one exact division per k serves
+    both families.  Horner's rule puts all terms over the one denominator:
+    one big-by-small product, one exact division, one shift and two b^2
+    steps per k, and no gcd.
     """
     a, b = x.numerator, x.denominator
     bb, part = b * b, _factorial_part(2 * n, b)
-    acc = u = part
+    s = t = u = part
     for k in range(1, n + 1):
-        u = u * ((n - k + 1) * mult * (a - (k - 1) * b) * (a + k * b)) \
+        u = u * ((n - k + 1) * (a - (k - 1) * b) * (a + k * b)) \
             // (k * k * k)
-        acc = acc * bb + u
-    return acc, part * bb**n
+        s = s * bb + u
+        t = t * bb + (u << k)
+    return s, t, part * bb**n
 
 
 def t_seq(n: int, x: RationalLike) -> Fraction:
     """t_n(x) = sum_k C(n,k) C(x,k) C(x+k,k) 2^k as an exact rational."""
     if n < 0:
         raise ValueError("t_seq requires n >= 0")
-    return Fraction(*_row_exact(n, to_fraction(x), T_MULT))
+    _, t, den = _row_exact(n, to_fraction(x))
+    return Fraction(t, den)
 
 
 def s_seq(n: int, x: RationalLike) -> Fraction:
     """s_n(x) = sum_k C(n,k) C(x,k) C(x+k,k), the unweighted companion sum."""
     if n < 0:
         raise ValueError("s_seq requires n >= 0")
-    return Fraction(*_row_exact(n, to_fraction(x), S_MULT))
+    s, _, den = _row_exact(n, to_fraction(x))
+    return Fraction(s, den)
 
 
 def j2(n: int) -> Fraction:
@@ -392,22 +401,34 @@ _SPOT_ROWS = 5
 _FULL_BELOW = 50
 
 
-def _oracle_rows(p: int, e: int, x: Fraction, mult: int, mode: str) -> list[int]:
+def _oracle_rows(p: int, x: Fraction, mode: str) -> list[int]:
+    """The rows an audit at (p, x) re-derives: every row in full mode and
+    for p <= 50, else _SPOT_ROWS rows seeded by (p, x) alone, so the t and
+    s tables of one (p, x), mod p^2 or p^3, share them, and so do the exact
+    checks in `congruences` at that (p, x)."""
     if mode == "full" or (mode == "spot" and p <= _FULL_BELOW):
         return list(range(p))
     if mode == "spot":
-        seed = ((p * 1_000_003 + e) * 1_000_003
-                + x.numerator % 999_999_937) * 1_000_003 \
-            + x.denominator * 7 + mult
+        seed = (p * 1_000_003 + x.numerator % 999_999_937) * 1_000_003 \
+            + x.denominator
         rng = random.Random(seed)
         return sorted(rng.sample(range(p), min(_SPOT_ROWS, p)))
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 
+# one entry per (p, n, x), read by the audits of both families at (p, x)
+@_per_prime
+def _exact_row(p: int, n: int, x: Fraction) -> tuple[int, int, int]:
+    """_row_exact(n, x), kept for the prime: the t and s tables of one
+    (p, x) audit the same rows, so the second family's audit reads them."""
+    return _row_exact(n, x)
+
+
 def _audit_table(p: int, e: int, x: Fraction, mult: int,
                  values: tuple[int, ...], mode: str) -> None:
-    for n in _oracle_rows(p, e, x, mult, mode):
-        expect = reduce_ratio(*_row_exact(n, x, mult), p, e)
+    for n in _oracle_rows(p, x, mode):
+        s, t, den = _exact_row(p, n, x)
+        expect = reduce_ratio(t if mult == T_MULT else s, den, p, e)
         if expect != values[n]:
             raise OracleMismatchError(
                 f"table row n={n} (p={p}, e={e}, x={x}, mult={mult}): "
@@ -445,7 +466,9 @@ def t_table_mod(p: int, e: int, x: RationalLike,
 
     oracle='off' trusts the fast path; 'spot' re-derives five deterministic
     rows (all rows when p <= 50) from exact rationals; 'full' re-derives
-    every row.  A disagreement raises OracleMismatchError.
+    every row.  The rows depend on (p, x) only, and one exact pass gives a
+    row of both families, so s_table_mod at the same (p, x) reads the rows
+    this audit derived.  A disagreement raises OracleMismatchError.
     """
     return _build_table(p, e, x, T_MULT, oracle)
 

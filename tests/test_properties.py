@@ -96,9 +96,20 @@ def test_pair_weights_match_the_literal_product(p, e, mult, x, data):
 @given(st.integers(0, 60), pair_weight_args, st.integers(-3, 5))
 @settings(deadline=None)
 def test_exact_rows_match_the_literal_sums(n, x, mult):
-    assert Fraction(*_row_exact(n, x, mult)) == sum(
+    # S_poly at y = -mult is the pair-weight sum of any multiplier
+    assert S_poly(n, x, -mult) == sum(
         binom_int(n, k) * w
         for k, w in enumerate(literal_weights(x, mult, n)))
+
+
+@given(st.integers(0, 60), pair_weight_args)
+@settings(deadline=None)
+def test_one_exact_pass_gives_both_families(n, x):
+    # the oracle's two numerators over its one denominator are s_n(x) and
+    # t_n(x), the literal sums at y = -1 and y = -2
+    s, t, den = _row_exact(n, x)
+    assert (Fraction(s, den), Fraction(t, den)) == (S_poly(n, x, -1),
+                                                    S_poly(n, x, -2))
 
 
 @given(st.integers(0, 12),

@@ -1,12 +1,12 @@
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import comb
 
 import pytest
 
 from supercong.core import (
-    NonPIntegralError, OracleMismatchError, binom_gen, mod_reduce,
-    reduce_ratio)
+    NonPIntegralError, OracleMismatchError, binom_gen, mod_reduce)
 from supercong.sequences import (
     S_poly,
     S_MULT,
@@ -83,8 +83,8 @@ class TestExactOracleSize:
     than that make the audit slower."""
 
     def test_row_stays_small(self):
-        num, den = _row_exact(400, Fraction(29, 11), 2)
-        assert max(num.bit_length(), den.bit_length()) < 4000
+        s, t, den = _row_exact(400, Fraction(29, 11))
+        assert max(s.bit_length(), t.bit_length(), den.bit_length()) < 4000
 
     def test_pair_weights_stay_small(self):
         num, den = _pair_weights_exact(Fraction(29, 11), 300, 1)
@@ -101,7 +101,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("mult", range(-3, 6))
     def test_holds_exactly_over_q(self, mult):
         for x in self.XS:
-            f = [Fraction(*_row_exact(n, x, mult)) for n in range(40)]
+            f = [S_poly(n, x, -mult) for n in range(40)]
             at = lambda n: f[n] if n >= 0 else 0
             for n in range(1, 40):
                 assert n * n * f[n] == (
@@ -153,6 +153,7 @@ class TestRecurrence:
     def test_tables_for_any_multiplier(self, mult):
         # the table at u = x(x+1) is the exact rows of x, of its
         # reflection -1-x and of x + p^e, which have the same u mod p^e
+        exact = cache(lambda n, y: S_poly(n, y, -mult))  # x, -1-x recur
         for p in (3, 5, 7, 13):
             for e in (1, 2, 3):
                 for x in self.XS:
@@ -161,7 +162,7 @@ class TestRecurrence:
                     values = _table_values(p, e, u_mod(p, e, x), mult)
                     for y in (x, -1 - x, x + p**e):
                         assert values == tuple(
-                            reduce_ratio(*_row_exact(n, y, mult), p, e)
+                            mod_reduce(exact(n, y), p, e).value
                             for n in range(p)), (p, e, y)
 
 
@@ -280,7 +281,7 @@ class TestTables:
         p, x = 101, Fraction(-17, 7)
         values = _table_values(p, e, u_mod(p, e, x), mult)
         _audit_table(p, e, x, mult, values, "spot")
-        for n in _oracle_rows(p, e, x, mult, "spot"):
+        for n in _oracle_rows(p, x, "spot"):
             bad = values[:n] + ((values[n] + p) % p**e,) + values[n + 1:]
             with pytest.raises(OracleMismatchError, match=f"row n={n} "):
                 _audit_table(p, e, x, mult, bad, "spot")

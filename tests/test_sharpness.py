@@ -8,7 +8,9 @@ closed form must be refuted at every prime, and each residue statement must
 fail one power deeper at some x of each prime (the fixed-x statements: at
 some prime).  Two do not, findings pinned below: sun_s holds mod p^3 for
 every x at each prime 5 <= p <= 61 (it fails mod p^4, and at p = 3), and
-Lemma 2.1 still holds with its top range starting at p-m+1.  Left sides
+Lemma 2.1 still holds with its top range starting at p-m+1.  A third
+finding: sum (2n+1) s_n(x)^2 = 0 mod p^2 for every x at each prime 3 <= p
+<= 101, so the (n+1)-weighted s sum is R(x)/2 there.  Left sides
 come from the public residue tables; the closed forms are written out here,
 tied to the library's right sides mod p^2.
 
@@ -220,6 +222,30 @@ def test_sun_s_holds_mod_p3_on_the_grid_and_fails_mod_p4():
         assert any(fails_p4), p
 
 
+def test_odd_weighted_s_sum_vanishes_mod_p2_and_not_mod_p3():
+    # a finding, not a claim of the paper: sum_{n<p} (2n+1) s_n(x)^2 = 0
+    # mod p^2 at x = m + pt for t in {0, 1} and every m, so for every x in
+    # Z_p (test_two_points_decide_mod_p2), at each prime 3 <= p <= 101.
+    # As (n+1) = ((2n+1) + 1)/2, sum (n+1) s_n(x)^2 = R(x)/2 then, half of
+    # sun_s's sum, 2x = -1 included.  Mod p^3 it fails at some m of each
+    # of those primes.
+    for p in odd_primes(3, 101):
+        fails_p3 = []
+        for m in range(p):
+            for t in range(2):
+                x = Fraction(m + p * t)
+                table = s_table_mod(p, 2, x)
+                assert table.square_sum(2, 1).value == 0, (p, m, t)
+                assert table.square_sum(1, 1) == mod_reduce(
+                    sun_s_closed(p, x) / 2, p, 2), (p, m, t)
+            odd = s_table_mod(p, 3, Fraction(m)).square_sum(2, 1)
+            fails_p3.append(odd.value != 0)
+            if p <= 7 and m < 3:  # the exact rationals agree with the tables
+                exact = sum((2 * n + 1) * s_seq(n, m) ** 2 for n in range(p))
+                assert mod_reduce(exact, p, 3) == odd, (p, m)
+        assert any(fails_p3), p
+
+
 @pytest.mark.parametrize("p", (5, 7))
 def test_three_points_decide_sun_s_mod_p3(p):
     # both sides of sun_s at x = m + pt are quadratics in t mod p^3: every
@@ -235,12 +261,13 @@ def test_three_points_decide_sun_s_mod_p3(p):
 
 def _mod_p2_quantities(p: int, x: Fraction) -> tuple[int, ...]:
     """Every table and block quantity a check reads mod p^2 at x: the
-    square sums of theorem1, theorem2 and sun_s, lemma21's pair weights,
+    square sums of theorem1, theorem2 and sun_s, the (n+1)-weighted s sum
+    of the finding above, lemma21's pair weights,
     theorem1's and theorem2's right sides and, off m = (p-1)/2, the nine
     block sums of both splits (at -1-x when m > (p-1)/2)."""
     t, s = t_table_mod(p, 2, x), s_table_mod(p, 2, x)
     out = [t.square_sum(0, 1).value, t.square_sum(1, 1).value,
-           s.square_sum(0, 1).value,
+           s.square_sum(0, 1).value, s.square_sum(1, 1).value,
            *_pair_weights_mod(p, 2, mod_reduce(x * (x + 1), p, 2).value,
                               S_MULT),
            theorem1_rhs(p, x).value, theorem2_rhs(p, x).value]

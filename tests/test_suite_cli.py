@@ -57,6 +57,17 @@ def _record_calls(monkeypatch, module, name: str) -> list[tuple]:
     return calls
 
 
+@pytest.fixture
+def fresh_exact_rows():
+    """An empty exact-row memo before and after the test, so a test that
+    replaces sequences._row_exact meets no row kept from an earlier test,
+    and leaves none of its replacement's rows behind."""
+    memo = sequences._exact_row  # the test may wrap the name
+    memo.cache_clear()
+    yield
+    memo.cache_clear()
+
+
 def _inline_pool(monkeypatch, fault: "Exception | None" = None) -> list[int]:
     """Replace ProcessPoolExecutor for one test by a pool that runs every
     group in this process, or raises fault; the list gains the max_workers
@@ -661,6 +672,7 @@ class TestRunSuite:
         assert set(memos) == {"sequences._factorials",
                               "sequences._steps",
                               "sequences._table",
+                              "sequences._exact_row",
                               "congruences._block_sums_mod",
                               "congruences._harmonics_mod"}
         # and no other cache: nothing in the package sizes one
@@ -671,16 +683,22 @@ class TestRunSuite:
         # every table at one (p, e) reads one factorial basis and every
         # table of one family at p one list of steps, theorem2
         # reuses theorem1's t table, lemma23 and lemma33 the block entry,
-        # and lemma21's second argument at a prime the harmonic numbers
+        # and lemma21's second argument at a prime the harmonic numbers;
+        # under the spot oracle sun_s's audit reads theorem1's exact rows
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "blocks", "blocks_weighted",
                         "lemma23", "lemma33", "lemma21"),
             prime_max=13, x_values=(Fraction(1), Fraction(2))))
         assert summary.failed == 0
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "sun_s"), prime_max=13,
+            x_values=(Fraction(1), Fraction(2)), oracle_mode="spot"))
+        assert summary.failed == 0
         for name, fn in memos.items():
             assert fn.hits > 0, name
 
-    def test_spot_oracle_audits_each_table_once(self, monkeypatch):
+    def test_spot_oracle_audits_each_table_once(self, monkeypatch,
+                                                fresh_exact_rows):
         # theorem2 and weighted_8n5 read theorem1's t tables, and every x
         # of one u = x(x+1) mod p^2 reads one table; each distinct table
         # re-derives the spot rows of the first x in scan order that reads
@@ -696,10 +714,79 @@ class TestRunSuite:
         for r in reports:
             first.setdefault((r.p, u_mod(r.p, 2, r.x)), r.x)
         assert len(first) == 169 < len({(r.p, r.x) for r in reports}) == 176
-        expected = [(n, x, T_MULT) for (p, _), x in first.items()
-                    for n in sequences._oracle_rows(p, 2, x, T_MULT, "spot")]
+        expected = [(n, x) for (p, _), x in first.items()
+                    for n in sequences._oracle_rows(p, x, "spot")]
         assert len(rows) == 5 * len(first)
         assert sorted(rows) == sorted(expected)
+
+    def test_both_families_audit_one_exact_pass_per_row(self, monkeypatch,
+                                                        fresh_exact_rows):
+        # rows are seeded by (p, x) only and one pass gives a row of both
+        # families: the t and s tables of one (p, x), and kw's s table mod
+        # p^3 at -1/2 beside theorem1's t table there, read the same rows,
+        # and each distinct (p, x, n) takes one exact pass
+        sequences._table.cache_clear()
+        memo = sequences._exact_row
+        passes = _record_calls(monkeypatch, sequences, "_row_exact")
+        reads = _record_calls(monkeypatch, sequences, "_exact_row")
+        audits = {}  # (p, e, x, family) -> the (p, n, x) its audit read
+        real = sequences._audit_table
+
+        def audit(p, e, x, mult, values, mode):
+            start = len(reads)
+            real(p, e, x, mult, values, mode)
+            audits[p, e, x, mult] = reads[start:]
+
+        monkeypatch.setattr(sequences, "_audit_table", audit)
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "sun_s", "kw"), prime_min=53,
+            prime_max=71, oracle_mode="spot"))
+        assert summary.failed == 0
+        distinct = set(reads)
+        assert sorted(passes) == sorted((n, x) for _, n, x in distinct)
+        assert memo.hits == len(reads) - len(distinct) > 0
+        tables = {}  # (p, x) -> {(e, family): the rows its audit read}
+        for (p, e, x, mult), read in audits.items():
+            assert len(read) == 5
+            tables.setdefault((p, x), {})[e, mult] = read
+        both = [kinds for kinds in tables.values() if len(kinds) > 1]
+        assert len(both) > len(tables) / 2
+        for kinds in tables.values():
+            assert len({tuple(read) for read in kinds.values()}) == 1
+        for p in odd_primes(53, 71):
+            assert {(2, T_MULT), (3, S_MULT)} <= set(
+                tables[p, Fraction(-1, 2)])
+
+    @pytest.mark.parametrize("family", ["s", "t"])
+    def test_a_bad_exact_family_fails_only_its_readers(self, monkeypatch,
+                                                       fresh_exact_rows,
+                                                       family):
+        # the two families share each exact pass but not its numerator:
+        # an oracle wrong in one family's numerator fails every audited
+        # record of that family's statement and none of the other's
+        sequences._table.cache_clear()
+        real = sequences._row_exact
+
+        def bad(n, x):
+            s, t, den = real(n, x)
+            return (s + den, t, den) if family == "s" else (s, t + den, den)
+
+        monkeypatch.setattr(sequences, "_row_exact", bad)
+        reports = []
+        run_suite(SuiteConfig(statements=("theorem1", "sun_s"),
+                              prime_min=53, prime_max=71,
+                              oracle_mode="spot"), reports.append)
+        failing = {"s": "sun_s", "t": "theorem1"}[family]
+        mine = [r for r in reports if r.statement == failing]
+        assert all("is excluded" in r.skipped_reason
+                   for r in mine if r.passed is None)  # sun_s at 2x = -1
+        audited = [r for r in mine if r.passed is not None]
+        assert audited and all(
+            r.passed is False
+            and r.skipped_reason.startswith("oracle mismatch: ")
+            for r in audited)
+        others = [r.passed for r in reports if r.statement != failing]
+        assert True in others and False not in others
 
     @pytest.mark.parametrize("oracle", ["off", "spot"])
     def test_block_route_reads_the_runs_t_tables(self, monkeypatch, oracle):
@@ -854,7 +941,8 @@ class TestRunSuite:
         # a run over several primes builds each entry once, in its prime
         # group, and leaves each memo with the entries of its last group
         # only, here the bases (13, 2) and, for kw, (13, 3); both x are
-        # p-integral at every p, since a build that raises stores nothing
+        # p-integral at every p, since a build that raises stores nothing,
+        # and the spot oracle builds the exact rows
         memos = _memos()
         for fn in memos.values():
             fn.cache_clear()
@@ -863,7 +951,8 @@ class TestRunSuite:
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "kw", "sun_s", "blocks",
                         "blocks_weighted", "lemma23", "lemma21"),
-            prime_max=13, x_values=(Fraction(-1, 4), Fraction(1))))
+            prime_max=13, x_values=(Fraction(-1, 4), Fraction(1)),
+            oracle_mode="spot"))
         assert summary.failed == 0
         for name, fn in memos.items():
             assert builds[name] and len(set(builds[name])) == len(
@@ -1029,15 +1118,16 @@ class TestCli:
             assert r["pass"] is False and r["lhs"] is None
             assert r["skipped_reason"].startswith("internal error:")
 
-    def test_oracle_mismatch_fails_every_reader(self, tmp_path, monkeypatch):
+    def test_oracle_mismatch_fails_every_reader(self, tmp_path, monkeypatch,
+                                                fresh_exact_rows):
         # a table that fails its audit is not kept, so each statement that
         # reads it records the mismatch for itself
         sequences._table.cache_clear()
         real = sequences._row_exact
 
-        def off_by_one(n, x, mult):
-            num, den = real(n, x, mult)
-            return num + den, den
+        def off_by_one(n, x):
+            s, t, den = real(n, x)
+            return s, t + den, den
 
         monkeypatch.setattr(sequences, "_row_exact", off_by_one)
         out = tmp_path / "run.jsonl"
@@ -1379,6 +1469,27 @@ def test_sources_use_only_the_standard_library_and_no_floats():
                         and isinstance(node.value, (float, complex))), where
             assert not (isinstance(node, ast.Name)
                         and node.id == "float"), where
+
+
+def test_exact_oracle_names_nothing_of_the_fast_route():
+    # the audit means something only while the exact route shares no code
+    # with the route it audits: the bodies of the two exact routines, and
+    # of every function of the module they call, name no helper of the
+    # fast route, no reduction mod p^e and no modular pow
+    fast = {"_factorials", "_steps", "_table_values", "_pair_weights_mod",
+            "_u_mod", "_x_mod", "reduce_ratio", "pow"}
+    tree = ast.parse(Path(sequences.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    todo, seen = ["_row_exact", "_pair_weights_exact"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        named = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(defs[name])}
+        assert not named & fast, (name, named & fast)
+        todo += sorted((named & set(defs)) - seen - {name})
+    assert seen == {"_row_exact", "_pair_weights_exact", "_factorial_part"}
 
 
 def _run_with_stdout_closed(*args: str) -> int:
