@@ -24,8 +24,8 @@ pair weights.  Mod p^2 the two cross blocks are one product read twice;
 their equality over Q is the symmetry of P(k,l), which the identity
 battery proves for every prime below 50 (identities.binom_conv_sum).
 
-Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2, with H_j
-mod p built once per prime (_harmonics_mod); the literal exact-rational
+Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2, which sums
+H_j mod p from the (p, 2) basis at each argument; the literal exact-rational
 route (lemma21_check) is its oracle, with the exact pair weights built once
 per argument.
 
@@ -37,7 +37,8 @@ verify run never loads the identity battery.  R(x), the Legendre symbol
 (-1/p) when 2x = -1 (mod p) and (-1)^m (p + 2(x-m)) / (2x+1) otherwise, is
 the right side of theorem1 and sun_s, and theorem2's right side is
 (p - (2x^2+2x-1) R(x))/4 in both branches (_r_mod, _theorem2_mod).
-Every check splits x once (_split) as (x, x mod p^2, m), and every right
+Every check splits x once (_split) as (x, x mod p^2, m), reducing x by
+core.reduce_ratio, the package's one p-integrality test, and every right
 side, lemma21's and the block lemmas' included, is evaluated in Z/p^2 from
 m and pt = x mod p^2 - m, with modular inverses: reduction mod p^2 is a
 ring homomorphism on the p-integral rationals, so it gives the residues of
@@ -53,7 +54,7 @@ checks it against a (1,1) + (b-a) (0,1) of the table.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
+from itertools import accumulate, combinations_with_replacement, repeat
 from math import comb
 from operator import mul
 from random import Random
@@ -83,7 +84,6 @@ from .sequences import (
     _table_values,
     _u_mod,
     _weighted_square_sum,
-    _x_mod,
     s_table_mod,
     t_table_mod,
 )
@@ -100,10 +100,11 @@ class PadicRational(NamedTuple):
 
 def _split(p: int, x: RationalLike) -> tuple[Fraction, int, int]:
     """(x, xr = x mod p^2, m = xr mod p), so pt = xr - m (mod p^2); refuses
-    a p that is not an odd prime and an x that is not p-integral."""
+    a p that is not an odd prime and, in reduce_ratio, an x that is not
+    p-integral, x being in lowest terms."""
     require_odd_prime(p)
     x = to_fraction(x)
-    xr = _x_mod(p, 2, x)
+    xr = reduce_ratio(x.numerator, x.denominator, p, 2)
     return x, xr, xr % p
 
 
@@ -122,9 +123,9 @@ def residue_table_check(p: int) -> bool:
     quarter = (p - 1) // 4 if p % 4 == 1 else (3 * p - 1) // 4
     third = (p - 1) // 3 if p % 3 == 1 else (2 * p - 1) // 3
     sixth = (p - 1) // 6 if p % 6 == 1 else (5 * p - 1) // 6
-    return (_x_mod(p, 1, Fraction(-1, 4)) == quarter
-            and _x_mod(p, 1, Fraction(-1, 3)) == third
-            and _x_mod(p, 1, Fraction(-1, 6)) == sixth)
+    return (reduce_ratio(-1, 4, p, 1) == quarter
+            and reduce_ratio(-1, 3, p, 1) == third
+            and reduce_ratio(-1, 6, p, 1) == sixth)
 
 
 class CongruenceReport:
@@ -213,17 +214,6 @@ def lemma21_check(p: int, x: RationalLike, k: int) -> bool:
     return lhs == rhs
 
 
-# one entry per prime, read by every lemma21 argument
-@_per_prime
-def _harmonics_mod(p: int) -> tuple[int, ...]:
-    """H_j mod p for j < p, with 1/j = (j-1)! / j! from the (p, 2) basis."""
-    fact, inv_fact, _ = _factorials(p, 2)
-    harm = [0] * p
-    for j in range(1, p):
-        harm[j] = (harm[j - 1] + fact[j - 1] * inv_fact[j]) % p
-    return tuple(harm)
-
-
 def _lemma21_sides(p: int, xr: int,
                    m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both sides of lemma21_check for every k < p, mod p^2, in one pass.
@@ -231,12 +221,13 @@ def _lemma21_sides(p: int, xr: int,
     The left side is the pair weight with multiplier 1.  On the right,
     every factorial is of a number below p, so a unit: C(m,k) C(m+k,k) =
     (m+k)! / (k!^2 (m-k)!) and C(m+k,k) / ((k-m) C(k,m)) = (m+k)! (k-m-1)!
-    / k!^2.  A term p*y needs y only mod p, hence t mod p and H_j mod p.
+    / k!^2.  A term p*y needs y only mod p, hence t mod p and H_j mod p,
+    the running sum of 1/j = (j-1)! / j! over the same basis, for j < p.
     """
     mod = p * p
     fact, inv_fact, _ = _factorials(p, 2)
     t = (xr - m) // p  # t mod p, as pt = xr - m (mod p^2)
-    harm = _harmonics_mod(p)
+    harm = list(accumulate(map(mul, fact, inv_fact[1:]), initial=0))
     low, mid, _ = _block_ranges(p, m)
     rhs = [0] * p  # the top range stays 0
     for k in low:

@@ -252,7 +252,8 @@ def mod_inv(a: Residue) -> Residue:
 
 
 def mod_reduce(q: RationalLike, p: int, e: int = 1) -> Residue:
-    """Reduce a p-integral rational into Z/p^e Z (denominator inverted)."""
+    """Reduce a p-integral rational into Z/p^e Z (denominator inverted);
+    reduce_ratio refuses a q that is not p-integral."""
     require_odd_prime(p)
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"exponent e = {e!r} must be a positive integer")
@@ -261,9 +262,10 @@ def mod_reduce(q: RationalLike, p: int, e: int = 1) -> Residue:
 
 
 def reduce_ratio(num: int, den: int, p: int, e: int) -> int:
-    """num/den mod p^e as a least residue, for any integer pair with p not
-    dividing den (the pair need not be in lowest terms)."""
+    """num/den mod p^e as a least residue, for a pair in lowest terms or
+    one whose denominator is prime to p: the package's one p-integrality
+    test, whose refusal "num/den is not p-integral" is the records' skip."""
     if den % p == 0:
-        raise NonPIntegralError(f"{num}/{den} has denominator divisible by {p}")
+        raise NonPIntegralError(f"{num}/{den} is not {p}-integral")
     m = p**e
     return num % m * pow(den, -1, m) % m

@@ -56,12 +56,11 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .core import (
-    NonPIntegralError,
     OracleMismatchError,
     RationalLike,
     Residue,
+    mod_reduce,
     reduce_ratio,
-    require_odd_prime,
     to_fraction,
 )
 
@@ -327,13 +326,6 @@ def _steps(p: int, mult: int) -> tuple[tuple[int, ...], ...]:
         for k, s in ((3 - mult, 0), (2 * mult - 3, -1), (mult - 1, -2)))
 
 
-def _x_mod(p: int, e: int, x: Fraction) -> int:
-    """x mod p^e; NonPIntegralError when p divides its denominator."""
-    if x.denominator % p == 0:
-        raise NonPIntegralError(f"{x} is not {p}-integral")
-    return reduce_ratio(x.numerator, x.denominator, p, e)
-
-
 def _u_mod(p: int, e: int, xr: int) -> int:
     """u = x(x+1) mod p^e, the fast route's one input, from xr = x mod p^e."""
     return xr * (xr + 1) % p**e
@@ -438,11 +430,9 @@ def _audit_table(p: int, e: int, x: Fraction, mult: int,
 
 def _build_table(p: int, e: int, x: RationalLike, mult: int,
                  oracle: str) -> SequenceTable:
-    require_odd_prime(p)
-    if not isinstance(e, int) or e < 1:
-        raise ValueError(f"exponent e = {e!r} must be a positive integer")
-    x = to_fraction(x)
-    return _table(p, e, _u_mod(p, e, _x_mod(p, e, x)), mult, oracle, x=x)
+    """The table at x, reduced by mod_reduce, which checks p, e and x."""
+    xr = mod_reduce(x, p, e).value
+    return _table(p, e, _u_mod(p, e, xr), mult, oracle, x=to_fraction(x))
 
 
 # audited tables, shared by theorem1, theorem2, weighted_*, the block

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from supercong import congruences as cg, core, sequences
+from supercong import congruences as cg, core
 from supercong.congruences import (
     BLOCK_LEMMAS,
     CONJECTURE_CASES,
@@ -511,7 +511,7 @@ def test_a_headline_check_validates_p_once(check, monkeypatch):
         calls.append(p)
         real(p)
 
-    for module in (core, sequences, cg):
+    for module in (core, cg):
         monkeypatch.setattr(module, "require_odd_prime", counted)
     for args in [()] if check is kw_check else [(2,), (Fraction(-1, 2),)]:
         calls.clear()

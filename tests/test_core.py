@@ -18,6 +18,8 @@ from supercong.core import (
     pochhammer,
     to_fraction,
 )
+from supercong.congruences import padic_split
+from supercong.sequences import t_table_mod
 
 
 def pascal_row(n):
@@ -156,6 +158,13 @@ class TestModReduce:
     def test_non_p_integral(self):
         with pytest.raises(NonPIntegralError):
             mod_reduce(Fraction(1, 5), 5, 2)
+        # one wording, core.reduce_ratio's, whichever entry refuses x
+        for refuse in (lambda x: mod_reduce(x, 13, 2),
+                       lambda x: t_table_mod(13, 2, x),
+                       lambda x: padic_split(x, 13)):
+            with pytest.raises(NonPIntegralError,
+                               match=r"^1/13 is not 13-integral$"):
+                refuse(Fraction(1, 13))
 
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
@@ -177,6 +186,8 @@ class TestResidue:
     def test_normalization(self):
         assert Residue(-1, 25).value == 24
         assert Residue(30, 25).value == 5
+        assert hash(Residue(3, 7)) == hash(Residue(10, 7))
+        assert len({Residue(3, 7), Residue(10, 7), Residue(3, 11)}) == 2
 
     def test_arithmetic(self):
         a = Residue(17, 25)

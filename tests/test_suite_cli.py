@@ -377,8 +377,14 @@ class TestRunCheck:
         assert r.passed is None and "p >= 5" in r.skipped_reason
 
     def test_non_p_integral_skip(self):
+        # core.reduce_ratio words the one refusal the records carry, for a
+        # reflecting statement too, which splits x before it could reflect
         r = run_check("theorem1", 5, Fraction(1, 5))
-        assert r.passed is None and "integral" in r.skipped_reason
+        assert r.passed is None and r.skipped_reason == "1/5 is not 5-integral"
+        for sid in ("theorem1", "blocks"):
+            r = run_check(sid, 13, Fraction(1, 13))
+            assert r.passed is None, sid
+            assert r.skipped_reason == "1/13 is not 13-integral", sid
 
     def test_reflection_applied_and_recorded(self):
         for x in (Fraction(-1, 3), "-1/3"):  # any rational the checks take
@@ -673,8 +679,7 @@ class TestRunSuite:
                               "sequences._steps",
                               "sequences._table",
                               "sequences._exact_row",
-                              "congruences._block_sums_mod",
-                              "congruences._harmonics_mod"}
+                              "congruences._block_sums_mod"}
         # and no other cache: nothing in the package sizes one
         for path in Path(supercong.__file__).parent.glob("*.py"):
             assert "lru_cache" not in path.read_text(encoding="utf-8"), path
@@ -683,8 +688,8 @@ class TestRunSuite:
         # every table at one (p, e) reads one factorial basis and every
         # table of one family at p one list of steps, theorem2
         # reuses theorem1's t table, lemma23 and lemma33 the block entry,
-        # and lemma21's second argument at a prime the harmonic numbers;
-        # under the spot oracle sun_s's audit reads theorem1's exact rows
+        # and lemma21 the basis; under the spot oracle sun_s's audit reads
+        # theorem1's exact rows
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "blocks", "blocks_weighted",
                         "lemma23", "lemma33", "lemma21"),
@@ -897,7 +902,7 @@ class TestRunSuite:
         # table nor lemma21 reduces x, both read _split's x mod p^2
         builds = _record_calls(monkeypatch, cg, "_pair_weights_mod")
         tables = _record_calls(monkeypatch, sequences._table, "__wrapped__")
-        reductions = _record_calls(monkeypatch, sequences, "_x_mod")
+        reductions = _record_calls(monkeypatch, sequences, "mod_reduce")
         cg._block_sums_mod.cache_clear()
         sequences._table.cache_clear()
         xs = tuple(map(Fraction, range(40)))
@@ -924,8 +929,8 @@ class TestRunSuite:
         # each check reduces its x once, in its split, not again for the
         # table
         builds = _record_calls(monkeypatch, sequences._table, "__wrapped__")
-        splits = _record_calls(monkeypatch, cg, "_x_mod")
-        reductions = _record_calls(monkeypatch, sequences, "_x_mod")
+        splits = _record_calls(monkeypatch, cg, "reduce_ratio")
+        reductions = _record_calls(monkeypatch, sequences, "mod_reduce")
         sequences._table.cache_clear()
         xs = tuple(map(Fraction, range(80)))
         summary = run_suite(SuiteConfig(
@@ -1471,13 +1476,36 @@ def test_sources_use_only_the_standard_library_and_no_floats():
                         and node.id == "float"), where
 
 
+def test_only_reduce_ratio_refuses_a_non_p_integral_argument():
+    # p-integrality is tested in one place, core.reduce_ratio, which words
+    # the skip text of the records: no other function, nor module code,
+    # raises NonPIntegralError
+    root = Path(__file__).resolve().parent.parent
+    raisers = []
+    for path in sorted((root / "src" / "supercong").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        owner = {}  # node -> name of the innermost function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name  # inner defs are walked later
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) \
+                        == "NonPIntegralError":
+                    raisers.append((path.name, owner.get(node)))
+    assert raisers == [("core.py", "reduce_ratio")]
+
+
 def test_exact_oracle_names_nothing_of_the_fast_route():
     # the audit means something only while the exact route shares no code
     # with the route it audits: the bodies of the two exact routines, and
     # of every function of the module they call, name no helper of the
     # fast route, no reduction mod p^e and no modular pow
     fast = {"_factorials", "_steps", "_table_values", "_pair_weights_mod",
-            "_u_mod", "_x_mod", "reduce_ratio", "pow"}
+            "_u_mod", "mod_reduce", "reduce_ratio", "pow"}
     tree = ast.parse(Path(sequences.__file__).read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
