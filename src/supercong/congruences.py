@@ -225,7 +225,7 @@ def _lemma21_sides(p: int, xr: int,
     the running sum of 1/j = (j-1)! / j! over the same basis, for j < p.
     """
     mod = p * p
-    fact, inv_fact, _ = _factorials(p, 2)
+    fact, inv_fact = _factorials(p, 2)
     t = (xr - m) // p  # t mod p, as pt = xr - m (mod p^2)
     harm = list(accumulate(map(mul, fact, inv_fact[1:]), initial=0))
     low, mid, _ = _block_ranges(p, m)
@@ -273,7 +273,7 @@ def _check_prefixes(p: int, x: Fraction, w: Sequence[int],
     (p-1)/2, p-1 and each K+1 < p, where a boundary term starts to act.  A
     break is a program fault, not a failed congruence."""
     mod = p * p
-    fact, inv_fact, _ = _factorials(p, 2)
+    fact, inv_fact = _factorials(p, 2)
     rows = {1, (p - 1) // 2, p - 1, *(K + 1 for K in cuts)}
     for n in sorted(n for n in rows if n < p):
         terms = [wk * ik * inv_fact[n - k]

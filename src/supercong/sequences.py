@@ -1,11 +1,13 @@
 """The binomial double-product sequences: exact values and residue tables.
 
 Two evaluation routes are kept strictly separate on purpose.  The fast route
-works entirely mod p^e over one basis per (p, e), built once per prime
-(_factorials): n!, 1/n! and 1/n^2 for 0 < n < p, all units since no number
-below p has a factor p.  Both families are f_n = sum_k C(n,k) C(x,k)
-C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
-3F2(-n, -x, x+1; 1, 1; c), so they satisfy one recurrence in n for every c:
+works entirely mod p^e, over lists built once per (p, e): 1/n^2 for 0 < n <
+p (_inv_squares), which every table reads, and n! and 1/n! (_factorials),
+which only the pair weights, the block prefixes and Lemma 2.1 read; all are
+units, since no number below p has a factor p.  Both families are f_n =
+sum_k C(n,k) C(x,k) C(x+k,k) c^k (c = 2 for t, c = 1 for s), the
+hypergeometric sum 3F2(-n, -x, x+1; 1, 1; c), so they satisfy one
+recurrence in n for every c:
 
   N^2 f_N = ((3-c) N(N-1) + 1 + c x(x+1)) f_{N-1} + (2c-3) (N-1)^2 f_{N-2}
             - (c-1) (N-1)(N-2) f_{N-3},   f_0 = 1
@@ -13,12 +15,13 @@ C(x+k,k) c^k (c = 2 for t, c = 1 for s), the hypergeometric sum
 (of order 2 when c = 1, and the s loop steps without f_{N-3}; at N = 1, 2
 the terms before f_0 have coefficient 0, so they need no start value).  A
 table needs rows N < p only, so the one division, by N^2, is by a unit mod
-p^e, read from the basis.  The coefficients of N = 1, ..., p-1 are one
-list each per (p, c), shared by every table of that family at the prime
-(_steps), so the whole table is one zip over them and the basis's 1/N^2 of
-small-integer steps mod p^e (_table_values).
+p^e, read from the prime's list.  The coefficients depend on N and c only:
+they are one list each per c for the whole run (_steps), grown when a larger
+prime asks for more rows and never rebuilt, so the whole table is one zip
+of small-integer steps mod p^e over a prefix of them and the 1/N^2 of
+(p, e) (_table_values).
 The pair weight w_k = C(x,k) C(x+k,k) c^k is the running product of
-c (u - k(k-1)) = c (x-k+1)(x+k) times (1/k!)^2 from the basis, so the fast
+c (u - k(k-1)) = c (x-k+1)(x+k) times (1/k!)^2 from _factorials, so the fast
 route, recurrence included, reads x only through u = x(x+1) mod p^e
 (_u_mod, from x mod p^e, which each caller reduces once).  _table keeps one
 table per u with its audit and its squares, from which it takes the square
@@ -26,9 +29,10 @@ sums its readers ask for, so x, -1-x and x + p^e share one table, each
 table is audited once per oracle mode, at the first x that builds it,
 squared once, and each sum is taken once.  The memos keep the entries of
 the latest prime only (_per_prime), as do those of `congruences`: a run
-computes prime by prime.  With one boundary term a loop of its own gives
-the prefix sums P_K of the block transforms in `congruences`; the plain
-loops carry none.  `congruences` reads the same basis for Lemma 2.1.
+computes prime by prime.  The step lists alone are kept for the run.  With
+one boundary term a loop of its own gives the prefix sums P_K of the block
+transforms in `congruences`, reading n! and 1/n! for it; the plain loops
+carry none.  `congruences` reads the same n! and 1/n! for Lemma 2.1.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
 row n of both families in one pass, by a term-ratio recurrence, as two
 integer numerators over M b^{2n}, where M is the part of (2n)! made of the
@@ -50,7 +54,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import update_wrapper
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import comb
 from operator import mul
 from typing import Callable, Sequence
@@ -295,10 +299,9 @@ class _per_prime:
 
 
 @_per_prime
-def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
-                                         tuple[int, ...]]:
-    """The (p, e) basis of every table: n!, 1/n! and 1/n^2 mod p^e for
-    n < p, all units (1/n^2 = ((n-1)! / n!)^2, with 1/0^2 read as 0)."""
+def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """n! and 1/n! mod p^e for n < p, all units: the basis of the pair
+    weights, the block prefixes and lemma21, which alone read them."""
     mod = p**e
     fact = [1] * p
     for n in range(1, p):
@@ -307,23 +310,47 @@ def _factorials(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...],
     inv_fact[p - 1] = pow(fact[p - 1], -1, mod)
     for n in range(p - 1, 0, -1):
         inv_fact[n - 1] = inv_fact[n] * n % mod
-    inv_sq = [0] + [i * i % mod for i in map(mul, fact, inv_fact[1:])]
-    return tuple(fact), tuple(inv_fact), tuple(inv_sq)
+    return tuple(fact), tuple(inv_fact)
 
 
-# one entry per (p, mult), read by every table of that family at p
+# one entry per (p, e), read by every table and block prefix mod p^e
 @_per_prime
-def _steps(p: int, mult: int) -> tuple[tuple[int, ...], ...]:
-    """The recurrence's coefficients at N = 1, ..., p-1 as plain ints, c =
-    mult: (3-c) N(N-1), (2c-3) (N-1)^2 and (c-1) (N-1)(N-2), each k (N-1)
-    (N+s), the product of the progressions k (N-1) and N+s (all zeros when
-    k = 0, which no range can step by).  They do not depend on e, so the
-    tables mod p^2 and mod p^3 of a family share them."""
-    n = p - 1
-    return tuple(
-        tuple(map(mul, range(0, k * n, k), range(1 + s, p + s))) if k
-        else (0,) * n
-        for k, s in ((3 - mult, 0), (2 * mult - 3, -1), (mult - 1, -2)))
+def _inv_squares(p: int, e: int) -> tuple[int, ...]:
+    """1/n^2 mod p^e for n < p, with 1/0^2 read as 0, in one pass: for m =
+    p^e and 1 < n < p, m mod n is a unit below n and m = (m//n) n + m mod n,
+    so 1/n = -(m//n) / (m mod n) and 1/n^2 = (m//n)^2 / (m mod n)^2, whose
+    second factor the list already holds."""
+    mod = p**e
+    inv_sq = [0, 1]
+    put = inv_sq.append
+    for n in range(2, p):
+        q = mod // n
+        put(q * q * inv_sq[mod % n] % mod)
+    return tuple(inv_sq)
+
+
+# multiplier c -> its three step lists, for N = 1, 2, ... as far as the
+# largest prime so far asks: grown, never rebuilt, and kept for the run
+_STEPS: dict[int, tuple[list[int], list[int], list[int]]] = {}
+
+
+def _steps(p: int, mult: int) -> tuple[list[int], list[int], list[int]]:
+    """The recurrence's coefficients at N = 1, ..., n, n >= p-1, as plain
+    ints, c = mult: (3-c) N(N-1), (2c-3) (N-1)^2 and (c-1) (N-1)(N-2), each
+    k (N-1) (N+s), the product of the progressions k (N-1) and N+s (all
+    zeros when k = 0, which no range can step by).  They depend on N and c
+    only, so a prime above every earlier one extends the lists of its
+    family, and a smaller one reads a prefix, as each loop zips them with
+    its p-1 entries of 1/N^2, mod p^2 or mod p^3."""
+    lists = _STEPS.setdefault(mult, ([], [], []))
+    have, n = len(lists[0]), p - 1
+    if have < n:
+        for steps, (k, s) in zip(lists, ((3 - mult, 0), (2 * mult - 3, -1),
+                                         (mult - 1, -2))):
+            steps += (map(mul, range(k * have, k * n, k),
+                          range(have + 1 + s, n + 1 + s)) if k
+                      else repeat(0, n - have))
+    return lists
 
 
 def _u_mod(p: int, e: int, xr: int) -> int:
@@ -348,20 +375,21 @@ def _table_values(p: int, e: int, u: int, mult: int,
                   ) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e, from u = x(x+1) mod p^e, by the
     recurrence in n of the module docstring: f_N from f_{N-1}, f_{N-2},
-    f_{N-3} and the unit 1/N^2, or from f_{N-1} and f_{N-2} alone when
-    c - 1 = 0 (the s family), each step reading its coefficients from the
-    family's step lists at p (_steps).
+    f_{N-3} and the unit 1/N^2 (_inv_squares), or from f_{N-1} and
+    f_{N-2} alone when c - 1 = 0 (the s family), each step reading its
+    coefficients from the family's run-wide step lists (_steps), whose
+    prefix the zip with the p-1 entries of 1/N^2 reads.
 
     cut = (K, w), w the pair weights mod p^e, gives instead the prefix sums
     P_K(n) = sum_{k<=K} C(n,k) w_k.  They satisfy the same recurrence with
     the boundary term -(K+1)^2 C(N-1,K) w_{K+1} on the right (creative
-    telescoping: it is the certificate at k = K+1), which is 0 for N <= K,
+    telescoping: it is the certificate at k = K+1), read from n! and 1/n!
+    (_factorials), which is 0 for N <= K,
     where P_K is f, and for every N < p once K >= p-1, where the plain
     loop gives P_K = f.
     """
     mod = p**e
-    fact, inv_fact, inv_sq = _factorials(p, e)
-    inv_sq = islice(inv_sq, 1, None)  # 1/N^2 from N = 1, as the steps
+    inv_sq = islice(_inv_squares(p, e), 1, None)  # from N = 1, as the steps
     A, B, C = _steps(p, mult)
     q = (1 + mult * u) % mod
     f = [1]
@@ -369,6 +397,7 @@ def _table_values(p: int, e: int, u: int, mult: int,
     f1, f2, f3 = 1, 0, 0  # f_{N-1}, f_{N-2}, f_{N-3}
     if cut is not None and cut[0] < p - 1:
         K, w = cut
+        fact, inv_fact = _factorials(p, e)
         top = (K + 1) ** 2 * w[K + 1] * inv_fact[K] % mod
         g = [0] * K + [  # g_N for N >= 1, C(N-1, K) = (N-1)! / (K! (N-1-K)!)
             top * fact[n - 1] * inv_fact[n - 1 - K] % mod

@@ -5,15 +5,18 @@ scan order (statement, then prime ascending, then x in configured order)
 but computed by prime: one group runs every task at one prime, in scan
 order, so the statements that share a table or a block entry at p meet it
 within the group.  Every memo keeps the entries of one prime only
-(sequences._per_prime), so each entry is built once per run.  A finished
-report waits until its turn in scan order.  Engine-level hypothesis
-failures become skip records rather than errors, so a run over a blanket
-grid is meaningful; genuine disagreements — including fast-path/oracle
-mismatches — become failing records, and so do faults of the program,
-whose reason starts with `internal error:`.  Output happens only at a
-record's turn, to a JSON Lines file and a caller's hook (a ReportWriter
-prints `jsonl` or `tap` with it), so an interrupted run's output is a
-prefix of the completed run's; RunSummary keeps counts and failures only.
+(sequences._per_prime), so each entry is built once per run; only the
+step lists of the residue tables (sequences._steps), which do not depend
+on p, outlive a group: each process keeps them for its run and only grows
+them.  A finished report waits until its turn in scan order.
+Engine-level hypothesis failures become skip records rather than errors,
+so a run over a blanket grid is meaningful; genuine disagreements —
+including fast-path/oracle mismatches — become failing records, and so do
+faults of the program, whose reason starts with `internal error:`.
+Output happens only at a record's turn, to a JSON Lines file and a
+caller's hook (a ReportWriter prints `jsonl` or `tap` with it), so an
+interrupted run's output is a prefix of the completed run's; RunSummary
+keeps counts and failures only.
 
 The registry STATEMENTS is the only place a statement is defined (as
 SETTINGS is for a run setting): a StatementSpec gives the id, whether it

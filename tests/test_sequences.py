@@ -1,10 +1,12 @@
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import accumulate, permutations, repeat
 from math import comb
+from operator import mul
 
 import pytest
 
+from supercong import sequences
 from supercong.core import (
     NonPIntegralError, OracleMismatchError, binom_gen, mod_reduce)
 from supercong.sequences import (
@@ -13,12 +15,11 @@ from supercong.sequences import (
     SequenceTable,
     T_MULT,
     _audit_table,
-    _factorials,
+    _inv_squares,
     _oracle_rows,
     _pair_weights_exact,
     _pair_weights_mod,
     _row_exact,
-    _steps,
     _table,
     _table_values,
     j2,
@@ -209,9 +210,9 @@ class TestTables:
 
     def test_interleaved_bases_stay_apart(self):
         # tables at (p,2), (p,3), (q,2) and (p,2) again, both multipliers
-        # and several x in turn: a basis cached under the wrong key would
-        # feed one modulus's factorials into another's table
-        _factorials.cache_clear()
+        # and several x in turn: a list of 1/N^2 cached under the wrong key
+        # would feed one modulus's inverses into another's table
+        _inv_squares.cache_clear()
         _table.cache_clear()
         xs = (Fraction(-1, 3), Fraction(2, 5), Fraction(7))
         for p, e in ((11, 2), (11, 3), (13, 2), (11, 2)):
@@ -223,27 +224,48 @@ class TestTables:
                         mod_reduce(exact(n, x), p, e).value
                         for n in range(p)], (p, e, x, build.__name__)
 
-    def test_interleaved_step_lists_stay_apart(self):
-        # tables and block prefixes at several (p, e, mult) in turn, each
-        # against the literal binomial transform sum_{k<=K} C(n,k) w_k of
-        # its pair weights: step lists cached under the wrong key would
-        # feed one family's coefficients into another's table, and a step
-        # that read the wrong basis one modulus's 1/N^2 into another's
-        _steps.cache_clear()
-        keys = ((11, 2, 2), (11, 3, 1), (11, 2, -3), (11, 2, 0), (11, 3, 3),
-                (11, 2, 2), (13, 2, 2), (13, 3, 1), (11, 2, 1), (11, 3, 1))
-        for x in (Fraction(-2, 7), Fraction(5, 3)):
-            for p, e, mult in keys:
-                u = u_mod(p, e, x)
-                w = _pair_weights_mod(p, e, u, mult)
-                for K in (None, 0, 4, p - 2, p - 1):
-                    values = _table_values(p, e, u, mult,
-                                           None if K is None else (K, w))
-                    top = p - 1 if K is None else K
-                    assert values == tuple(
-                        sum(comb(n, k) * w[k] for k in range(top + 1))
-                        % p**e for n in range(p)), (x, p, e, mult, K)
-        assert _steps.hits > 0
+    def test_interleaved_step_lists_stay_apart(self, monkeypatch):
+        # tables and block prefixes at primes large, small and large again,
+        # each against the literal binomial transform sum_{k<=K} C(n,k) w_k
+        # of its pair weights: the run-wide step lists start empty, the
+        # first prime builds them, a smaller one reads a prefix and a larger
+        # one extends them, so a list grown at one prime serves every other
+        # exactly; lists kept under the wrong multiplier would feed one
+        # family's coefficients into another's table, and a loop that read
+        # the wrong 1/N^2 one modulus's inverses into another's
+        monkeypatch.setattr(sequences, "_STEPS", {})
+        keys = ((101, 2, 2), (11, 3, 1), (11, 2, -3), (499, 3, 1),
+                (13, 2, 2), (11, 3, 0), (101, 3, 2), (13, 3, 3),
+                (499, 2, 2), (11, 2, 1), (101, 2, 1), (13, 3, 2))
+        x = Fraction(-2, 7)
+        for p, e, mult in keys:
+            u = u_mod(p, e, x)
+            w = _pair_weights_mod(p, e, u, mult)
+            prefixes = [list(accumulate(map(mul, map(comb, repeat(n),
+                                                      range(n + 1)), w)))
+                        for n in range(p)]  # P_K(n) for K <= n, exactly
+            for K in (None, 0, 4, p - 2, p - 1):
+                values = _table_values(p, e, u, mult,
+                                       None if K is None else (K, w))
+                top = p - 1 if K is None else K
+                assert values == tuple(row[min(top, n)] % p**e
+                                       for n, row in enumerate(prefixes)), (
+                    p, e, mult, K)
+        # each family's lists reach as far as its largest prime asked
+        largest = {}
+        for p, _, mult in keys:
+            largest[mult] = max(largest.get(mult, 0), p)
+        assert {mult: [len(steps) for steps in lists]
+                for mult, lists in sequences._STEPS.items()} == {
+            mult: [p - 1] * 3 for mult, p in largest.items()}
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 499))
+    def test_inverse_squares(self, p):
+        # the one-pass list of 1/n^2, each entry against its definition
+        for e in (1, 2, 3):
+            inv_sq = _inv_squares.__wrapped__(p, e)
+            assert len(inv_sq) == p and inv_sq[0] == 0
+            assert all(n * n * inv_sq[n] % p**e == 1 for n in range(1, p))
 
     @pytest.mark.parametrize("build, e", ((t_table_mod, 2), (s_table_mod, 3)))
     def test_square_sums_in_any_order(self, build, e):

@@ -623,6 +623,24 @@ class TestRunSuite:
         assert any(r["pass"] is None for r in logs[0])
         assert logs[1] == logs[0]
 
+    def test_pool_matches_serial_with_run_wide_step_lists(self, tmp_path):
+        # the step lists outlive a prime group: each worker grows its own
+        # over the groups it happens to take, while the serial run grows
+        # one; tables mod p^2 and, for kw, p^3, and the blocks' cut loop
+        # give the same records either way
+        args = ["verify", "--statement", "theorem1", "--statement", "kw",
+                "--statement", "blocks", "--pmin", "3", "--pmax", "200"]
+        logs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs-{jobs}.jsonl"
+            assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+            logs.append(_without_micros(out.read_text()))
+        assert {r["statement"] for r in logs[0]} == {"theorem1", "kw",
+                                                     "blocks"}
+        assert max(r["p"] for r in logs[0]) == 199
+        assert any(r["modulus"] == str(199**3) for r in logs[0])
+        assert logs[1] == logs[0]
+
     def test_alias_config(self):
         cfg = SuiteConfig(statements=("conjecture",), prime_max=11)
         reports = []
@@ -673,10 +691,10 @@ class TestRunSuite:
         assert {(sid, p) for sid, p, _ in tasks} == {
             (sid, p) for sid, scan in scans.items() for p in odd_primes(*scan)}
 
-    def test_every_cache_is_hit(self):
+    def test_every_cache_is_hit(self, monkeypatch):
         memos = _memos()
         assert set(memos) == {"sequences._factorials",
-                              "sequences._steps",
+                              "sequences._inv_squares",
                               "sequences._table",
                               "sequences._exact_row",
                               "congruences._block_sums_mod"}
@@ -685,11 +703,13 @@ class TestRunSuite:
             assert "lru_cache" not in path.read_text(encoding="utf-8"), path
         for fn in memos.values():
             fn.cache_clear()
-        # every table at one (p, e) reads one factorial basis and every
-        # table of one family at p one list of steps, theorem2
-        # reuses theorem1's t table, lemma23 and lemma33 the block entry,
-        # and lemma21 the basis; under the spot oracle sun_s's audit reads
-        # theorem1's exact rows
+        monkeypatch.setattr(sequences, "_STEPS", {})
+        # every table at one (p, e) reads one list of 1/N^2, the pair
+        # weights, the block prefixes and lemma21 one basis of n! and 1/n!,
+        # theorem2 reuses theorem1's t table, lemma23 and lemma33 the block
+        # entry; under the spot oracle sun_s's audit reads theorem1's exact
+        # rows; the step lists of each family, kept for the run, reach to
+        # the largest prime, N = p - 1
         summary = run_suite(SuiteConfig(
             statements=("theorem1", "theorem2", "blocks", "blocks_weighted",
                         "lemma23", "lemma33", "lemma21"),
@@ -701,6 +721,9 @@ class TestRunSuite:
         assert summary.failed == 0
         for name, fn in memos.items():
             assert fn.hits > 0, name
+        assert {mult: [len(steps) for steps in lists]
+                for mult, lists in sequences._STEPS.items()} == {
+            T_MULT: [12] * 3, S_MULT: [12] * 3}
 
     def test_spot_oracle_audits_each_table_once(self, monkeypatch,
                                                 fresh_exact_rows):
@@ -834,9 +857,9 @@ class TestRunSuite:
 
     def test_each_factorial_basis_is_built_once(self, monkeypatch):
         # a sweep's shape: tables mod p^2 and, for kw, p^3, at many primes;
-        # no later group reads a basis, and none is built twice
-        sequences._factorials.cache_clear()
-        builds = _record_calls(monkeypatch, sequences._factorials,
+        # no later group reads a list of 1/N^2, and none is built twice
+        sequences._inv_squares.cache_clear()
+        builds = _record_calls(monkeypatch, sequences._inv_squares,
                                "__wrapped__")
         reports = []
         summary = run_suite(SuiteConfig(
@@ -848,6 +871,27 @@ class TestRunSuite:
         assert len(keys) == 18
         assert len(set(builds)) == len(builds) == len(keys)
         assert {(p, p**e) for p, e in builds} == keys
+
+    def test_only_weights_and_lemma21_build_n_factorials(self, monkeypatch):
+        # the plain table loops read 1/N^2 alone: the table statements build
+        # no basis of n! and 1/n!, which the pair weights, the block
+        # prefixes and lemma21 read, one per (p, 2) of their groups
+        sequences._factorials.cache_clear()
+        builds = _record_calls(monkeypatch, sequences._factorials,
+                               "__wrapped__")
+        summary = run_suite(SuiteConfig(
+            statements=("theorem1", "theorem2", "sun_s", "kw", "weighted_8n5",
+                        "weighted_32n21", "weighted_18n7", "weighted_72n49"),
+            prime_max=61, oracle_mode="spot"))
+        assert summary.failed == 0 and summary.passed > 0
+        assert builds == []
+        reports = []
+        summary = run_suite(SuiteConfig(
+            statements=("lemma21", "blocks", "blocks_weighted", "lemma23",
+                        "lemma24", "lemma33", "lemma34"), prime_max=31),
+            reports.append)
+        assert summary.failed == 0 and summary.passed > 0
+        assert builds == [(p, 2) for p in sorted({r.p for r in reports})]
 
     def test_each_square_sum_is_taken_once(self, monkeypatch):
         # theorem1, sun_s and kw read the (0,1) sum of their tables and
@@ -945,12 +989,15 @@ class TestRunSuite:
     def test_memos_keep_only_the_last_prime(self, monkeypatch):
         # a run over several primes builds each entry once, in its prime
         # group, and leaves each memo with the entries of its last group
-        # only, here the bases (13, 2) and, for kw, (13, 3); both x are
-        # p-integral at every p, since a build that raises stores nothing,
-        # and the spot oracle builds the exact rows
+        # only, here the lists of 1/N^2 mod 13^2 and, for kw, 13^3, and
+        # the one basis of n! and 1/n! mod 13^2; both x are p-integral at
+        # every p, since a build that raises stores nothing, and the spot
+        # oracle builds the exact rows.  The step lists alone outlive a
+        # group: each family's reaches the largest prime, N = 12
         memos = _memos()
         for fn in memos.values():
             fn.cache_clear()
+        monkeypatch.setattr(sequences, "_STEPS", {})
         builds = {name: _record_calls(monkeypatch, fn, "__wrapped__")
                   for name, fn in memos.items()}
         summary = run_suite(SuiteConfig(
@@ -964,7 +1011,11 @@ class TestRunSuite:
                 builds[name]), name
             assert fn.entries, name
             assert {key[0] for key in fn.entries} == {13}, name
-        assert set(sequences._factorials.entries) == {(13, 2), (13, 3)}
+        assert set(sequences._inv_squares.entries) == {(13, 2), (13, 3)}
+        assert set(sequences._factorials.entries) == {(13, 2)}
+        assert {mult: [len(steps) for steps in lists]
+                for mult, lists in sequences._STEPS.items()} == {
+            T_MULT: [12] * 3, S_MULT: [12] * 3}
 
 
 class TestEmitReport:
@@ -1504,8 +1555,9 @@ def test_exact_oracle_names_nothing_of_the_fast_route():
     # with the route it audits: the bodies of the two exact routines, and
     # of every function of the module they call, name no helper of the
     # fast route, no reduction mod p^e and no modular pow
-    fast = {"_factorials", "_steps", "_table_values", "_pair_weights_mod",
-            "_u_mod", "mod_reduce", "reduce_ratio", "pow"}
+    fast = {"_factorials", "_inv_squares", "_steps", "_STEPS",
+            "_table_values", "_pair_weights_mod", "_u_mod", "mod_reduce",
+            "reduce_ratio", "pow"}
     tree = ast.parse(Path(sequences.__file__).read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
