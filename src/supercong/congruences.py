@@ -10,19 +10,15 @@ The nine-block decomposition sums f(k,l) = w_k w_l P(k,l) over rectangles
 K x L of the (k,l) grid, where w_k = C(x,k) C(x+k,k) 2^k and P(k,l) is
 sum_{n<p} c_n C(n,k) C(n,l), with c_n = 1 (plain) or n+1 (weighted).  So a
 rectangle is sum_{n<p} c_n A_K(n) A_L(n) with A_K(n) = sum_{k in K} C(n,k)
-w_k: three masked binomial transforms mod p^2 per argument.  They come from
-the t table and two prefix sums P_K(n) = sum_{k<=K} C(n,k) w_k, which
-the table's own loop steps with one boundary term (sequences._table_values),
-then O(p) work per distinct product A_K A_L (six; a mirrored block reads its
-twin).  Both splits read the same transforms, so one entry per (p, x)
-holds the nine sums of each and the transforms are not kept
-(_block_sums_mod, a memo of one prime at a time, sequences._per_prime).
-The direct masked sum at five rows checks both prefixes on every run, and a
-break is a program fault that raises; under an oracle the three transforms
-are audited exactly, row by row, as masked integer sums over the exact
-pair weights.  Mod p^2 the two cross blocks are one product read twice;
-their equality over Q is the symmetry of P(k,l), which the identity
-battery proves for every prime below 50 (identities.binom_conv_sum).
+w_k: three masked binomial transforms mod p^2 per argument, from the t
+table and two prefix sums P_K(n) = sum_{k<=K} C(n,k) w_k that the table's
+own loop steps with one boundary term (sequences._table_values), then O(p)
+work per distinct product A_K A_L (six; a mirrored block reads its twin),
+for both splits at once; the transforms are checked, and audited under an
+oracle, but not kept (_block_sums_mod).  Mod p^2 the two cross blocks are
+one product read twice; their equality over Q is the symmetry of P(k,l),
+which the identity battery proves for every prime below 50
+(identities.binom_conv_sum).
 
 Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2, which sums
 H_j mod p from the (p, 2) basis at each argument; the literal exact-rational
@@ -46,9 +42,10 @@ the rational closed forms; only lemma21's exact oracle keeps t = (x-m)/p.
 Lemma 2.1's ranges of k are written once (_block_ranges).  Table
 statements read the table of u = x(x+1) mod p^2 (sequences._table), u from
 the split's xr, so a check reduces x once and x, -1-x and x + p^2 read one
-table; they read its square sums (SequenceTable.square_sum), each
-(table, a, b) summed once; a weighted_* statement sums its own (a, b) and
-checks it against a (1,1) + (b-a) (0,1) of the table.
+table.  Its square sums are a S1 + (b-a) S0 of the two it keeps
+(SequenceTable), against which a weighted_* statement checks its direct
+sum (_weighted_square_sum); the (n+1)-weighted block sums take sum (n+1)
+v_n as S1 does (sequences._plus_one_weighted).
 """
 
 from __future__ import annotations
@@ -74,18 +71,18 @@ from .core import (
 )
 from .sequences import (
     S_MULT,
+    SequenceTable,
     T_MULT,
     _factorials,
     _oracle_rows,
     _pair_weights_exact,
     _pair_weights_mod,
     _per_prime,
+    _plus_one_weighted,
     _table,
     _table_values,
     _u_mod,
-    _weighted_square_sum,
     s_table_mod,
-    t_table_mod,
 )
 
 
@@ -332,8 +329,7 @@ def _block_sums_mod(p: int, x: Fraction, xr: int, m: int,
     sums = {}  # (K, L) -> both sums of A_K A_L, the mirrored cell its twin
     for i, j in combinations_with_replacement(range(3), 2):
         ab = list(map(mul, parts[i], parts[j]))
-        sums[i, j] = sums[j, i] = (
-            sum(ab) % mod, sum(map(mul, range(1, p + 1), ab)) % mod)
+        sums[i, j] = sums[j, i] = sum(ab) % mod, _plus_one_weighted(ab) % mod
     plain, weighted = zip(*(sums[i, j] for i in range(3) for j in range(3)))
     return plain + weighted
 
@@ -368,8 +364,7 @@ def block_vanishing_check(p: int, x: RationalLike, weighted: bool = False,
 def block_sums(p: int, x: RationalLike,
                weighted: bool = False) -> tuple[Residue, ...]:
     """All nine block sums mod p^2 in row-major order (diagnostic view)."""
-    mod = p * p
-    return tuple(Residue(v, mod)
+    return tuple(Residue(v, p * p)
                  for v in _regime_block_sums(p, x, weighted, "off")[3])
 
 
@@ -459,15 +454,21 @@ def theorem2_check(p: int, x: RationalLike,
     return _report("theorem2", p, x, lhs, _theorem2_mod(p, xr, m))
 
 
+def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
+    """sum_{n<p} (a n + b) table[n]^2 mod p^e, summed directly."""
+    squares = table.squares
+    return Residue(a * sum(map(mul, range(len(squares)), squares))
+                   + b * sum(squares), table.modulus)
+
+
 def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
                        expected: "Residue | int",
                        oracle: str = "off") -> CongruenceReport:
     """sum_{n<p} (a n + b) t_n(x)^2 mod p^2 against an expected residue.
 
-    The direct sum is also cross-derived as a * [sum (n+1) t^2] +
-    (b - a) * [sum t^2], the two sums the table keeps for theorem1 and
-    theorem2; disagreement there is an internal error, not a verification
-    failure, so it raises.
+    The direct sum is checked against the table's a S1 + (b-a) S0; a
+    disagreement is an internal error, not a verification failure, so it
+    raises.
     """
     mod = p * p
     if isinstance(expected, int):
@@ -475,10 +476,10 @@ def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
     if expected.modulus != mod:
         raise ValueError(f"expected residue has modulus {expected.modulus}, "
                          f"want {mod}")
-    x = to_fraction(x)
-    table = t_table_mod(p, 2, x, oracle=oracle)
+    x, xr, _ = _split(p, x)
+    table = _table(p, 2, _u_mod(p, 2, xr), T_MULT, oracle, x=x)
     lhs = _weighted_square_sum(table, a, b)
-    if lhs != a * table.square_sum(1, 1) + (b - a) * table.square_sum(0, 1):
+    if lhs != table.square_sum(a, b):
         raise SupercongError(
             f"linear-weight recombination failed at p={p}, x={x}")
     return _report(f"weighted_{a}n{b}", p, x, lhs, expected)

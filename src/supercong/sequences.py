@@ -15,24 +15,21 @@ recurrence in n for every c:
 (of order 2 when c = 1, and the s loop steps without f_{N-3}; at N = 1, 2
 the terms before f_0 have coefficient 0, so they need no start value).  A
 table needs rows N < p only, so the one division, by N^2, is by a unit mod
-p^e, read from the prime's list.  The coefficients depend on N and c only:
-they are one list each per c for the whole run (_steps), grown when a larger
-prime asks for more rows and never rebuilt, so the whole table is one zip
-of small-integer steps mod p^e over a prefix of them and the 1/N^2 of
-(p, e) (_table_values).
+p^e, read from the prime's list.  The coefficients depend on N and c only,
+one list each per c for the whole run (_steps), so a table is one zip of
+small-integer steps mod p^e over them and the 1/N^2 of (p, e) (_table_values).
 The pair weight w_k = C(x,k) C(x+k,k) c^k is the running product of
 c (u - k(k-1)) = c (x-k+1)(x+k) times (1/k!)^2 from _factorials, so the fast
 route, recurrence included, reads x only through u = x(x+1) mod p^e
 (_u_mod, from x mod p^e, which each caller reduces once).  _table keeps one
-table per u with its audit and its squares, from which it takes the square
-sums its readers ask for, so x, -1-x and x + p^e share one table, each
-table is audited once per oracle mode, at the first x that builds it,
-squared once, and each sum is taken once.  The memos keep the entries of
-the latest prime only (_per_prime), as do those of `congruences`: a run
-computes prime by prime.  The step lists alone are kept for the run.  With
-one boundary term a loop of its own gives the prefix sums P_K of the block
-transforms in `congruences`, reading n! and 1/n! for it; the plain loops
-carry none.  `congruences` reads the same n! and 1/n! for Lemma 2.1.
+table per u with its audit, its squares and the paper's two square sums
+(SequenceTable), so x, -1-x and x + p^e share one table, each table is
+audited once per oracle mode, at the first x that builds it, squared once,
+and each of the two sums is taken at most once.  The memos keep the
+entries of the latest prime only (_per_prime), as do those of
+`congruences`: a run computes prime by prime; the step lists alone are
+kept for the run.  With one boundary term a loop of its own gives the
+prefix sums P_K of the block transforms in `congruences`.
 The slow route works with integers only, for x = a/b: _row_exact evaluates
 row n of both families in one pass, by a term-ratio recurrence, as two
 integer numerators over M b^{2n}, where M is the part of (2n)! made of the
@@ -217,19 +214,23 @@ def pfaff_check(n: int, z: RationalLike) -> bool:
     return _pfaff_sum(n, z, 0) == (-1) ** n * _pfaff_sum(n, 1 - z, 0)
 
 
+def _plus_one_weighted(v: Sequence[int]) -> int:
+    """sum_n (n+1) v_n, as the sum of the suffix sums sum_j sum_{n>=j} v_n:
+    S1 of a table, and the (n+1)-weighted block sums of `congruences`."""
+    return sum(accumulate(reversed(v)))
+
+
 class SequenceTable:
     """Residues of one sequence family mod p^e for every row n in [0, p-1].
 
-    square_sum(a, b) is sum_{n<p} (a n + b) f_n^2 mod p^e, summed on the
-    first read of each (a, b) and kept with the table, so the statements
-    that share a table (through _table) share its sums; a weight no
-    statement reads is never summed.  Every sum reads the table's one list
-    of squares: (0, 1) is its sum, (1, 1) the sum of its suffix sums, as
-    sum_n (n+1) f_n^2 = sum_j sum_{n>=j} f_n^2, and any other weight is
-    summed directly (_weighted_square_sum).
+    The table keeps the two sums the paper determines, S0 = sum_{n<p} f_n^2
+    (Theorem 1) and S1 = sum_{n<p} (n+1) f_n^2 (Theorem 2), each summed mod
+    p^e from the one list of squares on its first read and kept (moment),
+    so the statements that share a table (through _table) share them, and
+    sum_{n<p} (a n + b) f_n^2 = a S1 + (b-a) S0 (square_sum).
     """
 
-    __slots__ = ("p", "e", "mult", "values", "squares", "sums")
+    __slots__ = ("p", "e", "mult", "values", "squares", "moments")
 
     def __init__(self, p: int, e: int, mult: int,
                  values: tuple[int, ...]) -> None:
@@ -238,7 +239,7 @@ class SequenceTable:
         self.mult = mult
         self.values = values
         self.squares = list(map(mul, values, values))
-        self.sums: dict[tuple[int, int], Residue] = {}
+        self.moments: list[int | None] = [None, None]  # S0, S1 once summed
 
     @property
     def modulus(self) -> int:
@@ -253,26 +254,20 @@ class SequenceTable:
     def residue(self, n: int) -> Residue:
         return Residue(self.values[n], self.modulus)
 
+    def moment(self, i: int) -> int:
+        """S0 (i = 0) or S1 (i = 1) mod p^e, summed once and kept."""
+        if self.moments[i] is None:
+            self.moments[i] = (_plus_one_weighted if i else sum)(
+                self.squares) % self.modulus
+        return self.moments[i]
+
     def square_sum(self, a: int, b: int) -> Residue:
-        total = self.sums.get((a, b))
-        if total is None:
-            if (a, b) == (0, 1):
-                total = Residue(sum(self.squares), self.modulus)
-            elif (a, b) == (1, 1):
-                total = Residue(sum(accumulate(reversed(self.squares))),
-                                self.modulus)
-            else:
-                total = _weighted_square_sum(self, a, b)
-            self.sums[a, b] = total
-        return total
-
-
-def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
-    """sum_{n<p} (a n + b) table[n]^2 mod p^e, summed directly."""
-    squares = table.squares
-    total = (sum(map(mul, range(b, b + a * len(squares), a), squares)) if a
-             else b * sum(squares))
-    return Residue(total, table.modulus)
+        """sum_{n<p} (a n + b) f_n^2 mod p^e, as a S1 + (b-a) S0, reading
+        only the moments whose coefficient is not 0."""
+        total = a * self.moment(1) if a else 0
+        if b != a:
+            total += (b - a) * self.moment(0)
+        return Residue(total, self.modulus)
 
 
 class _per_prime:
@@ -338,10 +333,8 @@ def _steps(p: int, mult: int) -> tuple[list[int], list[int], list[int]]:
     """The recurrence's coefficients at N = 1, ..., n, n >= p-1, as plain
     ints, c = mult: (3-c) N(N-1), (2c-3) (N-1)^2 and (c-1) (N-1)(N-2), each
     k (N-1) (N+s), the product of the progressions k (N-1) and N+s (all
-    zeros when k = 0, which no range can step by).  They depend on N and c
-    only, so a prime above every earlier one extends the lists of its
-    family, and a smaller one reads a prefix, as each loop zips them with
-    its p-1 entries of 1/N^2, mod p^2 or mod p^3."""
+    zeros when k = 0, which no range can step by): a larger prime extends
+    its family's lists, and a smaller one reads a prefix."""
     lists = _STEPS.setdefault(mult, ([], [], []))
     have, n = len(lists[0]), p - 1
     if have < n:
@@ -374,17 +367,23 @@ def _table_values(p: int, e: int, u: int, mult: int,
                   cut: tuple[int, Sequence[int]] | None = None
                   ) -> tuple[int, ...]:
     """Rows n in [0, p-1] mod p^e, from u = x(x+1) mod p^e, by the
-    recurrence in n of the module docstring: f_N from f_{N-1}, f_{N-2},
-    f_{N-3} and the unit 1/N^2 (_inv_squares), or from f_{N-1} and
-    f_{N-2} alone when c - 1 = 0 (the s family), each step reading its
-    coefficients from the family's run-wide step lists (_steps), whose
-    prefix the zip with the p-1 entries of 1/N^2 reads.
+    recurrence in n of the module docstring, of order 2 when c = 1 (the s
+    family): each step reads its coefficients from the family's run-wide
+    step lists (_steps), zipped with the p-1 units 1/N^2 (_inv_squares).
+
+    Its certificate: with F(N,k) = C(N,k) w_k and G(N,k) = -k^2 C(N-1,k-1)
+    w_k, the summand L(N,k) = N^2 F(N,k) - A_N F(N-1,k) - B_N F(N-2,k) +
+    C_N F(N-3,k), A, B, C the recurrence's coefficients, is G(N,k+1) -
+    G(N,k): divided by F(N,k), with C(N-i,k)/C(N,k) = (N-k)_i/(N)_i, and
+    times N(N-1)(N-2), a polynomial identity of degree 5, 3, 2 and 1 in N,
+    k, x and c, which tests/test_sequences.py checks on a 6 x 4 x 3 x 2
+    grid, and N = 1, 2 apart.  Summed over k <= N it is the recurrence, as
+    G(N,0) = G(N,N+1) = 0.
 
     cut = (K, w), w the pair weights mod p^e, gives instead the prefix sums
-    P_K(n) = sum_{k<=K} C(n,k) w_k.  They satisfy the same recurrence with
-    the boundary term -(K+1)^2 C(N-1,K) w_{K+1} on the right (creative
-    telescoping: it is the certificate at k = K+1), read from n! and 1/n!
-    (_factorials), which is 0 for N <= K,
+    P_K(n) = sum_{k<=K} C(n,k) w_k: summed over k <= K, the certificate
+    leaves the boundary term G(N,K+1) = -(K+1)^2 C(N-1,K) w_{K+1} on the
+    right, read from n! and 1/n! (_factorials), which is 0 for N <= K,
     where P_K is f, and for every N < p once K >= p-1, where the plain
     loop gives P_K = f.
     """
@@ -485,9 +484,8 @@ def t_table_mod(p: int, e: int, x: RationalLike,
 
     oracle='off' trusts the fast path; 'spot' re-derives five deterministic
     rows (all rows when p <= 50) from exact rationals; 'full' re-derives
-    every row.  The rows depend on (p, x) only, and one exact pass gives a
-    row of both families, so s_table_mod at the same (p, x) reads the rows
-    this audit derived.  A disagreement raises OracleMismatchError.
+    every row, each shared with s_table_mod at the same (p, x) (_exact_row).
+    A disagreement raises OracleMismatchError.
     """
     return _build_table(p, e, x, T_MULT, oracle)
 

@@ -215,8 +215,13 @@ def test_weighted_square_sum_is_the_literal_loop(sign, p, e, size, b, data):
     for n in range(p):
         acc += (a * n + b) * values[n] ** 2
     assert _weighted_square_sum(table, a, b) == Residue(acc % mod, mod)
-    kept = table.square_sum(a, b)  # summed once, then read back
-    assert kept == Residue(acc % mod, mod) and table.square_sum(a, b) is kept
+    for _ in range(2):  # the moments summed now, then read back
+        assert table.square_sum(a, b) == Residue(acc % mod, mod)
+    # only the moments with a non-zero coefficient in a S1 + (b-a) S0
+    squares = [v * v for v in values]
+    assert table.moments == [
+        sum(squares) % mod if b != a else None,
+        sum((n + 1) * sq for n, sq in enumerate(squares)) % mod if a else None]
 
 
 def _closed_forms_reference(p, x):

@@ -8,7 +8,8 @@ import pytest
 
 from supercong import sequences
 from supercong.core import (
-    NonPIntegralError, OracleMismatchError, binom_gen, mod_reduce)
+    NonPIntegralError, OracleMismatchError, binom_gen, legendre, mod_reduce,
+    odd_primes)
 from supercong.sequences import (
     S_poly,
     S_MULT,
@@ -167,6 +168,113 @@ class TestRecurrence:
                             for n in range(p)), (p, e, y)
 
 
+def _coefficients(N, x, c):
+    """A_N, B_N and C_N of the recurrence N^2 f_N = A_N f_{N-1} + B_N f_{N-2}
+    - C_N f_{N-3}, as the module docstring of `sequences` states them."""
+    return ((3 - c) * N * (N - 1) + 1 + c * x * (x + 1),
+            (2 * c - 3) * (N - 1) ** 2, (c - 1) * (N - 1) * (N - 2))
+
+
+def _wrong_A(N, x, c):
+    A, B, C = _coefficients(N, x, c)
+    return A + 1, B, C
+
+
+def _wrong_B(N, x, c):
+    A, B, C = _coefficients(N, x, c)
+    return A, B + (N - 1) ** 2, C  # 2c-2 for 2c-3
+
+
+def _wrong_C(N, x, c):
+    A, B, C = _coefficients(N, x, c)
+    return A, B, C + (N - 1) * (N - 2)  # c for c-1
+
+
+class TestCertificate:
+    """The recurrence proved by creative telescoping, as the docstring of
+    _table_values states it: with F(N,k) = C(N,k) w_k, w_k = C(x,k)
+    C(x+k,k) c^k, and G(N,k) = -k^2 C(N-1,k-1) w_k, the summand L(N,k) =
+    N^2 F(N,k) - A_N F(N-1,k) - B_N F(N-2,k) + C_N F(N-3,k) is G(N,k+1) -
+    G(N,k)."""
+
+    @staticmethod
+    def _cleared(N, k, x, c, coefficients=_coefficients):
+        """N(N-1)(N-2) (L(N,k) - G(N,k+1) + G(N,k)) / F(N,k), each C(N-i,k)
+        / C(N,k) as (N-k)_i / (N)_i and w_{k+1}/w_k as c (x-k)(x+k+1) /
+        (k+1)^2: a polynomial of degree at most 5, 3, 2 and 1 in N, k, x
+        and c, written out unexpanded."""
+        A, B, C = coefficients(N, x, c)
+        d = N - k
+        lhs = (N**3 * (N - 1) * (N - 2) - A * d * (N - 1) * (N - 2)
+               - B * d * (d - 1) * (N - 2) + C * d * (d - 1) * (d - 2))
+        rhs = (k**3 - c * d * (x - k) * (x + k + 1)) * (N - 1) * (N - 2)
+        return lhs - rhs
+
+    # one more point per variable than its degree: a polynomial of those
+    # degrees that vanishes on the grid is 0
+    GRID = [(N, k, x, c) for N in range(6) for k in range(4)
+            for x in range(3) for c in range(2)]
+
+    def test_certificate_is_a_polynomial_identity(self):
+        assert [self._cleared(*point) for point in self.GRID] == [0] * 144
+
+    @pytest.mark.parametrize("wrong", (_wrong_A, _wrong_B, _wrong_C))
+    def test_one_wrong_coefficient_breaks_it(self, wrong):
+        assert any(self._cleared(*point, coefficients=wrong)
+                   for point in self.GRID)
+
+    @staticmethod
+    def _F(N, k, x, c):
+        return comb(N, k) * binom_gen(x, k) * binom_gen(x + k, k) * c**k \
+            if N >= 0 else 0
+
+    def _L(self, N, k, x, c):
+        A, B, C = _coefficients(N, x, c)
+        F = self._F
+        return (N * N * F(N, k, x, c) - A * F(N - 1, k, x, c)
+                - B * F(N - 2, k, x, c) + C * F(N - 3, k, x, c))
+
+    def _G(self, N, k, x, c):
+        """G(N,k) = -k^2 C(N-1,k-1) w_k, as -(k^3/N) F(N,k), N >= 1."""
+        return -Fraction(k**3, N) * self._F(N, k, x, c)
+
+    def test_first_two_rows(self):
+        # N = 1, 2, which the factor N(N-1)(N-2) clears: L and G are
+        # polynomials of degree at most 4 in x and 2 in c there, so a
+        # 5 x 3 grid decides each k in [0, N+1]
+        for N in (1, 2):
+            for k in range(N + 2):
+                for x in range(5):
+                    for c in range(3):
+                        assert self._L(N, k, x, c) == (
+                            self._G(N, k + 1, x, c) - self._G(N, k, x, c)), (
+                            N, k, x, c)
+
+    def test_telescoped_sums(self):
+        # summed over k <= K the certificate leaves the cut loop's boundary
+        # term G(N,K+1) = -(K+1)^2 C(N-1,K) w_{K+1}, which is 0 once K >= N,
+        # where the sum is the plain recurrence
+        for x in (Fraction(-2, 7), Fraction(3)):
+            for c in (-2, 1, 2):
+                w = [binom_gen(x, k) * binom_gen(x + k, k) * c**k
+                     for k in range(11)]
+                for N in range(1, 9):
+                    for K in range(N + 2):
+                        boundary = -(K + 1) ** 2 * comb(N - 1, K) * w[K + 1]
+                        assert boundary == self._G(N, K + 1, x, c)
+                        assert sum(self._L(N, k, x, c) for k in range(
+                            K + 1)) == boundary, (x, c, N, K)
+                        assert K < N or boundary == 0
+
+    @pytest.mark.parametrize("c", range(-3, 6))
+    def test_loop_steps_are_the_certified_coefficients(self, c, monkeypatch):
+        # the table loop adds 1 + c u, u = x(x+1), to its first step list
+        monkeypatch.setattr(sequences, "_STEPS", {})
+        A, B, C = sequences._steps(61, c)
+        assert [(a + 1, b, cc) for a, b, cc in zip(A, B, C)] == [
+            _coefficients(N, 0, c) for N in range(1, 61)]
+
+
 class TestPfaff:
     def test_degree_one_both_sides(self):
         # both sides reduce to 1 - 2z
@@ -269,22 +377,47 @@ class TestTables:
 
     @pytest.mark.parametrize("build, e", ((t_table_mod, 2), (s_table_mod, 3)))
     def test_square_sums_in_any_order(self, build, e):
-        # the kept (0,1) and (1,1) sums and two direct ones, read in every
+        # the theorem1 and theorem2 weights and two others, read in every
         # order on a fresh table, each against the literal sum of
-        # (a n + b) f_n^2: the suffix-sum route and the direct one agree,
-        # and no read leaves the shared squares stale
+        # (a n + b) f_n^2, whichever moments the earlier reads summed, and
+        # again from the kept moments: S1 as the sum of the suffix sums is
+        # the literal sum of (n+1) f_n^2, and no read leaves the shared
+        # squares stale
         p, x = 31, Fraction(3, 5)
         values = build(p, e, x).values
         mod = p**e
+        moments = [sum((n + 1) ** i * values[n] ** 2 for n in range(p)) % mod
+                   for i in (0, 1)]
         for order in permutations(((0, 1), (1, 1), (-7, 4), (3, 0))):
             table = SequenceTable(p, e, build(p, e, x).mult, values)
             for a, b in order:
                 literal = sum((a * n + b) * values[n] ** 2
                               for n in range(p)) % mod
-                kept = table.square_sum(a, b)
-                assert kept.value == literal, (order, a, b)
-                assert table.square_sum(a, b) is kept
+                assert table.square_sum(a, b).value == literal, (order, a, b)
+                assert table.square_sum(a, b).value == literal, (order, a, b)
                 assert table.squares == [v * v for v in values]
+            assert table.moments == moments, order
+
+    def test_square_sum_mod_p_for_every_multiplier(self, monkeypatch):
+        # S0 = sum_{n<p} f_n^2 mod p of the table of any multiplier c in
+        # [1, p-1] at u = x(x+1) is (-1/p) when 2x = -1 (mod p), else 0;
+        # x and -1-x share u, so x in [0, (p-1)/2] reaches every u, and at
+        # p <= 7 the exact sums of S_poly(n, x, -c)^2 agree
+        monkeypatch.setattr(sequences, "_STEPS", {})
+        cases = 0
+        for p in odd_primes(3, 61):
+            half = (p - 1) // 2
+            for c in range(1, p):
+                for x in range(half + 1):
+                    s0 = SequenceTable(p, 1, c, _table_values(
+                        p, 1, x * (x + 1) % p, c)).square_sum(0, 1)
+                    assert s0.value == (
+                        legendre(-1, p) % p if x == half else 0), (p, c, x)
+                    if p <= 7:
+                        assert s0 == mod_reduce(sum(
+                            S_poly(n, x, -c) ** 2 for n in range(p)), p, 1)
+                    cases += 1
+        assert cases == 10_228
 
     def test_oracle_modes_accept_correct_tables(self):
         t_table_mod(13, 2, Fraction(-1, 3), oracle="full")

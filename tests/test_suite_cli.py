@@ -433,7 +433,7 @@ class TestRunCheck:
     @pytest.mark.parametrize("sid, name, fault", [
         # the prefix check: row p-1 of each prefix against its direct sum
         ("blocks", "_table_values", _corrupt_last_prefix_row),
-        # weighted_sum_check's recombination of the two square sums
+        # weighted_sum_check's direct sum against the table's a S1 + (b-a) S0
         ("weighted_8n5", "_weighted_square_sum", _skew_the_8n5_sum),
         ("lemma21", "_pair_weights_mod", _raise(ArithmeticError("planted"))),
         ("blocks_weighted", "_block_sums_mod", _raise(ZeroDivisionError())),
@@ -894,50 +894,61 @@ class TestRunSuite:
         assert builds == [(p, 2) for p in sorted({r.p for r in reports})]
 
     def test_each_square_sum_is_taken_once(self, monkeypatch):
-        # theorem1, sun_s and kw read the (0,1) sum of their tables and
-        # theorem2 the (1,1) sum of theorem1's, both taken from the table's
-        # squares; weighted_8n5 sums its own (8,5) directly and checks it
-        # against the two sums its table already holds; a table is named by
-        # the key (p, e, u, family) it was built under
+        # a sweep's eight statements: theorem1, sun_s and kw read the (0,1)
+        # sum of their tables, theorem2 the (1,1) sum of theorem1's, and a
+        # weighted_* statement its (a, b), the table's a S1 + (b-a) S0,
+        # against its own direct sum; each table sums S0 and S1 at most
+        # once, only when a read weighs it, so a table read at (0,1) alone
+        # never sums S1; a table is named by the key (p, e, u, family) it
+        # was built under, and a sum of its squares by that name: S0 is the
+        # module's sum of the list, S1 its _plus_one_weighted
         sequences._table.cache_clear()
-        names = {}
+        names = {}  # id of a table's squares -> its key; tables kept alive
         build = sequences._table.__wrapped__
 
         def named(p, e, u, mult, oracle, **kw):
             table = build(p, e, u, mult, oracle, **kw)
-            names[table] = (p, e, u, mult)
+            names[id(table.squares)] = (p, e, u, mult), table
             return table
 
         monkeypatch.setattr(sequences._table, "__wrapped__", named)
-        kept = []
-        real = sequences.SequenceTable.square_sum
+        summed = []
 
-        def square_sum(table, a, b):
-            if (a, b) not in table.sums:  # summed now, not read back
-                kept.append((table, a, b))
-            return real(table, a, b)
+        def count(name, real, i):
+            def counted(v):
+                if id(v) in names:
+                    summed.append((names[id(v)][0], i))
+                return real(v)
+            monkeypatch.setattr(sequences, name, counted, raising=False)
 
-        monkeypatch.setattr(sequences.SequenceTable, "square_sum", square_sum)
+        count("sum", sum, 0)
+        count("_plus_one_weighted", sequences._plus_one_weighted, 1)
         direct = _record_calls(monkeypatch, cg, "_weighted_square_sum")
-        inner = _record_calls(monkeypatch, sequences, "_weighted_square_sum")
         reports = []
         summary = run_suite(SuiteConfig(
-            statements=("theorem1", "theorem2", "weighted_8n5", "sun_s",
+            statements=("theorem1", "theorem2", "sun_s", "weighted_8n5",
+                        "weighted_32n21", "weighted_18n7", "weighted_72n49",
                         "kw"), prime_min=53, prime_max=71), reports.append)
         assert summary.failed == 0
-        reads = {"theorem1": [(2, T_MULT, 0, 1)],
-                 "theorem2": [(2, T_MULT, 1, 1)],
-                 "weighted_8n5": [(2, T_MULT, a, b)
-                                  for a, b in ((8, 5), (0, 1), (1, 1))],
-                 "sun_s": [(2, S_MULT, 0, 1)], "kw": [(3, S_MULT, 0, 1)]}
-        expected = {(r.p, e, u_mod(r.p, e, r.x), mult, a, b)
-                    for r in reports if r.passed is not None
-                    for e, mult, a, b in reads[r.statement]}
-        sums = [(*names[t], a, b) for t, a, b in kept + direct]
-        assert len(set(sums)) == len(sums)
-        assert set(sums) == expected
-        assert {(a, b) for _, a, b in direct} == {(8, 5)}
-        assert inner == []  # no kept sum is a direct one
+        reads = {"theorem1": (2, T_MULT, 0, 1), "theorem2": (2, T_MULT, 1, 1),
+                 "sun_s": (2, S_MULT, 0, 1), "kw": (3, S_MULT, 0, 1),
+                 **{name: (2, T_MULT, a, b) for name, (a, b, *_)
+                    in cg.CONJECTURE_CASES.items()}}
+        weights = {}  # table key -> the weights read from it
+        for r in reports:
+            if r.passed is not None:
+                e, mult, a, b = reads[r.statement]
+                weights.setdefault((r.p, e, u_mod(r.p, e, r.x), mult),
+                                   set()).add((a, b))
+        assert len(set(summed)) == len(summed)
+        assert set(summed) == {(key, i) for key, ab in weights.items()
+                             for i in (0, 1)
+                             if any(a if i else b - a for a, b in ab)}
+        alone = [key for key, ab in weights.items() if ab == {(0, 1)}]
+        assert alone and not {(key, 1) for key in alone} & set(summed)
+        assert sorted((t.p, a, b) for t, a, b in direct) == sorted(
+            (r.p, *reads[r.statement][2:]) for r in reports
+            if r.statement.startswith("weighted_") and r.passed is not None)
 
     def test_one_prime_builds_each_block_entry_once(self, monkeypatch):
         # 40 x at one prime, more than a group of the default grid reads:
