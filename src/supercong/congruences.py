@@ -22,7 +22,7 @@ which the identity battery proves for every prime below 50
 
 Lemma 2.1 is checked at every k < p in one O(p) pass mod p^2, which sums
 H_j mod p from the (p, 2) basis at each argument; the literal exact-rational
-route (lemma21_check) is its oracle, with the exact pair weights built once
+route (_lemma21_exact) is its oracle, with the exact pair weights built once
 per argument.
 
 Each closed form is written once.  The near and cross blocks of Lemmas
@@ -171,7 +171,7 @@ def _block_ranges(p: int, m: int) -> tuple[range, range, range]:
 
 def _lemma21_exact(p: int, x: Fraction, m: int,
                    ks: Sequence[int]) -> list[tuple[int, int]]:
-    """Both sides of lemma21_check mod p^2 at each k in ks, from exact
+    """Both sides of Lemma 2.1 mod p^2 at each k in ks, from exact
     rationals; the pair weights are built once, up to max(ks)."""
     t = (x - m) / p
     num, den = _pair_weights_exact(x, max(ks), S_MULT)
@@ -191,29 +191,9 @@ def _lemma21_exact(p: int, x: Fraction, m: int,
     return sides
 
 
-def lemma21_check(p: int, x: RationalLike, k: int) -> bool:
-    """C(x,k) C(x+k,k) mod p^2 matches its regime formula at x = m + pt:
-
-      0 <= k <= m:        C(m,k) C(m+k,k) (1 + pt H_{m+k} - pt H_{m-k})
-      m < k < p-m:        (-1)^{m+k+1} pt C(m+k,k) / ((k-m) C(k,m))
-      p-m <= k <= p-1:    0
-
-    Requires m <= (p-1)/2 (callers reflect x to -1-x first otherwise); the
-    middle range is empty when m = (p-1)/2.  Evaluated over the rationals
-    (the exact pair weights, the regime formula in Fractions) and reduced
-    mod p^2 only at the end, so it is the oracle for lemma21_all.
-    """
-    x, _, m = _split(p, x)
-    _require_half_regime(p, m)
-    if type(k) is not int or not 0 <= k <= p - 1:
-        raise ValueError(f"k = {k!r} is not an integer in [0, {p - 1}]")
-    [(lhs, rhs)] = _lemma21_exact(p, x, m, [k])
-    return lhs == rhs
-
-
 def _lemma21_sides(p: int, xr: int,
                    m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Both sides of lemma21_check for every k < p, mod p^2, in one pass.
+    """Both sides of Lemma 2.1 for every k < p, mod p^2, in one pass.
 
     The left side is the pair weight with multiplier 1.  On the right,
     every factorial is of a number below p, so a unit: C(m,k) C(m+k,k) =
@@ -238,12 +218,19 @@ def _lemma21_sides(p: int, xr: int,
 
 
 def lemma21_all(p: int, x: RationalLike, oracle: str = "off") -> bool:
-    """lemma21_check at every k in [0, p-1], both sides computed mod p^2.
+    """C(x,k) C(x+k,k) mod p^2 matches its regime formula at x = m + pt, at
+    every k in [0, p-1]:
 
-    oracle='off' trusts the modular pass; 'spot' re-derives both sides at
-    five deterministic k (every k when p <= 50) through the exact route of
-    lemma21_check; 'full' at every k.  A disagreement raises
-    OracleMismatchError.
+      0 <= k <= m:        C(m,k) C(m+k,k) (1 + pt H_{m+k} - pt H_{m-k})
+      m < k < p-m:        (-1)^{m+k+1} pt C(m+k,k) / ((k-m) C(k,m))
+      p-m <= k <= p-1:    0
+
+    Requires m <= (p-1)/2 (callers reflect x to -1-x first otherwise); the
+    middle range is empty when m = (p-1)/2.  Both sides are computed mod p^2
+    in one pass (_lemma21_sides).  oracle='off' trusts that pass; 'spot'
+    re-derives both sides at five deterministic k (every k when p <= 50)
+    over the rationals, reduced mod p^2 only at the end (_lemma21_exact);
+    'full' at every k.  A disagreement raises OracleMismatchError.
     """
     x, xr, m = _split(p, x)
     _require_half_regime(p, m)
@@ -461,30 +448,6 @@ def _weighted_square_sum(table: SequenceTable, a: int, b: int) -> Residue:
                    + b * sum(squares), table.modulus)
 
 
-def weighted_sum_check(p: int, a: int, b: int, x: RationalLike,
-                       expected: "Residue | int",
-                       oracle: str = "off") -> CongruenceReport:
-    """sum_{n<p} (a n + b) t_n(x)^2 mod p^2 against an expected residue.
-
-    The direct sum is checked against the table's a S1 + (b-a) S0; a
-    disagreement is an internal error, not a verification failure, so it
-    raises.
-    """
-    mod = p * p
-    if isinstance(expected, int):
-        expected = Residue(expected, mod)
-    if expected.modulus != mod:
-        raise ValueError(f"expected residue has modulus {expected.modulus}, "
-                         f"want {mod}")
-    x, xr, _ = _split(p, x)
-    table = _table(p, 2, _u_mod(p, 2, xr), T_MULT, oracle, x=x)
-    lhs = _weighted_square_sum(table, a, b)
-    if lhs != table.square_sum(a, b):
-        raise SupercongError(
-            f"linear-weight recombination failed at p={p}, x={x}")
-    return _report(f"weighted_{a}n{b}", p, x, lhs, expected)
-
-
 # (a, b, x, coefficient c in the expected residue c*p, minimum prime)
 CONJECTURE_CASES: dict[str, tuple[int, int, Fraction, int, int]] = {
     "weighted_8n5": (8, 5, Fraction(-1, 2), 2, 3),
@@ -495,11 +458,23 @@ CONJECTURE_CASES: dict[str, tuple[int, int, Fraction, int, int]] = {
 
 
 def conjecture_check(name: str, p: int, oracle: str = "off") -> CongruenceReport:
-    """One of the four fixed-argument weighted congruences, by statement id."""
+    """One of the four fixed-argument weighted congruences, by statement id:
+    sum_{n<p} (a n + b) t_n(x)^2 = c p mod p^2 (CONJECTURE_CASES).
+
+    The direct sum is checked against the table's a S1 + (b-a) S0; a
+    disagreement is an internal error, not a verification failure, so it
+    raises.
+    """
     a, b, x, coeff, min_p = CONJECTURE_CASES[name]
     if p < min_p:
         raise HypothesisViolatedError(f"{name} requires p >= {min_p}")
-    return weighted_sum_check(p, a, b, x, Residue(coeff * p, p * p), oracle)
+    x, xr, _ = _split(p, x)
+    table = _table(p, 2, _u_mod(p, 2, xr), T_MULT, oracle, x=x)
+    lhs = _weighted_square_sum(table, a, b)
+    if lhs != table.square_sum(a, b):
+        raise SupercongError(
+            f"linear-weight recombination failed at p={p}, x={x}")
+    return _report(name, p, x, lhs, Residue(coeff * p, p * p))
 
 
 def kw_check(p: int, oracle: str = "off") -> CongruenceReport:

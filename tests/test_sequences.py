@@ -287,6 +287,110 @@ class TestPfaff:
             assert pfaff_check(n, Fraction(1, 2))
 
 
+def _bonnet(n, z):
+    """The coefficients of Bonnet's recurrence (n+1) f_{n+1} - (2n+1)(1-2z)
+    f_n + n f_{n-1} = 0 for f_n(z) = sum_k C(n,k) C(n+k,k) (-z)^k."""
+    return n + 1, (2 * n + 1) * (1 - 2 * z), n
+
+
+def _wrong_first(n, z):
+    a, b, c = _bonnet(n, z)
+    return a + 1, b, c  # n+2 for n+1
+
+
+def _wrong_middle(n, z):
+    a, b, c = _bonnet(n, z)
+    return a, b + 2 * (1 - 2 * z), c  # 2n+3 for 2n+1
+
+
+def _wrong_last(n, z):
+    a, b, c = _bonnet(n, z)
+    return a, b, c + 1  # n+1 for n
+
+
+class TestPfaffCertificate:
+    """pfaff_check proved for every n and z by creative telescoping: with
+    F(n,k) = C(n,k) C(n+k,k) (-z)^k and G(n,k) = -2(2n+1) C(n,k-1)
+    C(n+k-1,k-1) (-z)^k, the summand L(n,k) = (n+1) F(n+1,k) - (2n+1)(1-2z)
+    F(n,k) + n F(n-1,k) of Bonnet's recurrence is G(n,k+1) - G(n,k)."""
+
+    @staticmethod
+    def _cleared(n, k, z, coefficients=_bonnet):
+        """(n+1-k)(n+k) (L(n,k) - G(n,k+1) + G(n,k)) / F(n,k) for 0 <= k <=
+        n, n >= 1, with F(n+1,k)/F(n,k) = (n+1+k)/(n+1-k), F(n-1,k)/F(n,k) =
+        (n-k)/(n+k), G(n,k)/F(n,k) = -2(2n+1) k^2/((n+1-k)(n+k)) and
+        G(n,k+1)/F(n,k) = 2(2n+1) z: a polynomial of degree at most 3, 2 and
+        1 in n, k and z, written out unexpanded; its z terms cancel."""
+        a, b, c = coefficients(n, z)
+        lhs = (a * (n + 1 + k) * (n + k) - b * (n + 1 - k) * (n + k)
+               + c * (n - k) * (n + 1 - k))
+        rhs = 2 * (2 * n + 1) * (z * (n + 1 - k) * (n + k) + k * k)
+        return lhs - rhs
+
+    # one more point per variable than its degree: a polynomial of those
+    # degrees that vanishes on the grid is 0
+    GRID = [(n, k, z) for n in range(4) for k in range(3) for z in range(2)]
+
+    def test_certificate_is_a_polynomial_identity(self):
+        assert [self._cleared(*point) for point in self.GRID] == [0] * 24
+
+    @pytest.mark.parametrize("wrong", (_wrong_first, _wrong_middle,
+                                       _wrong_last))
+    def test_one_wrong_coefficient_breaks_it(self, wrong):
+        assert any(self._cleared(*point, coefficients=wrong)
+                   for point in self.GRID)
+
+    @staticmethod
+    def _F(n, k, z):
+        return comb(n, k) * comb(n + k, k) * (-z) ** k if k >= 0 else 0
+
+    @staticmethod
+    def _G(n, k, z):
+        return -2 * (2 * n + 1) * comb(n, k - 1) * comb(n + k - 1, k - 1) \
+            * (-z) ** k if k >= 1 else 0
+
+    def _L(self, n, k, z):
+        a, b, c = _bonnet(n, z)
+        return (a * self._F(n + 1, k, z) - b * self._F(n, k, z)
+                + c * self._F(n - 1, k, z))
+
+    def test_boundary_row(self):
+        # at k = n+1, where F(n,k) = 0 and the cleared form does not apply,
+        # L(n,n+1) = (n+1) F(n+1,n+1) and G(n,n+2) = 0, so the certificate
+        # reads (n+1) C(2n+2,n+1) = 2(2n+1) C(2n,n), which holds for every n
+        # as C(2n+2,n+1) = C(2n,n) (2n+2)(2n+1)/(n+1)^2
+        for n in range(1, 40):
+            assert (n + 1) * comb(2 * n + 2, n + 1) == (
+                2 * (2 * n + 1) * comb(2 * n, n))
+            for z in (Fraction(-2, 7), Fraction(3)):
+                assert self._L(n, n + 1, z) == (
+                    self._G(n, n + 2, z) - self._G(n, n + 1, z))
+
+    def test_recurrence_and_reflection_give_pfaff(self):
+        # summed over 0 <= k <= n+1 the certificate telescopes to G(n,n+2) -
+        # G(n,0) = 0: Bonnet's recurrence for n >= 1.  Under z -> 1-z its
+        # middle coefficient changes sign (degree 1 in n and in z: a 2 x 2
+        # grid decides it), so g_n = (-1)^n f_n(1-z) obeys it too, and g_0,
+        # g_1 = 1, 1-2z are f_0, f_1: f_n(z) = (-1)^n f_n(1-z) for every n,
+        # which is pfaff_check; its z-derivative is pfaff_derivative_check
+        for n in range(2):
+            for z in range(2):
+                a, b, c = _bonnet(n, z)
+                assert _bonnet(n, 1 - z) == (a, -b, c)
+        for z in (Fraction(17, 5), Fraction(-2, 7), Fraction(1, 2),
+                  Fraction(3)):
+            f = [sequences._pfaff_sum(n, z, 0) for n in range(15)]
+            g = [(-1) ** n * sequences._pfaff_sum(n, 1 - z, 0)
+                 for n in range(15)]
+            assert f[:2] == g[:2] == [1, 1 - 2 * z]
+            for n in range(1, 14):
+                a, b, c = _bonnet(n, z)
+                assert sum(self._L(n, k, z) for k in range(n + 2)) == 0
+                for h in (f, g):
+                    assert a * h[n + 1] - b * h[n] + c * h[n - 1] == 0, (z, n)
+            assert f == g
+
+
 class TestSymmetry:
     def test_fixed_point(self):
         assert t_symmetry_check(9, Fraction(-1, 2))

@@ -188,6 +188,23 @@ class TestReadmeCaches:
         assert named == set(memos)
 
 
+class TestReadmeNames:
+    def test_every_module_name_resolves(self):
+        # each `module.name` (or `supercong.module.name`) of a package module
+        # is an attribute of it, so a deleted name cannot stay documented
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        modules = {info.name for info in pkgutil.iter_modules(
+            supercong.__path__)} - {"__main__"}
+        named = [(module, name) for module, name in re.findall(
+                     r"`(?:supercong\.)?(\w+)\.(\w+)`",
+                     readme.read_text(encoding="utf-8"))
+                 if module in modules]
+        assert named
+        assert [f"{module}.{name}" for module, name in named
+                if not hasattr(importlib.import_module(
+                    f"supercong.{module}"), name)] == []
+
+
 class TestReadmeLibraryBlock:
     def test_block_runs_and_its_comments_hold(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -433,7 +450,7 @@ class TestRunCheck:
     @pytest.mark.parametrize("sid, name, fault", [
         # the prefix check: row p-1 of each prefix against its direct sum
         ("blocks", "_table_values", _corrupt_last_prefix_row),
-        # weighted_sum_check's direct sum against the table's a S1 + (b-a) S0
+        # conjecture_check's direct sum against the table's a S1 + (b-a) S0
         ("weighted_8n5", "_weighted_square_sum", _skew_the_8n5_sum),
         ("lemma21", "_pair_weights_mod", _raise(ArithmeticError("planted"))),
         ("blocks_weighted", "_block_sums_mod", _raise(ZeroDivisionError())),
